@@ -7,9 +7,13 @@ acquisition in a callee changes its callers' order edges).  The cache
 is therefore all-or-nothing at invocation granularity — the stored
 findings are replayed only when *every* input file's content hash, the
 effective configuration, and the analysis package itself are
-unchanged.  Any difference re-runs the full analysis.  That is exactly
-the CI shape: repeated lint invocations over an unchanged tree (text
-then JSON, full then ``--select FLOW``) pay for one analysis each.
+unchanged.  Any difference re-runs the full analysis.  Repeated
+invocations over an unchanged tree with the same effective selection
+(text then JSON, or a re-run of CI's single full ``repro-lint`` step)
+pay for one analysis.  A different ``--select``/``--ignore`` is a
+different key, and the file holds one entry: a full run followed by
+``--select FLOW`` analyses twice and leaves only the second cached.
+The full run already reports every family, so CI makes exactly one.
 
 The cache lives in ``.repro-lint-cache.json`` next to the invocation's
 working directory by default (``--cache-file`` overrides,

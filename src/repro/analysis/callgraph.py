@@ -15,15 +15,28 @@ follow chains like ``node_state.build_node(...)`` →
 The interprocedural dataflow pass (:mod:`.dataflow`, RPL6xx) reuses the
 same :class:`FunctionScanner` resolution machinery, so both layers see
 one consistent view of the project's types.
+
+:class:`SummaryClosure` is the one bottom-up closure the FLOW, PURE and
+COST families use to lift per-function summaries (locks acquired,
+effects, cost terms) through the call graph, strongly connected
+component by component.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (
+    Callable, Container, Dict, Generic, Iterable, List, Optional, Sequence,
+    Set, Tuple, TypeVar,
+)
 
-from .project import FunctionInfo, ModuleInfo, Project
+from .project import FunctionInfo, ModuleInfo, Project, project_memo
+
+T = TypeVar("T")
+
+#: Reads a callee's closed summary while summarizing its caller.
+Closed = Callable[[str], Tuple[T, ...]]
 
 #: Executor methods whose first argument runs on a pool thread.
 _POOL_DISPATCH = {"submit", "map", "apply_async", "starmap"}
@@ -408,3 +421,129 @@ def build_callgraph(project: Project) -> CallGraph:
             if collect_edges:
                 graph.edges[fn.key] = scanner.callees
     return graph
+
+
+@project_memo
+def shared_callgraph(project: Project) -> CallGraph:
+    """One call graph per parsed project (rules share the build)."""
+    return build_callgraph(project)
+
+
+def strongly_connected(
+    successors: Callable[[str], Iterable[str]],
+    roots: Iterable[str],
+    skip: Container[str] = frozenset(),
+) -> List[Set[str]]:
+    """Tarjan's SCC algorithm, iterative (no recursion limit games).
+
+    Explores from ``roots`` (in order) and children in sorted order;
+    nodes in ``skip`` are treated as absent.  Components come out in
+    reverse topological order: each one after every component it
+    reaches.
+    """
+    index: Dict[str, int] = {}
+    lowlink: Dict[str, int] = {}
+    on_stack: Set[str] = set()
+    stack: List[str] = []
+    components: List[Set[str]] = []
+
+    def children(node: str) -> List[str]:
+        return sorted(c for c in successors(node) if c not in skip)
+
+    for root in roots:
+        if root in index or root in skip:
+            continue
+        work: List[Tuple[str, List[str]]] = [(root, children(root))]
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, pending = work[-1]
+            if pending:
+                child = pending.pop(0)
+                if child not in index:
+                    index[child] = lowlink[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, children(child)))
+                elif child in on_stack:
+                    lowlink[node] = min(lowlink[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component: Set[str] = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
+class SummaryClosure(Generic[T]):
+    """Per-function summaries closed over the call graph, SCC by SCC.
+
+    A family supplies three things: ``callees(key)``, the functions
+    whose summaries ``key``'s summary reads; ``summarize(key, closed)``,
+    the summary items of ``key`` — its local facts plus each callee's
+    closed summary (read through ``closed``) bound into its frame; and
+    ``prune``, which dedups and bounds a list of items into the stored
+    tuple.  Calling the closure with a key returns its closed summary.
+
+    Components are closed in reverse topological order, so every callee
+    outside the current component is final when read.  A recursive
+    component starts from empty summaries and is re-summarized, members
+    in sorted order and earlier items kept, until no summary changes —
+    a fixpoint that depends on the component alone, never on which
+    member was asked for first.  ``prune`` must bound the items (the
+    families cap call chains and term counts) so the iteration ends.
+    """
+
+    def __init__(
+        self,
+        callees: Callable[[str], Iterable[str]],
+        summarize: Callable[[str, Closed[T]], Iterable[T]],
+        prune: Callable[[Sequence[T]], Tuple[T, ...]],
+    ) -> None:
+        self._callees = callees
+        self._summarize = summarize
+        self._prune = prune
+        self._closed: Dict[str, Tuple[T, ...]] = {}
+
+    def __call__(self, key: str) -> Tuple[T, ...]:
+        if key not in self._closed:
+            for component in strongly_connected(
+                self._callees, (key,), self._closed
+            ):
+                self._close(sorted(component))
+        return self._closed[key]
+
+    def _close(self, members: List[str]) -> None:
+        first = members[0]
+        if len(members) == 1 and first not in set(self._callees(first)):
+            self._closed[first] = self._prune(
+                list(self._summarize(first, self._closed.__getitem__))
+            )
+            return
+        current: Dict[str, Tuple[T, ...]] = dict.fromkeys(members, ())
+
+        def closed(callee: str) -> Tuple[T, ...]:
+            found = current.get(callee)
+            return self._closed[callee] if found is None else found
+
+        changed = True
+        while changed:
+            changed = False
+            for key in members:
+                items = self._prune(
+                    [*current[key], *self._summarize(key, closed)]
+                )
+                if items != current[key]:
+                    current[key] = items
+                    changed = True
+        self._closed.update(current)

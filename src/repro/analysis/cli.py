@@ -5,8 +5,11 @@ Usage::
     repro-lint src/repro                 # human-readable text
     repro-lint src/repro --format json   # CI reporter
     repro-lint --list-rules              # the rule catalog
+    repro-lint report flow src/repro     # a family's analysis report
 
-Exit status: 0 clean, 1 findings, 2 usage/configuration error.
+Exit status: 0 clean, 1 findings, 2 usage/configuration error.  The
+``report {flow,pure,cost}`` subcommand (see :mod:`.report`) exits 0
+whenever the analysis ran.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from .cache import DEFAULT_CACHE_FILE, LintCache, cache_key
-from .config import load_config
+from .config import LintConfig, load_config
 from .engine import LintEngine, discover_files
 from .model import all_rules
+from .project import Project
+from .report import REPORTS
 from .reporter import render_json, render_rule_catalog, render_text
 
 
@@ -30,19 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
             "AST-based invariant checker for the CLITE reproduction: "
             "determinism, thread-safety, partition contracts, numerics."
         ),
+        epilog=(
+            "repro-lint report {flow,pure,cost} [paths] renders a "
+            "whole-program family's analysis (see report --help)."
+        ),
     )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="Files or directories to lint (default: src/repro if present).",
-    )
-    parser.add_argument(
-        "--format",
-        "-f",
-        choices=("text", "json"),
-        default="text",
-        help="Report format (json is the CI reporter).",
-    )
+    _add_common_arguments(parser)
     parser.add_argument(
         "--select",
         default="",
@@ -55,16 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ignore",
         default="",
         help="Comma-separated rule IDs or family names to skip.",
-    )
-    parser.add_argument(
-        "--exclude",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help=(
-            "File or directory to skip during discovery (repeatable); "
-            "e.g. --exclude tests/lint_fixtures."
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -86,6 +74,100 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
+
+
+def build_report_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-lint report",
+        description=(
+            "Render the FLOW (lock-order graph, escapes), PURE (purity "
+            "registry, probe/commit phases) or COST (closed costs vs "
+            "budgets) analysis behind the lint family's findings."
+        ),
+    )
+    parser.add_argument("family", choices=tuple(REPORTS))
+    _add_common_arguments(parser)
+    return parser
+
+
+def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help="Files or directories to analyse (default: src/repro).",
+    )
+    parser.add_argument(
+        "--format",
+        "-f",
+        choices=("text", "json"),
+        default="text",
+        help="Output format (json is the CI reporter).",
+    )
+    parser.add_argument(
+        "--exclude",
+        action="append",
+        default=[],
+        metavar="PATH",
+        help=(
+            "File or directory to skip during discovery (repeatable); "
+            "e.g. --exclude tests/lint_fixtures."
+        ),
+    )
+
+
+def _default_paths(
+    parser: argparse.ArgumentParser, paths: List[str]
+) -> Optional[List[str]]:
+    if paths:
+        return paths
+    default = Path("src/repro")
+    if default.is_dir():
+        return [str(default)]
+    parser.print_usage(sys.stderr)
+    print(
+        f"{parser.prog}: no paths given and ./src/repro not found",
+        file=sys.stderr,
+    )
+    return None
+
+
+def _load_config(prog: str, paths: List[str]) -> Optional[LintConfig]:
+    try:
+        return load_config(Path(paths[0]))
+    except ValueError as error:
+        print(f"{prog}: {error}", file=sys.stderr)
+        return None
+
+
+def _build_project(
+    prog: str, engine: LintEngine, paths: List[str], exclude: List[str]
+) -> Optional[Project]:
+    try:
+        return engine.build_project(paths, exclude=exclude)
+    except (FileNotFoundError, SyntaxError) as error:
+        print(f"{prog}: {error}", file=sys.stderr)
+        return None
+
+
+def report_main(argv: List[str]) -> int:
+    """``repro-lint report``: print one family's analysis report."""
+    parser = build_report_parser()
+    args = parser.parse_args(argv)
+    paths = _default_paths(parser, args.paths)
+    if paths is None:
+        return 2
+    config = _load_config(parser.prog, paths)
+    if config is None:
+        return 2
+    project = _build_project(
+        parser.prog, LintEngine(config), paths, args.exclude
+    )
+    if project is None:
+        return 2
+    analyse, text, as_json = REPORTS[args.family]
+    analysis = analyse(project, config)
+    print(as_json(analysis) if args.format == "json" else text(analysis))
+    return 0
 
 
 def _split_rules(raw: str) -> tuple:
@@ -110,6 +192,9 @@ def _expand_families(tokens: tuple) -> tuple:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["report"]:
+        return report_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -117,22 +202,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_rule_catalog())
         return 0
 
-    paths = args.paths
-    if not paths:
-        default = Path("src/repro")
-        if not default.is_dir():
-            parser.print_usage(sys.stderr)
-            print(
-                "repro-lint: no paths given and ./src/repro not found",
-                file=sys.stderr,
-            )
-            return 2
-        paths = [str(default)]
-
-    try:
-        config = load_config(Path(paths[0]))
-    except ValueError as error:
-        print(f"repro-lint: {error}", file=sys.stderr)
+    paths = _default_paths(parser, args.paths)
+    if paths is None:
+        return 2
+    config = _load_config(parser.prog, paths)
+    if config is None:
         return 2
 
     select = _expand_families(_split_rules(args.select))
@@ -175,10 +249,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1 if cached else 0
 
     engine = LintEngine(config)
-    try:
-        project = engine.build_project(paths, exclude=args.exclude)
-    except (FileNotFoundError, SyntaxError) as error:
-        print(f"repro-lint: {error}", file=sys.stderr)
+    project = _build_project(parser.prog, engine, paths, args.exclude)
+    if project is None:
         return 2
     findings = engine.run(project)
     if cache is not None and key is not None:

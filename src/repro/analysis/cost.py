@@ -45,14 +45,24 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
-from .callgraph import CallGraph, FunctionScanner
+from .callgraph import (
+    CallGraph, FunctionScanner, SummaryClosure, shared_callgraph,
+)
 from .config import LintConfig
-from .dataflow import shared_callgraph
-from .flow import Site
-from .project import FunctionInfo, ModuleInfo, Project
-from .pure import PureAnalysis, _param_names, pure_analysis
+from .project import (
+    FunctionInfo,
+    ModuleInfo,
+    Project,
+    RegistryHit,
+    Site,
+    expr_text,
+    project_memo,
+)
+from .pure import PureAnalysis, pure_analysis
 
 #: The N-class size variables; everything else in a term is ``small``.
 N_VARS = ("n_jobs", "n_nodes", "n_shards")
@@ -179,17 +189,6 @@ class RepeatHit:
     count: int
 
 
-@dataclass(frozen=True)
-class CostRegistryHit:
-    """RPL1005: a cost-registry entry that is stale or malformed."""
-
-    entry: str
-    table: str            # "budgets" | "hot-entrypoints"
-    module: str
-    site: Site
-    detail: str
-
-
 # ----------------------------------------------------------------------
 # Per-function harvest
 # ----------------------------------------------------------------------
@@ -229,12 +228,17 @@ class _FnCost:
     )
 
 
-def _expr_text(node: ast.AST, limit: int = 60) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = type(node).__name__
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+def _prune_terms(terms: Sequence[Term]) -> Tuple[Term, ...]:
+    """One term per monomial, the ``_TERM_LIMIT`` highest degrees."""
+    by_vars: Dict[Tuple[str, ...], Term] = {}
+    for term in sorted(
+        terms, key=lambda t: (t.vars, t.site.module, t.site.line, t.what)
+    ):
+        by_vars.setdefault(term.vars, term)
+    pruned = sorted(
+        by_vars.values(), key=lambda t: (-t.degree, t.vars)
+    )[:_TERM_LIMIT]
+    return tuple(sorted(pruned, key=lambda t: (t.vars, t.site.line)))
 
 
 def parse_budget(expr: str) -> Optional[int]:
@@ -279,7 +283,7 @@ class _CostScanner:
 
     # -- name classification -------------------------------------------
     def _seed_names(self) -> None:
-        for name in _param_names(self.fn):
+        for name in self.fn.param_names():
             if name in ("self", "cls"):
                 self._name_class[name] = "small"
             elif name in self.analysis.small_names:
@@ -311,7 +315,7 @@ class _CostScanner:
                 classes = {
                     self._bound_of(value) for value in self._assigns[name]
                 }
-                if name in _param_names(self.fn):
+                if name in self.fn.param_names():
                     classes.add(f"param:{name}")
                 if len(classes) == 1:
                     self._name_class[name] = classes.pop()
@@ -450,14 +454,6 @@ class _CostScanner:
         return False
 
     # -- charging -------------------------------------------------------
-    def _site(self, node: ast.AST) -> Site:
-        return Site(
-            module=self.fn.module,
-            line=getattr(node, "lineno", self.fn.node.lineno),
-            col=getattr(node, "col_offset", 0),
-            fn_key=self.fn.key,
-        )
-
     def _charge(
         self,
         prefix: Tuple[str, ...],
@@ -469,7 +465,7 @@ class _CostScanner:
         if bound is None:
             return
         vars = tuple(sorted(prefix + (bound,)))
-        site = self._site(node)
+        site = self.fn.site(node)
         self.out.charges.append(
             Term(vars=vars, kind=kind, what=what, site=site)
         )
@@ -508,7 +504,7 @@ class _CostScanner:
                 self._walk_expr(stmt.iter, ctx)
                 self._charge(
                     prefix, bound, "loop", stmt,
-                    f"for over {_expr_text(stmt.iter)}",
+                    f"for over {expr_text(stmt.iter)}",
                 )
                 inner = prefix + (bound,) if bound is not None else prefix
                 self._walk_block(
@@ -596,7 +592,7 @@ class _CostScanner:
                 )
                 self._charge(
                     inner[0], bound, kind, expr,
-                    f"comprehension over {_expr_text(gen.iter)}",
+                    f"comprehension over {expr_text(gen.iter)}",
                 )
                 step = inner[0] + (bound,) if bound is not None else inner[0]
                 inner = (step, inner[1] + (expr.lineno,), inner[2])
@@ -618,7 +614,7 @@ class _CostScanner:
                     ):
                         self._charge(
                             prefix, bound, "membership", expr,
-                            f"'in' scan of {_expr_text(comparator)}",
+                            f"'in' scan of {expr_text(comparator)}",
                         )
                 left = comparator
             for child in ast.iter_child_nodes(expr):
@@ -653,13 +649,13 @@ class _CostScanner:
             bound = self._bound_of(call.args[0])
             self._charge(
                 prefix, bound, "alloc", call,
-                f"{simple}({_expr_text(call.args[0], 40)})",
+                f"{simple}({expr_text(call.args[0], 40)})",
             )
         elif simple in _SCAN_CALLS and call.args:
             bound = self._bound_of(call.args[0])
             self._charge(
                 prefix, bound, "scan", call,
-                f"{simple}({_expr_text(call.args[0], 40)})",
+                f"{simple}({expr_text(call.args[0], 40)})",
             )
         elif (
             isinstance(func, ast.Attribute)
@@ -668,13 +664,13 @@ class _CostScanner:
         ):
             self._charge(
                 prefix, self._bound_of(call.args[0]), "scan", call,
-                f"join({_expr_text(call.args[0], 40)})",
+                f"join({expr_text(call.args[0], 40)})",
             )
         elif isinstance(func, ast.Attribute) and simple == "copy":
             if not call.args:
                 self._charge(
                     prefix, self._bound_of(func.value), "alloc", call,
-                    f"{_expr_text(func.value, 40)}.copy()",
+                    f"{expr_text(func.value, 40)}.copy()",
                 )
         elif isinstance(func, (ast.Name, ast.Attribute)):
             dotted = self.module.resolve(func)
@@ -686,7 +682,7 @@ class _CostScanner:
             ):
                 self._charge(
                     prefix, self._bound_of(call.args[0]), "alloc", call,
-                    f"{dotted}({_expr_text(call.args[0], 40)})",
+                    f"{dotted}({expr_text(call.args[0], 40)})",
                 )
 
         targets = tuple(sorted(self.scanner._resolve_call_targets(call)))
@@ -697,7 +693,7 @@ class _CostScanner:
                     loops=loops,
                     branch=branch,
                     targets=targets,
-                    site=self._site(call),
+                    site=self.fn.site(call),
                     arg_classes=tuple(
                         self._bound_of(arg) for arg in call.args
                     ),
@@ -707,15 +703,15 @@ class _CostScanner:
                         if kw.arg is not None
                     ),
                     arg_texts=tuple(
-                        _expr_text(arg) for arg in call.args
+                        expr_text(arg) for arg in call.args
                     ),
                     kw_texts=tuple(
-                        (kw.arg, _expr_text(kw.value))
+                        (kw.arg, expr_text(kw.value))
                         for kw in call.keywords
                         if kw.arg is not None
                     ),
                     recv_text=(
-                        _expr_text(call.func.value)
+                        expr_text(call.func.value)
                         if isinstance(call.func, ast.Attribute)
                         else ""
                     ),
@@ -755,10 +751,15 @@ class CostAnalysis:
         self.quads: List[QuadHit] = []
         self.allocs: List[AllocHit] = []
         self.repeats: List[RepeatHit] = []
-        self.registry: List[CostRegistryHit] = []
+        self.registry: List[RegistryHit] = []
 
         self._harvests: Dict[str, _FnCost] = {}
-        self._closure_cache: Dict[str, Tuple[Term, ...]] = {}
+        #: closed symbolic cost of each function, in its own frame
+        self._cost_closure: SummaryClosure[Term] = SummaryClosure(
+            lambda key: [callee.key for _, callee in self._bound_calls(key)],
+            self._terms,
+            _prune_terms,
+        )
         self._repeat_maps: Dict[
             str, Dict[Tuple[str, Tuple[str, ...]], Tuple[int, Site]]
         ] = {}
@@ -767,41 +768,14 @@ class CostAnalysis:
         self._pure: Optional[PureAnalysis] = None
 
     # ------------------------------------------------------------------
-    # Registry resolution (pure.py's dotted-name discipline)
+    # Registry resolution
     # ------------------------------------------------------------------
-    def _resolve_dotted(self, dotted: str) -> Optional[str]:
-        for module_name, module in self.project.modules.items():
-            if not dotted.startswith(module_name + "."):
-                continue
-            remainder = dotted[len(module_name) + 1:]
-            parts = remainder.split(".")
-            if len(parts) == 1 and parts[0] in module.functions:
-                return module.functions[parts[0]].key
-            if len(parts) == 2 and parts[0] in module.classes:
-                method = module.classes[parts[0]].methods.get(parts[1])
-                if method is not None:
-                    return method.key
-        return None
-
-    def _owning_module(self, dotted: str) -> Optional[str]:
-        best = None
-        for module_name in self.project.modules:
-            if dotted.startswith(module_name + "."):
-                if best is None or len(module_name) > len(best):
-                    best = module_name
-        return best
-
-    def _registry_hit(
-        self, entry: str, table: str, detail: str
-    ) -> Optional[CostRegistryHit]:
-        module = self._owning_module(entry)
-        if module is None:
-            return None  # entry targets a module outside this run
-        site = Site(module=module, line=1, col=0, fn_key="")
-        return CostRegistryHit(
-            entry=entry, table=table, module=module, site=site,
-            detail=detail,
-        )
+    def _bad_entry(
+        self, entry: str, table: str, detail: str = "no such function"
+    ) -> None:
+        hit = self.project.registry_hit(entry, table, detail)
+        if hit is not None:
+            self.registry.append(hit)
 
     def _resolve_tables(self) -> None:
         for raw in self.config.cost_budgets:
@@ -809,40 +783,27 @@ class CostAnalysis:
             dotted = dotted.strip()
             expr = expr.strip()
             allowed = parse_budget(expr) if expr else None
-            key = self._resolve_dotted(dotted)
+            key = self.project.resolve_dotted(dotted)
             if key is None:
-                hit = self._registry_hit(
-                    dotted, "budgets", "no such function"
-                )
-                if hit is not None:
-                    self.registry.append(hit)
-                continue
-            if allowed is None:
-                hit = self._registry_hit(
+                self._bad_entry(dotted, "budgets")
+            elif allowed is None:
+                self._bad_entry(
                     dotted, "budgets", f"unparsable budget {expr!r}"
                 )
-                if hit is not None:
-                    self.registry.append(hit)
-                continue
-            self.budgets[key] = Budget(
-                entry=dotted, key=key, expr=expr, allowed=allowed
-            )
-        for entry in self.config.cost_hot_entrypoints:
-            key = self._resolve_dotted(entry)
-            if key is None:
-                hit = self._registry_hit(
-                    entry, "hot-entrypoints", "no such function"
+            else:
+                self.budgets[key] = Budget(
+                    entry=dotted, key=key, expr=expr, allowed=allowed
                 )
-                if hit is not None:
-                    self.registry.append(hit)
+        for entry in self.config.cost_hot_entrypoints:
+            key = self.project.resolve_dotted(entry)
+            if key is None:
+                self._bad_entry(entry, "hot-entrypoints")
                 continue
             self.hot_entries[key] = entry
             if key not in self.budgets:
-                hit = self._registry_hit(
+                self._bad_entry(
                     entry, "hot-entrypoints", "hot entry has no budget"
                 )
-                if hit is not None:
-                    self.registry.append(hit)
 
     # ------------------------------------------------------------------
     # Closures with call-site binding
@@ -850,91 +811,65 @@ class CostAnalysis:
     def _map_vars(
         self, vars: Tuple[str, ...], call: _CostCall, callee: FunctionInfo
     ) -> Tuple[str, ...]:
-        params = _param_names(callee)
-        bound = bool(params) and params[0] in ("self", "cls")
-        positional = params[1:] if bound else params
+        binding = callee.bind(call.arg_classes, call.kw_classes)
         mapped: List[str] = []
         for v in vars:
             if not v.startswith("param:"):
                 mapped.append(v)
                 continue
-            name = v[len("param:"):]
-            cls: Optional[str] = "small"
-            found = False
-            for kw_name, kw_cls in call.kw_classes:
-                if kw_name == name:
-                    cls = kw_cls
-                    found = True
-                    break
-            if not found:
-                try:
-                    index = positional.index(name)
-                except ValueError:
-                    index = -1
-                if 0 <= index < len(call.arg_classes):
-                    cls = call.arg_classes[index]
-                else:
-                    cls = None  # defaulted parameter: no caller size
+            # A defaulted parameter has no caller size: dropped.
+            cls = binding.get(v[len("param:"):])
             if cls is not None:
                 mapped.append(cls)
         return tuple(mapped)
 
-    def _cost_closure(self, key: str) -> Tuple[Term, ...]:
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        self._closure_cache[key] = ()  # cycle guard
+    def _bound_calls(
+        self, key: str
+    ) -> Iterator[Tuple[_CostCall, FunctionInfo]]:
+        """Each (call, project callee) whose cost ``key`` imports."""
+        harvest = self._harvests.get(key)
+        for call in harvest.calls if harvest else ():
+            for target in call.targets:
+                callee = self.project.functions.get(target)
+                if callee is not None:
+                    yield call, callee
+
+    def _terms(
+        self, key: str, closed: Callable[[str], Tuple[Term, ...]]
+    ) -> List[Term]:
         harvest = self._harvests.get(key)
         out: List[Term] = list(harvest.charges) if harvest else []
-        if harvest is not None:
-            for call in harvest.calls:
-                for target in call.targets:
-                    callee = self.project.functions.get(target)
-                    if callee is None:
-                        continue
-                    for term in self._cost_closure(target):
-                        mapped = self._map_vars(term.vars, call, callee)
-                        chain = (callee.qualname,) + term.chain
-                        if len(chain) > _VIA_LIMIT:
-                            chain = chain[:_VIA_LIMIT]
-                        out.append(
-                            Term(
-                                vars=tuple(sorted(call.prefix + mapped)),
-                                kind=term.kind,
-                                what=term.what,
-                                site=term.site,
-                                chain=chain,
-                            )
-                        )
-        by_vars: Dict[Tuple[str, ...], Term] = {}
-        for term in sorted(
-            out,
-            key=lambda t: (t.vars, t.site.module, t.site.line, t.what),
-        ):
-            by_vars.setdefault(term.vars, term)
-        pruned = sorted(
-            by_vars.values(), key=lambda t: (-t.degree, t.vars)
-        )[:_TERM_LIMIT]
-        closed = tuple(
-            sorted(pruned, key=lambda t: (t.vars, t.site.line))
-        )
-        self._closure_cache[key] = closed
-        return closed
+        for call, callee in self._bound_calls(key):
+            for term in closed(callee.key):
+                mapped = self._map_vars(term.vars, call, callee)
+                if len(term.chain) < _VIA_LIMIT:
+                    # Loop prefixes compound only while the chain has
+                    # room, so terms going round a recursive cycle stop
+                    # growing after _VIA_LIMIT calls.
+                    mapped = call.prefix + mapped
+                out.append(
+                    Term(
+                        vars=tuple(sorted(mapped)),
+                        kind=term.kind,
+                        what=term.what,
+                        site=term.site,
+                        chain=((callee.qualname,) + term.chain)[:_VIA_LIMIT],
+                    )
+                )
+        return out
 
     # ------------------------------------------------------------------
     # RPL1004: repeated identical calls to pure costly functions
     # ------------------------------------------------------------------
     def _is_repeat_candidate(self, key: str) -> bool:
-        cached = self._repeat_candidates.get(key)
-        if cached is not None:
-            return cached
-        self._repeat_candidates[key] = False  # cycle guard
-        fn = self.project.functions.get(key)
-        verdict = False
-        if fn is not None and self._pure is not None:
-            if not self._pure._effect_closure(key):
-                verdict = bool(self._cost_closure(key))
-        self._repeat_candidates[key] = verdict
+        verdict = self._repeat_candidates.get(key)
+        if verdict is None:
+            verdict = (
+                self._pure is not None
+                and not self._pure._effect_closure(key)
+                and bool(self._cost_closure(key))
+            )
+            self._repeat_candidates[key] = verdict
         return verdict
 
     @staticmethod
@@ -955,15 +890,7 @@ class CostAnalysis:
         callee: FunctionInfo,
     ) -> Tuple[str, ...]:
         """Rewrite a child-frame argument signature into this frame."""
-        params = _param_names(callee)
-        bound = bool(params) and params[0] in ("self", "cls")
-        positional = params[1:] if bound else params
-        mapping: Dict[str, str] = {}
-        for name, text in call.kw_texts:
-            mapping[name] = text
-        for index, name in enumerate(positional):
-            if name not in mapping and index < len(call.arg_texts):
-                mapping[name] = call.arg_texts[index]
+        mapping = callee.bind(call.arg_texts, call.kw_texts)
         out: List[str] = []
         for arg in args:
             recv = arg.startswith("@")
@@ -971,7 +898,7 @@ class CostAnalysis:
             head, dot, rest = text.partition(".")
             if text in mapping:
                 text = mapping[text]
-            elif head == "self" and bound and call.recv_text:
+            elif head == "self" and callee.bound_method and call.recv_text:
                 # Rebase the child frame's instance onto this call's
                 # receiver (`self._loads_of` via `self._mark_verified`
                 # keeps `self`; via `shard.check` it becomes `shard.`).
@@ -1072,10 +999,6 @@ class CostAnalysis:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def _suppressed(self, rule_id: str, site: Site) -> bool:
-        module = self.project.modules.get(site.module)
-        return module is not None and module.suppressed(rule_id, site.line)
-
     def _hot_module_keys(self) -> Set[str]:
         keys: Set[str] = set()
         for fn in self.project.iter_functions():
@@ -1103,14 +1026,14 @@ class CostAnalysis:
             for term in self._cost_closure(key):
                 if term.degree <= budget.allowed:
                     continue
-                if self._suppressed("RPL1001", term.site):
+                if self.project.suppressed("RPL1001", term.site):
                     continue
                 self.budget_hits.append(BudgetHit(budget=budget, term=term))
 
         # RPL1002: local same-family products, project-wide.
         for fn_key in sorted(self._harvests):
             for site, vars, what in self._harvests[fn_key].quads:
-                if self._suppressed("RPL1002", site):
+                if self.project.suppressed("RPL1002", site):
                     continue
                 self.quads.append(
                     QuadHit(site=site, fn_key=fn_key, vars=vars, what=what)
@@ -1128,7 +1051,7 @@ class CostAnalysis:
             if harvest is None:
                 continue
             for site, bound, what in harvest.allocs:
-                if self._suppressed("RPL1003", site):
+                if self.project.suppressed("RPL1003", site):
                     continue
                 self.allocs.append(
                     AllocHit(
@@ -1152,13 +1075,13 @@ class CostAnalysis:
             hit
             for hit in self.repeats
             if hit.fn_key in report_scope
-            and not self._suppressed("RPL1004", hit.site)
+            and not self.project.suppressed("RPL1004", hit.site)
         ]
 
         self.registry = [
             hit
             for hit in self.registry
-            if not self._suppressed("RPL1005", hit.site)
+            if not self.project.suppressed("RPL1005", hit.site)
         ]
 
         self.budget_hits.sort(
@@ -1191,20 +1114,9 @@ class CostAnalysis:
 
 
 # ----------------------------------------------------------------------
-# Shared entry point for the rule module and the repro-cost CLI
+# Shared entry point for the rule module and ``repro-lint report cost``
 # ----------------------------------------------------------------------
-_COST_CACHE: Dict[Tuple[int, int], CostAnalysis] = {}
-_CACHE_LIMIT = 8
-
-
+@project_memo
 def cost_analysis(project: Project, config: LintConfig) -> CostAnalysis:
     """Run (or reuse) the COST analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _COST_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_COST_CACHE) >= _CACHE_LIMIT:
-        _COST_CACHE.clear()
-    analysis = CostAnalysis(project, shared_callgraph(project), config).run()
-    _COST_CACHE[key] = analysis
-    return analysis
+    return CostAnalysis(project, shared_callgraph(project), config).run()

@@ -34,9 +34,11 @@ import ast
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner, _annotation_class
+from .callgraph import (
+    CallGraph, FunctionScanner, _annotation_class, shared_callgraph,
+)
 from .config import LintConfig
-from .project import FunctionInfo, ModuleInfo, Project
+from .project import FunctionInfo, ModuleInfo, Project, project_memo
 
 # ----------------------------------------------------------------------
 # Taint domain
@@ -789,41 +791,10 @@ class DataflowAnalysis:
 # ----------------------------------------------------------------------
 # Shared entry points for the rule modules
 # ----------------------------------------------------------------------
-#: Cache key: id(project) — a Project is parsed once per engine run, so
-#: identity is stable for the lifetime of one lint invocation; entries
-#: are keyed weakly through the bounded size below.
-_ANALYSIS_CACHE: Dict[Tuple[int, int], DataflowAnalysis] = {}
-_GRAPH_CACHE: Dict[int, CallGraph] = {}
-_CACHE_LIMIT = 8
-
-
-def shared_callgraph(project: Project) -> CallGraph:
-    """One call graph per parsed project (rules share the build)."""
-    from .callgraph import build_callgraph
-
-    key = id(project)
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None or graph.project is not project:
-        if len(_GRAPH_CACHE) >= _CACHE_LIMIT:
-            _GRAPH_CACHE.clear()
-        graph = build_callgraph(project)
-        _GRAPH_CACHE[key] = graph
-    return graph
-
-
+@project_memo
 def analyze(project: Project, config: LintConfig) -> DataflowAnalysis:
     """Run (or reuse) the dataflow analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _ANALYSIS_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_ANALYSIS_CACHE) >= _CACHE_LIMIT:
-        _ANALYSIS_CACHE.clear()
-    analysis = DataflowAnalysis(
-        project, shared_callgraph(project), config
-    ).run()
-    _ANALYSIS_CACHE[key] = analysis
-    return analysis
+    return DataflowAnalysis(project, shared_callgraph(project), config).run()
 
 
 def pool_entry_keys(

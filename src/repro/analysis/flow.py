@@ -41,17 +41,26 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-from .callgraph import CallGraph, FunctionScanner, _annotation_class, _POOL_DISPATCH
-from .config import LintConfig
-from .dataflow import (
-    _LOCK_TYPE_NAMES,
-    LocksetAnalysis,
-    pool_entry_keys,
-    shared_callgraph,
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    TypeVar,
 )
-from .project import FunctionInfo, ModuleInfo, Project
+
+from .callgraph import (
+    _POOL_DISPATCH,
+    CallGraph,
+    FunctionScanner,
+    SummaryClosure,
+    _annotation_class,
+    shared_callgraph,
+    strongly_connected,
+)
+from .config import LintConfig
+from .dataflow import _LOCK_TYPE_NAMES, LocksetAnalysis, pool_entry_keys
+from .project import FunctionInfo, ModuleInfo, Project, Site, project_memo
+
+#: Summary items of the union-shaped FLOW closures.
+T = TypeVar("T", str, Tuple[str, str])
 
 #: Container methods that add elements.
 _GROW_METHODS = {"append", "add", "insert", "extend", "appendleft", "setdefault"}
@@ -65,16 +74,6 @@ _LOCK_WRAPPER_METHODS = {"acquire", "release", "locked", "__enter__", "__exit__"
 
 #: Container constructors recognised for module-level growth tracking.
 _CONTAINER_CTORS = {"list", "dict", "set", "deque", "OrderedDict", "defaultdict"}
-
-
-@dataclass(frozen=True)
-class Site:
-    """One source location inside one function."""
-
-    module: str   # dotted module name
-    line: int
-    col: int
-    fn_key: str   # "module:qualname" of the enclosing function
 
 
 @dataclass(frozen=True)
@@ -285,8 +284,15 @@ class FlowAnalysis:
         self.entry_keys: Set[str] = set()
 
         self._harvests: Dict[str, _FunctionHarvest] = {}
-        self._closure_cache: Dict[str, FrozenSet[str]] = {}
-        self._blocking_closure_cache: Dict[str, FrozenSet[Tuple[str, str]]] = {}
+        #: locks acquired transitively by each function
+        self._acquired_closure: SummaryClosure[str] = self._union_closure(
+            lambda h: h.acquired
+        )
+        #: (blocking call, origin qualname) pairs reachable from each
+        #: function that are *not* under a lock at their own site
+        self._blocking_closure: SummaryClosure[Tuple[str, str]] = (
+            self._union_closure(lambda h: h.unlocked_blocking)
+        )
         self._self_registering = self._find_self_registering()
         self._thread_targets: Set[str] = set()
         self._bounded_containers: Set[str] = set(
@@ -427,14 +433,6 @@ class FlowAnalysis:
 
         self._scan_lifecycle(fn, module, scanner, locks)
 
-    def _site(self, fn: FunctionInfo, node: ast.AST) -> Site:
-        return Site(
-            module=fn.module,
-            line=getattr(node, "lineno", fn.node.lineno),
-            col=getattr(node, "col_offset", 0),
-            fn_key=fn.key,
-        )
-
     def _record_acquisition(
         self,
         fn: FunctionInfo,
@@ -472,7 +470,7 @@ class FlowAnalysis:
             token = locks.lock_token(item.context_expr)
             if token is None:
                 continue
-            site = self._site(fn, item.context_expr)
+            site = fn.site(item.context_expr)
             self._record_acquisition(fn, harvest, token, held, site)
             held.add(token)
 
@@ -486,7 +484,7 @@ class FlowAnalysis:
         node: ast.Call,
     ) -> None:
         held = locks.held_at(node)
-        site = self._site(fn, node)
+        site = fn.site(node)
         func = node.func
 
         # Explicit acquire() outside a with-block: an order-graph edge.
@@ -729,7 +727,7 @@ class FlowAnalysis:
                 local_names,
                 token,
                 "[]=",
-                self._site(fn, target),
+                fn.site(target),
             )
 
     def _scan_delete(
@@ -835,7 +833,7 @@ class FlowAnalysis:
                     if spec is not None:
                         self.leaks.append(
                             LeakHit(
-                                site=self._site(fn, node),
+                                site=fn.site(node),
                                 resource=spec.creator,
                                 creator=spec.creator,
                                 kind="never-released",
@@ -901,7 +899,7 @@ class FlowAnalysis:
                         transferred = True
         if used_as_context or transferred:
             return
-        site = self._site(fn, creation)
+        site = fn.site(creation)
         if not releases:
             self.leaks.append(
                 LeakHit(
@@ -961,7 +959,7 @@ class FlowAnalysis:
             if not matching:
                 self.leaks.append(
                     LeakHit(
-                        site=self._site(fn, call),
+                        site=fn.site(call),
                         resource=token,
                         creator="acquire",
                         kind="acquire-no-release",
@@ -971,7 +969,7 @@ class FlowAnalysis:
             elif not any(id(rel) in finally_nodes for rel in matching):
                 self.leaks.append(
                     LeakHit(
-                        site=self._site(fn, call),
+                        site=fn.site(call),
                         resource=token,
                         creator="acquire",
                         kind="acquire-no-finally",
@@ -982,35 +980,24 @@ class FlowAnalysis:
     # ------------------------------------------------------------------
     # Interprocedural closures
     # ------------------------------------------------------------------
-    def _acquired_closure(self, key: str) -> FrozenSet[str]:
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        self._closure_cache[key] = frozenset()  # cycle guard
-        harvest = self._harvests.get(key)
-        result: Set[str] = set(harvest.acquired) if harvest else set()
-        for callee in self.graph.edges.get(key, ()):
-            result |= self._acquired_closure(callee)
-        frozen = frozenset(result)
-        self._closure_cache[key] = frozen
-        return frozen
+    def _union_closure(
+        self, local: Callable[[_FunctionHarvest], Iterable[T]]
+    ) -> SummaryClosure[T]:
+        def summarize(
+            key: str, closed: Callable[[str], Tuple[T, ...]]
+        ) -> List[T]:
+            harvest = self._harvests.get(key)
+            items = list(local(harvest)) if harvest else []
+            for callee in self._callees(key):
+                items.extend(closed(callee))
+            return items
 
-    def _blocking_closure(self, key: str) -> FrozenSet[Tuple[str, str]]:
-        """(blocking call, origin qualname) pairs reachable from ``key``
-        that are *not* themselves under a lock at their own site."""
-        cached = self._blocking_closure_cache.get(key)
-        if cached is not None:
-            return cached
-        self._blocking_closure_cache[key] = frozenset()  # cycle guard
-        harvest = self._harvests.get(key)
-        result: Set[Tuple[str, str]] = (
-            set(harvest.unlocked_blocking) if harvest else set()
+        return SummaryClosure(
+            self._callees, summarize, lambda items: tuple(sorted(set(items)))
         )
-        for callee in self.graph.edges.get(key, ()):
-            result |= self._blocking_closure(callee)
-        frozen = frozenset(result)
-        self._blocking_closure_cache[key] = frozen
-        return frozen
+
+    def _callees(self, key: str) -> Set[str]:
+        return self.graph.edges.get(key, set())
 
     def _interprocedural_pass(self) -> None:
         for key, harvest in sorted(self._harvests.items()):
@@ -1018,8 +1005,8 @@ class FlowAnalysis:
                 acquired: Set[str] = set()
                 blocked: Set[Tuple[str, str]] = set()
                 for target in targets:
-                    acquired |= self._acquired_closure(target)
-                    blocked |= self._blocking_closure(target)
+                    acquired.update(self._acquired_closure(target))
+                    blocked.update(self._blocking_closure(target))
                 for token in sorted(acquired):
                     for prior in sorted(held):
                         self._record_edge(prior, token, site)
@@ -1043,7 +1030,9 @@ class FlowAnalysis:
                 continue
             adjacency.setdefault(held, set()).add(acquired)
             adjacency.setdefault(acquired, set())
-        for component in _strongly_connected(adjacency):
+        for component in strongly_connected(
+            lambda token: adjacency[token], sorted(adjacency)
+        ):
             if len(component) < 2:
                 continue
             tokens = tuple(sorted(component))
@@ -1078,25 +1067,11 @@ class FlowAnalysis:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def _resolve_entry(self, dotted: str) -> Optional[str]:
-        for module_name, module in self.project.modules.items():
-            if not dotted.startswith(module_name + "."):
-                continue
-            remainder = dotted[len(module_name) + 1:]
-            parts = remainder.split(".")
-            if len(parts) == 1 and parts[0] in module.functions:
-                return module.functions[parts[0]].key
-            if len(parts) == 2 and parts[0] in module.classes:
-                method = module.classes[parts[0]].methods.get(parts[1])
-                if method is not None:
-                    return method.key
-        return None
-
     def _compute_entries(self) -> None:
         entries = set(pool_entry_keys(self.project, self.graph, self.config))
         entries |= self._thread_targets
         for dotted in self.config.flow_entrypoints:
-            key = self._resolve_entry(dotted)
+            key = self.project.resolve_dotted(dotted)
             if key is not None:
                 entries.add(key)
         self.entry_keys = entries
@@ -1162,71 +1137,10 @@ class FlowAnalysis:
         return self
 
 
-def _strongly_connected(
-    adjacency: Dict[str, Set[str]]
-) -> List[Set[str]]:
-    """Tarjan's SCC algorithm, iterative (no recursion limit games)."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    components: List[Set[str]] = []
-    counter = [0]
-
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work: List[Tuple[str, List[str]]] = [
-            (root, sorted(adjacency.get(root, ())))
-        ]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            if children:
-                child = children.pop(0)
-                if child not in index:
-                    index[child] = lowlink[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, sorted(adjacency.get(child, ()))))
-                elif child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component: Set[str] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(component)
-    return components
-
-
 # ----------------------------------------------------------------------
-# Shared entry point for the rule module and the repro-flow CLI
+# Shared entry point for the rule module and ``repro-lint report flow``
 # ----------------------------------------------------------------------
-_FLOW_CACHE: Dict[Tuple[int, int], FlowAnalysis] = {}
-_CACHE_LIMIT = 8
-
-
+@project_memo
 def flow_analysis(project: Project, config: LintConfig) -> FlowAnalysis:
     """Run (or reuse) the FLOW analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _FLOW_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_FLOW_CACHE) >= _CACHE_LIMIT:
-        _FLOW_CACHE.clear()
-    analysis = FlowAnalysis(project, shared_callgraph(project), config).run()
-    _FLOW_CACHE[key] = analysis
-    return analysis
+    return FlowAnalysis(project, shared_callgraph(project), config).run()

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .config import LintConfig
-    from .project import Project
+    from .project import Project, Site
 
 #: Rule families, in catalog order.
 DETERMINISM = "determinism"
@@ -77,6 +77,20 @@ class Rule(ABC):
             path=str(module.display_path),
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
+            message=message,
+            hint=self.autofix_hint,
+        )
+
+    def finding_at(
+        self, project: "Project", site: "Site", message: str
+    ) -> Finding:
+        """Build a finding at an analysis :class:`~.project.Site`."""
+        module = project.modules.get(site.module)
+        return Finding(
+            rule_id=self.rule_id,
+            path=str(module.display_path) if module else site.module,
+            line=site.line,
+            col=site.col,
             message=message,
             hint=self.autofix_hint,
         )

@@ -10,12 +10,19 @@ families shipped here.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    TypeVar, Union,
+)
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+R = TypeVar("R")
+V = TypeVar("V")
 
 #: ``# repro-lint: disable=RPL101,RPL202`` (line) /
 #: ``disable-next-line=...`` / ``disable-file=...`` (whole file).
@@ -23,6 +30,36 @@ _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable|disable-next-line|disable-file)\s*=\s*"
     r"([A-Za-z0-9_*,\s]+)"
 )
+
+
+def expr_text(node: ast.AST, limit: int = 60) -> str:
+    """Source text of an expression, cut to ``limit`` characters."""
+    try:
+        text = ast.unparse(node)
+    except Exception:  # pragma: no cover - unparse is total on 3.9+
+        text = type(node).__name__
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+@dataclass(frozen=True)
+class Site:
+    """One source location inside one function."""
+
+    module: str   # dotted module name
+    line: int
+    col: int
+    fn_key: str   # "module:qualname" of the enclosing function
+
+
+@dataclass(frozen=True)
+class RegistryHit:
+    """A config registry entry into this project that is stale or bad."""
+
+    entry: str            # the dotted entry as configured
+    table: str            # "registry" | "budgets" | "hot-entrypoints" | ...
+    module: str           # the project module the entry points into
+    site: Site
+    detail: str = "no such function"
 
 
 @dataclass
@@ -45,6 +82,41 @@ class FunctionInfo:
 
     def decorator_names(self) -> List[str]:
         return [_last_component(d) for d in self.node.decorator_list]
+
+    def param_names(self) -> List[str]:
+        args = self.node.args
+        params = (*args.posonlyargs, *args.args, *args.kwonlyargs)
+        return [a.arg for a in params]
+
+    @property
+    def bound_method(self) -> bool:
+        """Whether the first parameter is ``self``/``cls``."""
+        return self.param_names()[:1] in (["self"], ["cls"])
+
+    def bind(
+        self,
+        args: Sequence[V],
+        keywords: Iterable[Tuple[Optional[str], V]],
+    ) -> Dict[str, V]:
+        """Parameter name -> what a call site passes for it.
+
+        Keywords bind by name and positionals in order past a leading
+        ``self``/``cls``; a defaulted parameter stays unbound.
+        """
+        params = self.param_names()[1 if self.bound_method else 0:]
+        bound = {name: value for name, value in keywords if name is not None}
+        for name, value in zip(params, args):
+            bound.setdefault(name, value)
+        return bound
+
+    def site(self, node: ast.AST) -> Site:
+        """The :class:`Site` of ``node`` inside this function."""
+        return Site(
+            module=self.module,
+            line=getattr(node, "lineno", self.node.lineno),
+            col=getattr(node, "col_offset", 0),
+            fn_key=self.key,
+        )
 
 
 @dataclass
@@ -145,12 +217,90 @@ class Project:
                     return found
         return None
 
+    def resolve_dotted(self, dotted: str) -> Optional[str]:
+        """``pkg.mod.fn`` / ``pkg.mod.Cls.meth`` to a function key."""
+        for module_name, module in self.modules.items():
+            if not dotted.startswith(module_name + "."):
+                continue
+            remainder = dotted[len(module_name) + 1:]
+            parts = remainder.split(".")
+            if len(parts) == 1 and parts[0] in module.functions:
+                return module.functions[parts[0]].key
+            if len(parts) == 2 and parts[0] in module.classes:
+                method = module.classes[parts[0]].methods.get(parts[1])
+                if method is not None:
+                    return method.key
+        return None
+
+    def owning_module(self, dotted: str) -> Optional[str]:
+        """Longest project module name the dotted entry points into."""
+        best = None
+        for module_name in self.modules:
+            if dotted.startswith(module_name + "."):
+                if best is None or len(module_name) > len(best):
+                    best = module_name
+        return best
+
+    def registry_hit(
+        self, entry: str, table: str, detail: str = "no such function"
+    ) -> Optional[RegistryHit]:
+        """A bad registry entry, or ``None`` when the entry targets a
+        module outside this run (partial-tree runs stay quiet)."""
+        module = self.owning_module(entry)
+        if module is None:
+            return None
+        site = Site(module=module, line=1, col=0, fn_key="")
+        return RegistryHit(entry, table, module, site, detail)
+
+    def suppressed(self, rule_id: str, site: Site) -> bool:
+        module = self.modules.get(site.module)
+        return module is not None and module.suppressed(rule_id, site.line)
+
+    def label(self, key: str) -> str:
+        """``module:qualname`` of a function key (the key if unknown)."""
+        fn = self.functions.get(key)
+        return key if fn is None else f"{fn.module}:{fn.qualname}"
+
+    def qualname(self, key: str) -> str:
+        fn = self.functions.get(key)
+        return fn.qualname if fn is not None else key.split(":")[-1]
+
     def dataclass_info(self, class_name: str) -> Optional[ClassInfo]:
         """The project's dataclass with this simple name, if unique."""
         candidates = [
             c for c in self.classes_by_name.get(class_name, ()) if c.is_dataclass
         ]
         return candidates[0] if len(candidates) == 1 else None
+
+
+_MEMO_LIMIT = 8
+
+
+def project_memo(build: Callable[..., R]) -> Callable[..., R]:
+    """Memoize ``build(project, *args)`` per parsed project and args.
+
+    A :class:`Project` is parsed once per lint run and every rule of a
+    family reads the same analysis, so the key is the project's
+    identity plus the hash of the remaining arguments (the config);
+    the stored project is compared by identity so a recycled ``id``
+    never replays another project's result.  Each memo keeps at most
+    eight entries and is cleared wholesale when full.
+    """
+    memo: Dict[Tuple[int, int], Tuple[Project, R]] = {}
+
+    @functools.wraps(build)
+    def cached(project: Project, *args: Any) -> R:
+        key = (id(project), hash(args))
+        hit = memo.get(key)
+        if hit is not None and hit[0] is project:
+            return hit[1]
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        result = build(project, *args)
+        memo[key] = (project, result)
+        return result
+
+    return cached
 
 
 # ----------------------------------------------------------------------

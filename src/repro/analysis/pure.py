@@ -46,14 +46,29 @@ replay-invariant by design.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field as dc_field, replace
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
-from .callgraph import CallGraph, FunctionScanner, _annotation_class
+from .callgraph import (
+    CallGraph,
+    FunctionScanner,
+    SummaryClosure,
+    _annotation_class,
+    shared_callgraph,
+)
 from .config import LintConfig
-from .dataflow import _BIT_GENERATORS, shared_callgraph
-from .flow import Site
-from .project import FunctionInfo, ModuleInfo, Project
+from .dataflow import _BIT_GENERATORS
+from .project import (
+    FunctionInfo,
+    ModuleInfo,
+    Project,
+    RegistryHit,
+    Site,
+    expr_text,
+    project_memo,
+)
 
 #: Receiver methods that mutate the receiver in place.
 _MUTATING_METHODS = {
@@ -167,16 +182,6 @@ class OrderHit:
     entry: str            # probe/purity root it is reachable from
 
 
-@dataclass(frozen=True)
-class RegistryHit:
-    """RPL905: a purity-registry entry that no longer resolves."""
-
-    entry: str
-    table: str            # "registry" | "probe-entrypoints" | ...
-    module: str           # the project module the entry points into
-    site: Site
-
-
 # ----------------------------------------------------------------------
 # Per-function harvest
 # ----------------------------------------------------------------------
@@ -203,14 +208,6 @@ class _Harvest:
     order_risks: List[Tuple[Site, str, str]] = dc_field(default_factory=list)
 
 
-def _expr_text(node: ast.AST, limit: int = 60) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = type(node).__name__
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
 def _base_expr(node: ast.AST) -> ast.AST:
     """The base of an Attribute/Subscript chain (``self.a.b[0]`` → self)."""
     current = node
@@ -219,9 +216,22 @@ def _base_expr(node: ast.AST) -> ast.AST:
     return current
 
 
-def _param_names(fn: FunctionInfo) -> List[str]:
-    args = fn.node.args
-    return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+def _prune_effects(effects: Sequence[Effect]) -> Tuple[Effect, ...]:
+    """One effect per mutated site and root, witnessed by its shortest
+    call chain — which also bounds the effects circulating a cycle."""
+    shortest: Dict[Tuple[str, str, str, Site], Effect] = {}
+    for effect in sorted(effects, key=lambda e: (len(e.chain), e.chain)):
+        shortest.setdefault(
+            (effect.root, effect.target, effect.op, effect.site), effect
+        )
+    return tuple(
+        sorted(
+            shortest.values(),
+            key=lambda e: (
+                e.site.module, e.site.line, e.root, e.target, e.op,
+            ),
+        )
+    )
 
 
 class _FrameRoots:
@@ -237,7 +247,7 @@ class _FrameRoots:
 
     def __init__(self, fn: FunctionInfo) -> None:
         self.fn = fn
-        self.params = set(_param_names(fn))
+        self.params = set(fn.param_names())
         self.assigns: Dict[str, List[ast.AST]] = {}
         self.roots: Dict[str, Optional[str]] = {}
         for name in self.params:
@@ -335,7 +345,12 @@ class PureAnalysis:
         self.registry: List[RegistryHit] = []
 
         self._harvests: Dict[str, _Harvest] = {}
-        self._closure_cache: Dict[str, Tuple[Effect, ...]] = {}
+        #: RPL901 effect closure of each function, in its own frame
+        self._effect_closure: SummaryClosure[Effect] = SummaryClosure(
+            lambda key: [callee.key for _, callee in self._bound_calls(key)],
+            self._effects,
+            _prune_effects,
+        )
         self._attr_container_types: Dict[Tuple[str, str], str] = {}
         self._allow_qualnames: Set[str] = set()
         self._allow_simple: Set[str] = set()
@@ -358,30 +373,6 @@ class PureAnalysis:
     # ------------------------------------------------------------------
     # Entry / registry resolution
     # ------------------------------------------------------------------
-    def _resolve_dotted(self, dotted: str) -> Optional[str]:
-        """``pkg.mod.fn`` / ``pkg.mod.Cls.meth`` to a function key."""
-        for module_name, module in self.project.modules.items():
-            if not dotted.startswith(module_name + "."):
-                continue
-            remainder = dotted[len(module_name) + 1:]
-            parts = remainder.split(".")
-            if len(parts) == 1 and parts[0] in module.functions:
-                return module.functions[parts[0]].key
-            if len(parts) == 2 and parts[0] in module.classes:
-                method = module.classes[parts[0]].methods.get(parts[1])
-                if method is not None:
-                    return method.key
-        return None
-
-    def _owning_module(self, dotted: str) -> Optional[str]:
-        """Longest project module name the dotted entry points into."""
-        best = None
-        for module_name in self.project.modules:
-            if dotted.startswith(module_name + "."):
-                if best is None or len(module_name) > len(best):
-                    best = module_name
-        return best
-
     def _resolve_tables(self) -> None:
         tables = (
             ("registry", self.config.pure_registry, self.pure_roots),
@@ -398,19 +389,13 @@ class PureAnalysis:
         )
         for table, entries, out in tables:
             for entry in entries:
-                key = self._resolve_dotted(entry)
+                key = self.project.resolve_dotted(entry)
                 if key is not None:
                     out[key] = entry
                     continue
-                module = self._owning_module(entry)
-                if module is None:
-                    continue  # entry targets a module outside this run
-                site = Site(module=module, line=1, col=0, fn_key="")
-                self.registry.append(
-                    RegistryHit(
-                        entry=entry, table=table, module=module, site=site
-                    )
-                )
+                hit = self.project.registry_hit(entry, table)
+                if hit is not None:
+                    self.registry.append(hit)
         # @declared_pure marks a root directly in source.
         for fn in self.project.iter_functions():
             if PURE_MARKER in fn.decorator_names():
@@ -429,14 +414,6 @@ class PureAnalysis:
     # ------------------------------------------------------------------
     # Harvest
     # ------------------------------------------------------------------
-    def _site(self, fn: FunctionInfo, node: ast.AST) -> Site:
-        return Site(
-            module=fn.module,
-            line=getattr(node, "lineno", fn.node.lineno),
-            col=getattr(node, "col_offset", 0),
-            fn_key=fn.key,
-        )
-
     def _harvest_ctor_container_types(self) -> None:
         """``self.x = {}`` / ``deque()`` writes type unannotated attrs."""
         for fn in self.project.iter_functions():
@@ -558,7 +535,7 @@ class PureAnalysis:
                         root=f"global:{target.id}",
                         target=target.id,
                         op="global-assign" if op != "augmented-assign" else op,
-                        site=self._site(fn, target),
+                        site=fn.site(target),
                     )
                 )
             return
@@ -572,9 +549,9 @@ class PureAnalysis:
         harvest.effects.append(
             Effect(
                 root=root,
-                target=_expr_text(target),
+                target=expr_text(target),
                 op=op,
-                site=self._site(fn, target),
+                site=fn.site(target),
             )
         )
 
@@ -588,7 +565,7 @@ class PureAnalysis:
         node: ast.Call,
     ) -> None:
         func = node.func
-        site = self._site(fn, node)
+        site = fn.site(node)
 
         # Mutating-method calls on pre-existing receivers.
         if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
@@ -602,7 +579,7 @@ class PureAnalysis:
                 harvest.effects.append(
                     Effect(
                         root=root,
-                        target=f"{_expr_text(func.value)}.{func.attr}(...)",
+                        target=f"{expr_text(func.value)}.{func.attr}(...)",
                         op="mutating-call",
                         site=site,
                     )
@@ -724,7 +701,7 @@ class PureAnalysis:
             if consumer is None:
                 continue
             harvest.order_risks.append(
-                (self._site(fn, node), _expr_text(node), consumer)
+                (fn.site(node), expr_text(node), consumer)
             )
 
     def _order_consumer(
@@ -810,7 +787,7 @@ class PureAnalysis:
                 container, ctype = hit
                 self.snapshots.append(
                     SnapshotHit(
-                        site=self._site(fn, expr),
+                        site=fn.site(expr),
                         method=fn.qualname,
                         container=container,
                         ctype=ctype,
@@ -867,45 +844,31 @@ class PureAnalysis:
     # ------------------------------------------------------------------
     # RPL901: effect closures with call-site argument binding
     # ------------------------------------------------------------------
-    def _effect_closure(self, key: str) -> Tuple[Effect, ...]:
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        self._closure_cache[key] = ()  # cycle guard
+    def _bound_calls(
+        self, key: str
+    ) -> Iterator[Tuple[_CallRecord, FunctionInfo]]:
+        """Each (call, project callee) whose effects ``key`` imports."""
+        harvest = self._harvests.get(key)
+        for call in harvest.calls if harvest else ():
+            for target in call.targets:
+                callee = self.project.functions.get(target)
+                if callee is not None and not self._allowed(target):
+                    yield call, callee
+
+    def _effects(
+        self, key: str, closed: Callable[[str], Tuple[Effect, ...]]
+    ) -> List[Effect]:
         harvest = self._harvests.get(key)
         out: List[Effect] = list(harvest.effects) if harvest else []
-        if harvest is not None:
-            for call in harvest.calls:
-                for target in call.targets:
-                    if self._allowed(target):
-                        continue
-                    callee = self.project.functions.get(target)
-                    if callee is None:
-                        continue
-                    for effect in self._effect_closure(target):
-                        mapped = self._map_root(effect.root, call, callee)
-                        if mapped is None:
-                            continue
-                        chain = (callee.qualname,) + effect.chain
-                        if len(chain) > _VIA_LIMIT:
-                            chain = chain[:_VIA_LIMIT]
-                        out.append(
-                            Effect(
-                                root=mapped,
-                                target=effect.target,
-                                op=effect.op,
-                                site=effect.site,
-                                chain=chain,
-                            )
-                        )
-        deduped = tuple(
-            sorted(
-                set(out),
-                key=lambda e: (e.site.module, e.site.line, e.root, e.target),
-            )
-        )
-        self._closure_cache[key] = deduped
-        return deduped
+        for call, callee in self._bound_calls(key):
+            for effect in closed(callee.key):
+                mapped = self._map_root(effect.root, call, callee)
+                if mapped is not None:
+                    chain = (callee.qualname,) + effect.chain
+                    out.append(
+                        replace(effect, root=mapped, chain=chain[:_VIA_LIMIT])
+                    )
+        return out
 
     def _map_root(
         self, root: str, call: _CallRecord, callee: FunctionInfo
@@ -913,34 +876,19 @@ class PureAnalysis:
         """A callee-frame effect root, translated into the caller frame."""
         if root.startswith("global:"):
             return root
-        params = _param_names(callee)
-        bound = bool(params) and params[0] in ("self", "cls")
         if root == "self":
             if callee.simple_name in _CTOR_NAMES:
                 return None  # the constructed object is fresh by definition
             return call.receiver_root
         if root.startswith("param:"):
-            name = root[len("param:"):]
-            for kw_name, kw_root in call.kw_roots:
-                if kw_name == name:
-                    return kw_root
-            positional = params[1:] if bound else params
-            try:
-                index = positional.index(name)
-            except ValueError:
-                return None
-            if index < len(call.arg_roots):
-                return call.arg_roots[index]
-            return None  # defaulted parameter: no caller state involved
+            # A defaulted parameter involves no caller state: unbound.
+            binding = callee.bind(call.arg_roots, call.kw_roots)
+            return binding.get(root[len("param:"):])
         return None
 
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def _suppressed(self, rule_id: str, site: Site) -> bool:
-        module = self.project.modules.get(site.module)
-        return module is not None and module.suppressed(rule_id, site.line)
-
     def run(self) -> "PureAnalysis":
         self._resolve_tables()
         self._harvest_ctor_container_types()
@@ -950,7 +898,7 @@ class PureAnalysis:
         # RPL901: declared-pure closures.
         for root_key in sorted(self.pure_roots):
             for effect in self._effect_closure(root_key):
-                if self._suppressed("RPL901", effect.site):
+                if self.project.suppressed("RPL901", effect.site):
                     continue
                 self.mutations.append(
                     MutationHit(root_key=root_key, effect=effect)
@@ -968,7 +916,7 @@ class PureAnalysis:
                 for target in call.targets:
                     if target not in self.mutator_keys:
                         continue
-                    if self._suppressed("RPL902", call.site):
+                    if self.project.suppressed("RPL902", call.site):
                         continue
                     mutator = self.project.functions[target]
                     self.phase.append(
@@ -981,7 +929,7 @@ class PureAnalysis:
                         )
                     )
             for kind, what, site in harvest.phase_risks:
-                if self._suppressed("RPL902", site):
+                if self.project.suppressed("RPL902", site):
                     continue
                 self.phase.append(
                     PhaseHit(
@@ -994,7 +942,7 @@ class PureAnalysis:
         self.snapshots = [
             hit
             for hit in self.snapshots
-            if not self._suppressed("RPL903", hit.site)
+            if not self.project.suppressed("RPL903", hit.site)
         ]
 
         # RPL904: order hazards inside the probe/purity closure.
@@ -1006,7 +954,7 @@ class PureAnalysis:
             if harvest is None:
                 continue
             for site, iterable, consumer in harvest.order_risks:
-                if self._suppressed("RPL904", site):
+                if self.project.suppressed("RPL904", site):
                     continue
                 self.order.append(
                     OrderHit(
@@ -1020,7 +968,7 @@ class PureAnalysis:
         self.registry = [
             hit
             for hit in self.registry
-            if not self._suppressed("RPL905", hit.site)
+            if not self.project.suppressed("RPL905", hit.site)
         ]
 
         self.mutations.sort(
@@ -1053,20 +1001,9 @@ class PureAnalysis:
 
 
 # ----------------------------------------------------------------------
-# Shared entry point for the rule module and the repro-pure CLI
+# Shared entry point for the rule module and ``repro-lint report pure``
 # ----------------------------------------------------------------------
-_PURE_CACHE: Dict[Tuple[int, int], PureAnalysis] = {}
-_CACHE_LIMIT = 8
-
-
+@project_memo
 def pure_analysis(project: Project, config: LintConfig) -> PureAnalysis:
     """Run (or reuse) the PURE analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _PURE_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_PURE_CACHE) >= _CACHE_LIMIT:
-        _PURE_CACHE.clear()
-    analysis = PureAnalysis(project, shared_callgraph(project), config).run()
-    _PURE_CACHE[key] = analysis
-    return analysis
+    return PureAnalysis(project, shared_callgraph(project), config).run()

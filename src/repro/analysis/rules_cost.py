@@ -4,10 +4,10 @@ These rules consume the shared :class:`~.cost.CostAnalysis` harvest:
 one pass over the project yields every function's symbolic cost
 closure, the local quadratic products, the hot-path allocation sites,
 the repeated-recomputation merges, and the registry health report;
-each rule renders its slice as findings.  The same analysis backs the
-``repro-cost`` CLI, so every finding here can be inspected in context
-(per-entry-point cost table, closures, hot scope) with
-``repro-cost src/repro``.
+each rule renders its slice as findings.  The same analysis backs
+``repro-lint report cost``, so every finding here can be inspected in
+context (per-entry-point cost table, closures, hot scope) with
+``repro-lint report cost src/repro``.
 """
 
 from __future__ import annotations
@@ -15,30 +15,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from .config import LintConfig
-from .cost import CostAnalysis, cost_analysis, render_terms
-from .flow import Site
+from .cost import cost_analysis, render_terms
 from .model import COST, Finding, Rule, register
 from .project import Project
-
-
-def _finding_at(
-    rule: Rule, project: Project, site: Site, message: str
-) -> Finding:
-    module = project.modules.get(site.module)
-    path = str(module.display_path) if module is not None else site.module
-    return Finding(
-        rule_id=rule.rule_id,
-        path=path,
-        line=site.line,
-        col=site.col,
-        message=message,
-        hint=rule.autofix_hint,
-    )
-
-
-def _fn_name(project: Project, key: str) -> str:
-    fn = project.functions.get(key)
-    return fn.qualname if fn is not None else key.split(":")[-1]
 
 
 @register
@@ -73,10 +52,8 @@ class CostBudgetExceeded(Rule):
             term = hit.term
             via = " via " + " -> ".join(term.chain) if term.chain else ""
             cost = render_terms([term])
-            yield _finding_at(
-                self,
-                project,
-                term.site,
+            yield self.finding_at(
+                project, term.site,
                 (
                     f"{hit.budget.entry!r} is budgeted O({hit.budget.expr}) "
                     f"but closes at {cost}: {term.kind} charge "
@@ -112,13 +89,11 @@ class QuadraticBlowup(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = cost_analysis(project, config)
         for hit in analysis.quads:
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 (
                     f"same-family quadratic in "
-                    f"{_fn_name(project, hit.fn_key)!r}: "
+                    f"{project.qualname(hit.fn_key)!r}: "
                     f"{'*'.join(hit.vars)} from {hit.what}"
                 ),
             )
@@ -151,17 +126,15 @@ class HotPathAllocation(Rule):
         analysis = cost_analysis(project, config)
         for hit in analysis.allocs:
             origin = (
-                f"reachable from {_fn_name(project, hit.entry)!r}"
+                f"reachable from {project.qualname(hit.entry)!r}"
                 if hit.entry
                 else "in a hot-path module"
             )
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 (
                     f"{hit.bound}-sized allocation in "
-                    f"{_fn_name(project, hit.fn_key)!r} ({origin}): "
+                    f"{project.qualname(hit.fn_key)!r} ({origin}): "
                     f"{hit.what}"
                 ),
             )
@@ -195,13 +168,11 @@ class RepeatedRecomputation(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = cost_analysis(project, config)
         for hit in analysis.repeats:
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 (
-                    f"{_fn_name(project, hit.fn_key)!r} computes pure "
-                    f"{_fn_name(project, hit.callee)!r}({hit.args}) "
+                    f"{project.qualname(hit.fn_key)!r} computes pure "
+                    f"{project.qualname(hit.callee)!r}({hit.args}) "
                     f"{hit.count}x with unchanged arguments"
                 ),
             )
@@ -233,23 +204,10 @@ class CostRegistryHealth(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = cost_analysis(project, config)
         for hit in analysis.registry:
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 (
                     f"cost-registry entry {hit.entry!r} "
                     f"({hit.table}): {hit.detail}"
                 ),
             )
-
-
-#: Imported for re-export convenience (repro-cost shares the harvest).
-__all__ = [
-    "CostBudgetExceeded",
-    "QuadraticBlowup",
-    "HotPathAllocation",
-    "RepeatedRecomputation",
-    "CostRegistryHealth",
-    "CostAnalysis",
-]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner
+from .callgraph import CallGraph, FunctionScanner, shared_callgraph
 from .config import LintConfig
 from .dataflow import (
     CLOCK,
@@ -24,7 +24,6 @@ from .dataflow import (
     analyze,
     compute_locksets,
     pool_entry_keys,
-    shared_callgraph,
 )
 from .model import DATAFLOW, Finding, Rule, register
 from .project import FunctionInfo, Project

@@ -4,8 +4,8 @@ These rules consume the shared :class:`~.flow.FlowAnalysis` harvest:
 one pass over the project yields the lock-order graph, the
 blocking-under-lock sites, the thread-escape set, the lifecycle
 violations, and the growth-only containers; each rule then renders its
-slice as findings.  The same analysis backs the ``repro-flow`` CLI, so
-the graph a finding refers to can always be inspected directly.
+slice as findings.  The same analysis backs ``repro-lint report flow``,
+so the graph a finding refers to can always be inspected directly.
 """
 
 from __future__ import annotations
@@ -13,24 +13,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from .config import LintConfig
-from .flow import FlowAnalysis, Site, flow_analysis
+from .flow import flow_analysis
 from .model import FLOW, Finding, Rule, register
 from .project import Project
-
-
-def _finding_at(
-    rule: Rule, project: Project, site: Site, message: str
-) -> Finding:
-    module = project.modules.get(site.module)
-    path = str(module.display_path) if module is not None else site.module
-    return Finding(
-        rule_id=rule.rule_id,
-        path=path,
-        line=site.line,
-        col=site.col,
-        message=message,
-        hint=rule.autofix_hint,
-    )
 
 
 @register
@@ -50,17 +35,15 @@ class LockOrderCycle(Rule):
     autofix_hint = (
         "Impose a global lock order (acquire in one documented order "
         "everywhere) or narrow one critical section so the second lock "
-        "is taken after the first is released; repro-flow renders the "
-        "full graph."
+        "is taken after the first is released; `repro-lint report flow` "
+        "renders the full graph."
     )
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = flow_analysis(project, config)
         for cycle in analysis.cycles:
-            yield _finding_at(
-                self,
-                project,
-                cycle.site,
+            yield self.finding_at(
+                project, cycle.site,
                 f"lock-order cycle: {cycle.detail}",
             )
 
@@ -97,7 +80,7 @@ class BlockingUnderLock(Rule):
                 )
             else:
                 message = f"blocking call {hit.call} while holding {locks}"
-            yield _finding_at(self, project, hit.site, message)
+            yield self.finding_at(project, hit.site, message)
 
 
 @register
@@ -123,10 +106,8 @@ class ThreadEscape(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = flow_analysis(project, config)
         for hit in analysis.escapes:
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 (
                     f"{hit.value!r} (a mutable {hit.cls}) escapes into a "
                     f"worker thread without registration"
@@ -180,7 +161,7 @@ class LifecycleDiscipline(Rule):
                 resource=hit.resource,
                 releasers="/".join(hit.releasers),
             )
-            yield _finding_at(self, project, hit.site, message)
+            yield self.finding_at(project, hit.site, message)
 
 
 @register
@@ -208,24 +189,11 @@ class UnboundedGrowth(Rule):
         analysis = flow_analysis(project, config)
         for hit in analysis.growth:
             entry = hit.entry.split(":")[-1]
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 (
                     f"container {hit.container} only grows ({hit.op}) on a "
                     f"path reachable from loop entry {entry!r}; no "
                     f"eviction, bound guard, or maxlen found"
                 ),
             )
-
-
-#: Imported for re-export convenience (repro-flow shares the harvest).
-__all__ = [
-    "LockOrderCycle",
-    "BlockingUnderLock",
-    "ThreadEscape",
-    "LifecycleDiscipline",
-    "UnboundedGrowth",
-    "FlowAnalysis",
-]

@@ -5,9 +5,9 @@ one pass over the project yields the effect closures of every
 declared-pure root, the probe-reachable call set, the snapshot alias
 escapes, the set-iteration order hazards, and the registry health
 report; each rule then renders its slice as findings.  The same
-analysis backs the ``repro-pure`` CLI, so every finding here can be
-inspected in context (paths, closures, reachability) with
-``repro-pure src/repro``.
+analysis backs ``repro-lint report pure``, so every finding here can
+be inspected in context (paths, closures, reachability) with
+``repro-lint report pure src/repro``.
 """
 
 from __future__ import annotations
@@ -15,30 +15,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from .config import LintConfig
-from .flow import Site
 from .model import PURE, Finding, Rule, register
-from .project import Project
-from .pure import PureAnalysis, pure_analysis
-
-
-def _finding_at(
-    rule: Rule, project: Project, site: Site, message: str
-) -> Finding:
-    module = project.modules.get(site.module)
-    path = str(module.display_path) if module is not None else site.module
-    return Finding(
-        rule_id=rule.rule_id,
-        path=path,
-        line=site.line,
-        col=site.col,
-        message=message,
-        hint=rule.autofix_hint,
-    )
-
-
-def _fn_name(project: Project, key: str) -> str:
-    fn = project.functions.get(key)
-    return fn.qualname if fn is not None else key.split(":")[-1]
+from .project import Project, Site
+from .pure import pure_analysis
 
 
 @register
@@ -72,12 +51,10 @@ class DeclaredPureMutation(Rule):
             via = (
                 " via " + " -> ".join(effect.chain) if effect.chain else ""
             )
-            yield _finding_at(
-                self,
-                project,
-                effect.site,
+            yield self.finding_at(
+                project, effect.site,
                 (
-                    f"declared-pure {_fn_name(project, hit.root_key)!r} "
+                    f"declared-pure {project.qualname(hit.root_key)!r} "
                     f"mutates pre-existing state rooted at {effect.root}: "
                     f"{effect.op} on {effect.target}{via}"
                 ),
@@ -116,12 +93,10 @@ class ProbeCommitSeparation(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = pure_analysis(project, config)
         for hit in analysis.phase:
-            entry = _fn_name(project, hit.entry)
+            entry = project.qualname(hit.entry)
             what = self._KINDS[hit.kind].format(what=hit.what)
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 f"probe path from {entry!r} {what}",
             )
 
@@ -150,10 +125,8 @@ class SnapshotAliasEscape(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = pure_analysis(project, config)
         for hit in analysis.snapshots:
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 (
                     f"snapshot accessor {hit.method!r} returns live "
                     f"mutable {hit.ctype} {hit.container!r} without a "
@@ -187,11 +160,9 @@ class SetIterationOrder(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = pure_analysis(project, config)
         for hit in analysis.order:
-            entry = _fn_name(project, hit.entry)
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            entry = project.qualname(hit.entry)
+            yield self.finding_at(
+                project, hit.site,
                 (
                     f"set {hit.iterable!r} feeds order-sensitive "
                     f"{hit.consumer} (reachable from {entry!r}); wrap in "
@@ -224,10 +195,8 @@ class PurityRegistryHealth(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         analysis = pure_analysis(project, config)
         for hit in analysis.registry:
-            yield _finding_at(
-                self,
-                project,
-                hit.site,
+            yield self.finding_at(
+                project, hit.site,
                 (
                     f"stale purity-registry entry {hit.entry!r} "
                     f"({hit.table}): no such function in module "
@@ -239,27 +208,14 @@ class PurityRegistryHealth(Rule):
             & set(config.pure_commit_mutators)
         )
         for entry in contradictions:
-            module = analysis._owning_module(entry)
+            module = project.owning_module(entry)
             if module is None:
                 continue
-            yield _finding_at(
-                self,
-                project,
-                Site(module=module, line=1, col=0, fn_key=""),
+            yield self.finding_at(
+                project, Site(module=module, line=1, col=0, fn_key=""),
                 (
                     f"{entry!r} is registered as both a probe entry "
                     f"point and a commit mutator; a function cannot be "
                     f"on both sides of the phase split"
                 ),
             )
-
-
-#: Imported for re-export convenience (repro-pure shares the harvest).
-__all__ = [
-    "DeclaredPureMutation",
-    "ProbeCommitSeparation",
-    "SnapshotAliasEscape",
-    "SetIterationOrder",
-    "PurityRegistryHealth",
-    "PureAnalysis",
-]

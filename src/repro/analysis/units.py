@@ -43,10 +43,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph, FunctionScanner, _annotation_class
+from .callgraph import (
+    CallGraph, FunctionScanner, _annotation_class, shared_callgraph,
+)
 from .config import LintConfig
-from .dataflow import shared_callgraph
-from .project import FunctionInfo, ModuleInfo, Project
+from .project import FunctionInfo, ModuleInfo, Project, project_memo
 
 INF = math.inf
 
@@ -1111,18 +1112,7 @@ class UnitsAnalysis:
 # ----------------------------------------------------------------------
 # Shared entry point (cached like the RPL6xx dataflow analysis)
 # ----------------------------------------------------------------------
-_UNITS_CACHE: Dict[Tuple[int, int], UnitsAnalysis] = {}
-_CACHE_LIMIT = 8
-
-
+@project_memo
 def analyze_units(project: Project, config: LintConfig) -> UnitsAnalysis:
     """Run (or reuse) the units analysis for one project + config."""
-    key = (id(project), hash(config))
-    cached = _UNITS_CACHE.get(key)
-    if cached is not None and cached.project is project:
-        return cached
-    if len(_UNITS_CACHE) >= _CACHE_LIMIT:
-        _UNITS_CACHE.clear()
-    analysis = UnitsAnalysis(project, shared_callgraph(project), config).run()
-    _UNITS_CACHE[key] = analysis
-    return analysis
+    return UnitsAnalysis(project, shared_callgraph(project), config).run()

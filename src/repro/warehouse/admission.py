@@ -21,9 +21,10 @@ Both flavors are pure functions of ``(node state, seed)``: probing
 commits nothing and perturbs nothing, so federation can race probes
 across shards on a thread pool without disturbing the event timeline.
 Both ``check`` methods are declared in ``[tool.repro-lint.pure]`` and
-the promise is enforced statically — ``repro-pure --check`` (RPL901,
+the promise is enforced statically — ``repro-lint`` (RPL901,
 :mod:`repro.analysis.pure`) fails CI on any write to pre-existing
-state anywhere in their call closure.
+state anywhere in their call closure, and ``repro-lint report pure``
+shows each root's verdict.
 """
 
 from __future__ import annotations

@@ -225,7 +225,8 @@ def _run_check(args: argparse.Namespace) -> int:
     played once with serial probes and once with ``concurrent_probes``
     under ``--probe clite`` with one observation store shared by both
     shards — the exact configuration whose determinism rests on the
-    probe/commit split that ``repro-pure --check`` proves statically.
+    probe/commit split that ``repro-lint``'s PURE family proves
+    statically.
     """
     config = ScenarioConfig(
         n_jobs=30, duration_s=300.0, lc_fraction=0.5, seed=args.seed

@@ -24,8 +24,8 @@ survives the concurrency because probe *results* are collected per
 shard and committed in preference order — the committed decision is a
 pure function of the event, never of thread completion order — which the
 serial-vs-concurrent equivalence test pins down.  The side-effect-free
-half of that bargain is *proven statically*: ``repro-pure --check``
-(the RPL9xx family, :mod:`repro.analysis.pure`) closes the probe entry
+half of that bargain is *proven statically*: ``repro-lint``'s PURE
+family (RPL9xx, :mod:`repro.analysis.pure`) closes the probe entry
 points over the call graph and fails CI on any mutation of
 pre-existing state, fresh RNG/clock draw, or commit-mutator call in a
 probe closure.

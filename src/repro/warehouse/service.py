@@ -594,10 +594,10 @@ class WarehouseService:
         descend from the densest co-location level, each kept sorted by
         node index, so the visit order equals the historical full-fleet
         ``sorted(candidates, key=(-n_jobs, index))`` without ever
-        materializing an n_nodes-sized candidate set — repro-cost
+        materializing an n_nodes-sized candidate set — the COST family
         budgets this at O(small), and the deterministic bucket order
         keeps the probe sequence a pure function of cluster state (the
-        property repro-pure's RPL904 used to pin via sorted()).
+        property the PURE family's RPL904 used to pin via sorted()).
         """
         request = _request_at(job, t)
         verified: List[int] = []

@@ -1,7 +1,8 @@
-"""repro-cost: COST-family (RPL10xx) rule behavior on the cost
-fixtures, interprocedural cost closures with call chains, RPL1004
-repeat semantics, the CLI report, cache coverage of the nested cost
-table, and the meta-tests pinning the repo's own per-event budgets."""
+"""COST-family (RPL10xx) rule behavior on the cost fixtures,
+interprocedural cost closures with call chains, RPL1004 repeat
+semantics, the ``repro-lint report cost`` output, cache coverage of the
+nested cost table, and the meta-tests pinning the repo's own per-event
+budgets."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from repro.analysis import LintConfig, run_lint
 from repro.analysis.cache import LintCache, cache_key, config_digest
 from repro.analysis.config import load_config
 from repro.analysis.cost import cost_analysis, parse_budget
-from repro.analysis.cost_cli import main as cost_main
+from repro.analysis.cli import main as lint_main
 from repro.analysis.engine import LintEngine
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -318,7 +319,7 @@ class TestRepeatSemantics:
 
 
 # ----------------------------------------------------------------------
-# repro-cost CLI
+# repro-lint report cost / --select COST
 # ----------------------------------------------------------------------
 COST_PROJECT_TABLE = (
     "[tool.repro-lint.cost]\n"
@@ -337,9 +338,17 @@ def write_cost_project(tmp_path) -> Path:
     return tmp_path
 
 
+def cost_report(*args):
+    return lint_main(["report", "cost", *args])
+
+
+def cost_gate(*args):
+    return lint_main([*args, "--select", "COST", "--no-cache"])
+
+
 class TestCostCLI:
     def test_text_report_on_package_is_clean(self, capsys):
-        code = cost_main([str(PACKAGE), "--check"])
+        code = cost_report(str(PACKAGE))
         out = capsys.readouterr()
         assert code == 0, out.err
         assert "cost budgets" in out.out
@@ -349,16 +358,16 @@ class TestCostCLI:
 
     def test_check_fails_on_bad_tree(self, tmp_path, capsys):
         tree = write_cost_project(tmp_path)
-        code = cost_main([str(tree), "--check"])
+        assert cost_report(str(tree)) == 0
         out = capsys.readouterr()
-        assert code == 1
         assert "BUDGET VIOLATIONS" in out.out
         assert "OVER" in out.out
-        assert "violation(s) found" in out.err
+        assert cost_gate(str(tree)) == 1
+        assert "RPL1001" in capsys.readouterr().out
 
     def test_json_report_schema(self, tmp_path, capsys):
         tree = write_cost_project(tmp_path)
-        code = cost_main([str(tree), "--format", "json"])
+        code = cost_report(str(tree), "--format", "json")
         out = capsys.readouterr()
         assert code == 0
         payload = json.loads(out.out)
@@ -384,17 +393,17 @@ class TestCostCLI:
 
     def test_missing_path_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert cost_main([]) == 2
+        assert cost_report() == 2
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("def fn():\n    return 1\n")
         (tmp_path / "pyproject.toml").write_text(
             "[tool.repro-lint.cost]\nbudgetss = []\n"
         )
-        code = cost_main([str(tmp_path)])
+        code = cost_report(str(tmp_path))
         out = capsys.readouterr()
         assert code == 2
-        assert "repro-cost:" in out.err
+        assert "repro-lint report:" in out.err
 
 
 # ----------------------------------------------------------------------
@@ -454,8 +463,8 @@ class TestCostConfigAndCache:
 class TestRepoCostBudgets:
     """Mirrors repro-lint-src-is-clean for the COST family, plus the
     acceptance mutations that must break the gate: re-introducing a
-    full fleet scan on either per-event path flips repro-cost to
-    exit 1."""
+    full fleet scan on either per-event path fails ``--select COST``
+    and shows the budget OVER in ``repro-lint report cost``."""
 
     def test_package_tree_is_cost_clean(self):
         findings = run_lint([PACKAGE], LintConfig(select=COST_IDS))
@@ -470,6 +479,13 @@ class TestRepoCostBudgets:
         target.write_text(source.replace(old, new, 1))
         return tree
 
+    def _gate_and_report(self, tree, capsys):
+        """(``--select COST`` exit code, findings, ``report cost``)."""
+        code = cost_gate(str(tree))
+        findings = capsys.readouterr().out
+        assert cost_report(str(tree)) == 0
+        return code, findings, capsys.readouterr().out
+
     def test_full_scan_in_find_target_fails_the_check(
         self, tmp_path, capsys
     ):
@@ -483,11 +499,11 @@ class TestRepoCostBudgets:
             "for index in [node_state.index "
             "for node_state in self.cluster.nodes]:",
         )
-        code = cost_main([str(tree), "--check"])
-        out = capsys.readouterr()
+        code, findings, report = self._gate_and_report(tree, capsys)
         assert code == 1
-        assert "_find_target" in out.out
-        assert "OVER" in out.out
+        assert "RPL1001" in findings
+        assert "_find_target" in report
+        assert "OVER" in report
 
     def test_full_scan_in_recheck_fails_the_check(self, tmp_path, capsys):
         """Acceptance: rechecking every cluster node instead of the
@@ -501,7 +517,7 @@ class TestRepoCostBudgets:
             "candidates = [node_state.index "
             "for node_state in self.cluster.nodes]",
         )
-        code = cost_main([str(tree), "--check"])
-        out = capsys.readouterr()
+        code, findings, report = self._gate_and_report(tree, capsys)
         assert code == 1
-        assert "_on_recheck" in out.out
+        assert "RPL1001" in findings
+        assert "_on_recheck" in report

@@ -1,5 +1,5 @@
-"""repro-flow: lock-order graph edge cases, the CLI report, and the
-incremental lint cache."""
+"""FLOW: lock-order graph edge cases, the ``repro-lint report flow``
+output, and the incremental lint cache."""
 
 from __future__ import annotations
 
@@ -161,13 +161,13 @@ class TestLockOrderGraph:
 
 
 # ----------------------------------------------------------------------
-# repro-flow CLI
+# repro-lint report flow / --select FLOW
 # ----------------------------------------------------------------------
-def run_flow_cli(*args, cwd=None):
+def run_lint_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.flow_cli", *args],
+        [sys.executable, "-m", "repro.analysis.cli", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -196,7 +196,7 @@ CYCLE_SOURCE = (
 
 class TestFlowCLI:
     def test_text_report_on_package(self):
-        result = run_flow_cli(str(PACKAGE), "--check")
+        result = run_lint_cli("report", "flow", str(PACKAGE))
         assert result.returncode == 0, result.stderr
         assert "lock-order graph" in result.stdout
         assert "entry-point lock coverage" in result.stdout
@@ -205,7 +205,9 @@ class TestFlowCLI:
 
     def test_json_report_schema(self, tmp_path):
         (tmp_path / "mod.py").write_text(CYCLE_SOURCE)
-        result = run_flow_cli(str(tmp_path / "mod.py"), "--format", "json")
+        result = run_lint_cli(
+            "report", "flow", str(tmp_path / "mod.py"), "--format", "json"
+        )
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert set(payload) >= {
@@ -215,13 +217,21 @@ class TestFlowCLI:
 
     def test_check_fails_on_cycle(self, tmp_path):
         (tmp_path / "mod.py").write_text(CYCLE_SOURCE)
-        result = run_flow_cli(str(tmp_path / "mod.py"), "--check")
-        assert result.returncode == 1
-        assert "CYCLES: 1" in result.stdout
-        assert "cycle" in result.stderr
+        target = str(tmp_path / "mod.py")
+        report = run_lint_cli("report", "flow", target)
+        assert report.returncode == 0
+        assert "CYCLES: 1" in report.stdout
+        gate = run_lint_cli(target, "--select", "FLOW", "--no-cache")
+        assert gate.returncode == 1
+        assert "RPL801 lock-order cycle" in gate.stdout
 
     def test_missing_path_is_usage_error(self, tmp_path):
-        result = run_flow_cli(cwd=tmp_path)
+        result = run_lint_cli("report", "flow", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "repro-lint report: no paths given" in result.stderr
+
+    def test_unknown_family_is_usage_error(self, tmp_path):
+        result = run_lint_cli("report", "units", cwd=tmp_path)
         assert result.returncode == 2
 
 

@@ -1,7 +1,7 @@
-"""repro-pure: PURE-family (RPL9xx) rule behavior on the effect
-fixtures, interprocedural effect closures, the CLI report, cache
-coverage of the nested pure table, and the meta-tests pinning the
-repo's own probe/commit split."""
+"""PURE-family (RPL9xx) rule behavior on the effect fixtures,
+interprocedural effect closures, the ``repro-lint report pure`` output,
+cache coverage of the nested pure table, and the meta-tests pinning
+the repo's own probe/commit split."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.analysis.cache import LintCache, cache_key, config_digest
 from repro.analysis.config import load_config
 from repro.analysis.engine import LintEngine
 from repro.analysis.pure import pure_analysis
-from repro.analysis.pure_cli import main as pure_main
+from repro.analysis.cli import main as lint_main
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -378,13 +378,13 @@ class TestPrecision:
 
 
 # ----------------------------------------------------------------------
-# repro-pure CLI
+# repro-lint report pure / --select PURE
 # ----------------------------------------------------------------------
-def run_pure_cli(*args, cwd=None):
+def run_lint_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis.pure_cli", *args],
+        [sys.executable, "-m", "repro.analysis.cli", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -394,7 +394,7 @@ def run_pure_cli(*args, cwd=None):
 
 class TestPureCLI:
     def test_text_report_on_package_is_clean(self):
-        result = run_pure_cli(str(PACKAGE), "--check")
+        result = run_lint_cli("report", "pure", str(PACKAGE))
         assert result.returncode == 0, result.stderr
         assert "declared-pure registry" in result.stdout
         assert "probe_admit" in result.stdout
@@ -402,8 +402,9 @@ class TestPureCLI:
         assert "every registry entry resolves" in result.stdout
 
     def test_json_report_schema(self):
-        result = run_pure_cli(
-            str(FIXTURES / "effect_bad.py"), "--format", "json"
+        result = run_lint_cli(
+            "report", "pure", str(FIXTURES / "effect_bad.py"),
+            "--format", "json",
         )
         assert result.returncode == 0
         payload = json.loads(result.stdout)
@@ -422,12 +423,15 @@ class TestPureCLI:
         assert payload["violations"] >= 1
 
     def test_check_fails_on_bad_fixture(self):
-        result = run_pure_cli(str(FIXTURES / "effect_bad.py"), "--check")
+        result = run_lint_cli(
+            str(FIXTURES / "effect_bad.py"), "--select", "PURE",
+            "--no-cache",
+        )
         assert result.returncode == 1
-        assert "violation(s) found" in result.stderr
+        assert "finding(s)" in result.stdout
 
     def test_missing_path_is_usage_error(self, tmp_path):
-        result = run_pure_cli(cwd=tmp_path)
+        result = run_lint_cli("report", "pure", cwd=tmp_path)
         assert result.returncode == 2
 
 
@@ -499,7 +503,7 @@ class TestPureConfigAndCache:
 # ----------------------------------------------------------------------
 class TestRepoPurity:
     """Mirrors repro-lint-src-is-clean for the PURE family, plus the
-    two acceptance mutations that must break the gate."""
+    acceptance mutations that must break the gate."""
 
     def test_package_tree_is_pure_clean(self):
         findings = run_lint(
@@ -516,35 +520,42 @@ class TestRepoPurity:
         target.write_text(source.replace(old, new, 1))
         return tree
 
+    def _gate_and_report(self, tree, capsys):
+        """(``--select PURE`` exit code, findings, ``report pure``)."""
+        code = lint_main([str(tree), "--select", "PURE", "--no-cache"])
+        findings = capsys.readouterr().out
+        assert lint_main(["report", "pure", str(tree)]) == 0
+        return code, findings, capsys.readouterr().out
+
     def test_set_shaped_probe_walk_fails_the_check(self, tmp_path, capsys):
         """Acceptance: routing the probe walk through a set (hash-order
-        probing) must flip repro-pure to exit 1."""
+        probing) must fail the PURE gate."""
         tree = self._mutated_package(
             tmp_path,
             "warehouse/service.py",
             "for index in self._by_density[density]:",
             "for index in set(self._by_density[density]):",
         )
-        code = pure_main([str(tree), "--check"])
-        out = capsys.readouterr()
+        code, findings, report = self._gate_and_report(tree, capsys)
         assert code == 1
-        assert "_by_density" in out.out
-        assert "probe_admit" in out.out
+        assert "RPL904" in findings
+        assert "_by_density" in report
+        assert "probe_admit" in report
 
     def test_probe_attribute_write_fails_the_check(self, tmp_path, capsys):
         """Acceptance: one attribute write inside QuickProbe.check must
-        flip repro-pure to exit 1."""
+        fail the PURE gate."""
         tree = self._mutated_package(
             tmp_path,
             "warehouse/admission.py",
             "tried = set()",
             "tried = set()\n        self._last_node = node_state.index",
         )
-        code = pure_main([str(tree), "--check"])
-        out = capsys.readouterr()
+        code, findings, report = self._gate_and_report(tree, capsys)
         assert code == 1
-        assert "QuickProbe.check" in out.out
-        assert "_last_node" in out.out
+        assert "RPL901" in findings
+        assert "QuickProbe.check" in report
+        assert "_last_node" in report
 
     def test_unsanctioned_store_write_fails_the_check(self, tmp_path, capsys):
         """Removing the reasoned suppression re-exposes the RPL902 hit
@@ -555,7 +566,7 @@ class TestRepoPurity:
             "        # repro-lint: disable-next-line=RPL902\n",
             "",
         )
-        code = pure_main([str(tree), "--check"])
-        out = capsys.readouterr()
+        code, findings, report = self._gate_and_report(tree, capsys)
         assert code == 1
-        assert "ObservationStore.put" in out.out
+        assert "RPL902" in findings
+        assert "ObservationStore.put" in report

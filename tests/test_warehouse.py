@@ -502,7 +502,7 @@ class TestTimelineCursor:
 
 class IndexFreeService(WarehouseService):
     """The pre-index reference implementation: full-fleet candidate
-    scans for admission and recheck (the code repro-cost flagged),
+    scans for admission and recheck (the code RPL1001 flagged),
     adapted only to the threaded-loads ``_rebalance_node`` signature.
     The density-bucket service must stay bit-identical to it."""
 
