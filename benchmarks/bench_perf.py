@@ -22,13 +22,16 @@ Usage::
 
 ``--quick`` shrinks every workload so the whole script finishes in a few
 seconds and skips the JSON write — it exists to prove the harness runs,
-not to produce stable numbers.
+not to produce stable numbers.  ``--check`` runs the same quick
+workloads after one untimed warm-up, repeats every gated section
+``CHECK_REPEATS`` times, and gates the medians.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -215,8 +218,8 @@ def bench_batch(ks=(1, 2, 4, 8), max_samples=60, seed=0):
     EI termination is disabled (``post_qos_iterations`` effectively
     infinite) so every batch size observes exactly ``max_samples``
     windows; the k > 1 speedup then isolates what batching is for —
-    amortizing the SLSQP acquisition maximization, the engine's dominant
-    CPU cost, over k observations — instead of rewarding earlier
+    amortizing one acquisition maximization (pool screen plus lockstep
+    SLSQP) over k observations — instead of rewarding earlier
     termination on an easier trajectory.
     """
     runs = {}
@@ -489,6 +492,45 @@ WAREHOUSE_BUDGET = 0.50
 SCALE_BUDGET = 0.35
 SCALE_FLOOR = 2.0
 
+#: ``--check`` runs each gated section this many times, round-robin
+#: after one untimed warm-up, and gates the median.  A single quick run
+#: lasts seconds, and on a 2-vCPU host one cold end-to-end shot read
+#: x0.42 of the tracked rate while three back-to-back shots read x0.9-1.6.
+CHECK_REPEATS = 3
+
+#: The sections ``check_regression`` gates; the others run once.
+CHECK_GATED = (
+    "end_to_end",
+    "end_to_end_enabled",
+    "obstore",
+    "batch",
+    "warehouse",
+    "warehouse_scale",
+)
+
+
+def merge_repeats(runs):
+    """One section's repeated results: medians, and worst-case invariants.
+
+    Floats (times, rates, ratios) become their median; ints (counts
+    that must hold, such as warm-store physics runs) their maximum;
+    booleans (must-be-true checks) their conjunction.
+    """
+    merged = {}
+    for key, first in runs[0].items():
+        values = [run[key] for run in runs]
+        if isinstance(first, dict):
+            merged[key] = merge_repeats(values)
+        elif isinstance(first, bool):
+            merged[key] = all(values)
+        elif isinstance(first, int):
+            merged[key] = max(values)
+        elif isinstance(first, float):
+            merged[key] = statistics.median(values)
+        else:
+            merged[key] = first
+    return merged
+
 
 def check_regression(current) -> int:
     """Compare quick-mode rates against the tracked full-run numbers."""
@@ -648,20 +690,31 @@ def main() -> int:
         return cache_smoke()
 
     if args.quick or args.check:
-        current = {
-            "end_to_end": bench_end_to_end(seeds=(0,), budget_units=25),
-            "end_to_end_enabled": bench_end_to_end(
+        quick = {
+            "end_to_end": lambda: bench_end_to_end(seeds=(0,), budget_units=25),
+            "end_to_end_enabled": lambda: bench_end_to_end(
                 seeds=(0,), budget_units=25, enable_telemetry=True
             ),
-            "propose": bench_propose(n=3, warmup_iterations=6),
-            "gp": bench_gp(n_train=20, reps=5),
-            "obstore": bench_obstore(n_configs=80),
-            "batch": bench_batch(ks=(1, 4), max_samples=24),
-            "warehouse": bench_warehouse(n_jobs=40, probe_jobs=10),
-            "warehouse_scale": bench_warehouse_scale(
+            "propose": lambda: bench_propose(n=3, warmup_iterations=6),
+            "gp": lambda: bench_gp(n_train=20, reps=5),
+            "obstore": lambda: bench_obstore(n_configs=80),
+            "batch": lambda: bench_batch(ks=(1, 4), max_samples=24),
+            "warehouse": lambda: bench_warehouse(n_jobs=40, probe_jobs=10),
+            "warehouse_scale": lambda: bench_warehouse_scale(
                 n_nodes=600, n_jobs=600
             ),
         }
+        if args.check:
+            # The first engine run in a process pays one-off costs (lazy
+            # scipy paths, interpreter warm-up); keep them out of the
+            # gated numbers.
+            quick["end_to_end"]()
+        runs = {name: [] for name in quick}
+        for rep in range(CHECK_REPEATS if args.check else 1):
+            for name, bench in quick.items():
+                if rep == 0 or name in CHECK_GATED:
+                    runs[name].append(bench())
+        current = {name: merge_repeats(results) for name, results in runs.items()}
     else:
         current = {
             "end_to_end": bench_end_to_end(),

@@ -204,24 +204,41 @@ class GaussianProcess:
         """Posterior mean and standard deviation at query points.
 
         Args:
-            xq: Query locations, shape (m, d).
+            xq: Query locations, shape (m, d), or a stack of ``k``
+                blocks of ``b`` points each, shape (k, b, d).
 
         Returns:
-            ``(mean, std)`` arrays of shape (m,), in original target units.
+            ``(mean, std)`` arrays of shape (m,) — (k, b) for a stack —
+            in original target units.  Each block of two or more rows
+            gets bitwise the values a separate ``predict`` of that block
+            would return.  (A one-row ``predict`` solves for a single
+            right-hand side, which LAPACK sums in another order.)
         """
         if not self.is_fitted:
             raise RuntimeError("predict() before fit()")
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        k_star = self.kernel(xq, self._x)
-        mean_z = k_star @ self._alpha
+        xq = np.asarray(xq, dtype=float)
+        stacked = xq.ndim == 3
+        rows = xq.reshape(-1, xq.shape[-1]) if stacked else np.atleast_2d(xq)
+        k_star = self.kernel(rows, self._x)
+        if stacked:
+            # One gemv per block, as a stacked matmul: a single gemv
+            # over all k*b rows may sum in a different order and change
+            # the mean's last bits.  The kernel, the multi-column
+            # triangular solve and the variance below are
+            # row-independent already.
+            mean_z = (k_star.reshape(*xq.shape[:2], -1) @ self._alpha).ravel()
+        else:
+            mean_z = k_star @ self._alpha
         # var = k(x,x) - ||L^-1 k*||^2: one triangular solve, and the
         # prior variance comes from the kernel's diagonal fast path
         # instead of an (m, m) Gram matrix built just for its diagonal.
         v = solve_triangular(
             self._chol, k_star.T, lower=True, check_finite=False
         )
-        prior_var = self.kernel.diag(xq)
+        prior_var = self.kernel.diag(rows)
         var_z = np.maximum(prior_var - np.einsum("ij,ij->j", v, v), 0.0)
         mean = mean_z * self._y_std + self._y_mean
         std = np.sqrt(var_z) * self._y_std
+        if stacked:
+            return mean.reshape(xq.shape[:2]), std.reshape(xq.shape[:2])
         return mean, std

@@ -5,7 +5,12 @@ function subject to the allocation constraints: at least one unit of
 every resource per job (Eq. 5) and column sums equal to each resource's
 capacity (Eq. 6).  Following the paper, the continuous relaxation is
 solved with Sequential Least Squares Programming (SLSQP) from multiple
-starts, then projected back onto the integer lattice.  When a
+starts, then projected back onto the integer lattice.  The starts run in
+lockstep: one driver steps scipy's reverse-communication SLSQP kernel
+for every start, and each round evaluates the acquisition value and
+forward-difference gradient of every start that asked for one in a
+single stacked GP predict.  Each start's iterates are bitwise those of
+its own ``scipy.optimize.minimize(method="SLSQP")`` call.  When a
 dropout-copy decision pins one job's allocation, those coordinates are
 frozen via degenerate bounds and the projection preserves the pinned
 row exactly.
@@ -14,10 +19,10 @@ row exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Set, Tuple
+from typing import Callable, ClassVar, List, Optional, Set, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._slsqplib import slsqp as _slsqp_kernel
 
 from ..resources.allocation import (
     Configuration,
@@ -25,7 +30,7 @@ from ..resources.allocation import (
     _round_columns_batch,
 )
 from ..resources.contracts import proposal_contract
-from ..telemetry.tracer import NULL_TRACER, Tracer
+from ..telemetry.tracer import NULL_TRACER, Span, Tracer
 from .acquisition import AcquisitionFunction, ExpectedImprovement
 from .dropout import DropoutDecision
 from .gp import GaussianProcess
@@ -39,6 +44,10 @@ _FLAT_GRAD_TOL = 1e-12
 
 #: Forward-difference step for the acquisition gradient.
 _FD_EPS = 1e-6
+
+#: SLSQP iteration cap and ``ftol`` for every start.
+_SLSQP_MAXITER = 40
+_SLSQP_FTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,12 +66,12 @@ class Proposal:
         candidates: Unseen configurations ranked by acquisition value,
             best first.  May be empty if every optimum rounds onto an
             already-sampled point.
-        max_acquisition: Largest acquisition value over the *continuous*
-            SLSQP optima — the "expected improvement" signal the
-            termination condition watches.  Using the relaxation rather
-            than the rounded lattice points keeps the signal from
-            collapsing just because the optima round onto
-            already-sampled configurations.
+        max_acquisition: Largest acquisition value over the continuous
+            SLSQP optima and the screening pool — the "expected
+            improvement" signal the termination condition watches.
+            Using the relaxation rather than the rounded optima keeps
+            the signal from collapsing just because the optima round
+            onto already-sampled configurations.
     """
 
     candidates: Tuple[Candidate, ...]
@@ -76,6 +85,10 @@ class Proposal:
 
 class AcquisitionOptimizer:
     """SLSQP-based maximizer of the acquisition over valid partitions.
+
+    Each proposal screens a pool of lattice points, then runs SLSQP from
+    every start in lockstep (see :func:`_lockstep_slsqp`), so one round
+    of the solvers costs one stacked GP predict.
 
     Args:
         space: The configuration space being searched.
@@ -93,7 +106,10 @@ class AcquisitionOptimizer:
             the multi-start screening non-reproducible (RPL101).
         tracer: Optional :class:`repro.telemetry.Tracer`; each
             :meth:`propose` call is wrapped in an ``optimizer.propose``
-            span.  Defaults to the shared no-op tracer.
+            span carrying ``starts``, ``flat_starts`` (starts skipped
+            as dead-flat) and ``rounds`` (lockstep solver rounds, one
+            batched GP predict each).  Defaults to the shared no-op
+            tracer.
     """
 
     def __init__(
@@ -120,6 +136,10 @@ class AcquisitionOptimizer:
         self._spans = np.array(
             [r.units - space.n_jobs for r in space.spec.resources], dtype=float
         )
+        #: ``_columns[r]`` are the cube coordinates of resource ``r``.
+        self._columns = np.arange(space.n_dims).reshape(
+            space.n_jobs, space.n_resources
+        ).T.copy()
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -128,49 +148,25 @@ class AcquisitionOptimizer:
         """Per-resource sum each cube column must hit (1, or 0 if rigid)."""
         return (self._spans > 0).astype(float)
 
-    def _constraints(self) -> List[dict]:
-        n_jobs, n_res = self.space.n_jobs, self.space.n_resources
-        targets = self._column_targets()
-        constraints = []
-        for r in range(n_res):
-            idx = [j * n_res + r for j in range(n_jobs)]
-            normal = np.zeros(n_jobs * n_res)
-            normal[idx] = 1.0
-            constraints.append(
-                {
-                    "type": "eq",
-                    "fun": (lambda z, idx=idx, t=targets[r]: np.sum(z[idx]) - t),
-                    # The constraints are linear; handing SLSQP their
-                    # exact normals avoids per-iteration finite
-                    # differencing, which otherwise dominates runtime.
-                    "jac": (lambda z, normal=normal: normal),
-                }
-            )
-        return constraints
-
     def _bounds(
         self,
         dropout: Optional[DropoutDecision],
         upper_caps: Optional[np.ndarray],
-    ) -> List[Tuple[float, float]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate ``(lower, upper)`` cube bounds for SLSQP."""
         n_jobs, n_res = self.space.n_jobs, self.space.n_resources
-        bounds: List[Tuple[float, float]] = [(0.0, 1.0)] * (n_jobs * n_res)
+        lower = np.zeros((n_jobs, n_res))
+        upper = np.ones((n_jobs, n_res))
+        live = self._spans > 0
         if upper_caps is not None:
-            for j in range(n_jobs):
-                for r in range(n_res):
-                    if self._spans[r] > 0:
-                        ub = (upper_caps[j, r] - 1.0) / self._spans[r]
-                        bounds[j * n_res + r] = (0.0, min(max(ub, 0.0), 1.0))
-        for r in range(n_res):
-            if self._spans[r] <= 0:  # resource fully pinned by the floor
-                for j in range(n_jobs):
-                    bounds[j * n_res + r] = (0.0, 0.0)
+            caps = np.asarray(upper_caps, dtype=float)[:, live]
+            upper[:, live] = np.clip((caps - 1.0) / self._spans[live], 0.0, 1.0)
+        upper[:, ~live] = 0.0  # resource fully pinned by the floor
         if dropout is not None and dropout.job_index is not None:
-            pinned = self._pinned_cube_row(dropout)
-            for r in range(n_res):
-                value = pinned[r]
-                bounds[dropout.job_index * n_res + r] = (value, value)
-        return bounds
+            lower[dropout.job_index] = upper[dropout.job_index] = (
+                self._pinned_cube_row(dropout)
+            )
+        return lower.ravel(), upper.ravel()
 
     def _repair_caps(
         self,
@@ -436,6 +432,7 @@ class AcquisitionOptimizer:
                 gp,
                 best_score,
                 sampled,
+                span,
                 incumbent=incumbent,
                 dropout=dropout,
                 upper_caps=upper_caps,
@@ -458,6 +455,7 @@ class AcquisitionOptimizer:
         gp: GaussianProcess,
         best_score: Fraction,
         sampled: Set[Tuple[int, ...]],
+        span: Span,
         incumbent: Optional[Configuration] = None,
         dropout: Optional[DropoutDecision] = None,
         upper_caps: Optional[np.ndarray] = None,
@@ -466,15 +464,8 @@ class AcquisitionOptimizer:
         acq_fn = acquisition if acquisition is not None else self.acquisition
         space = self.space
         pinned = dropout is not None and dropout.job_index is not None
-
-        def fun_and_grad(z: np.ndarray) -> Tuple[float, np.ndarray]:
-            # One batched GP predict per SLSQP iteration — value plus
-            # forward differences in a single (d+1)-point call; this is
-            # where the solver spends its time.
-            points = np.vstack([z, z + _FD_EPS * np.eye(len(z))])
-            mean, std = gp.predict(points)
-            values = -acq_fn(mean, std, best_score)
-            return float(values[0]), (values[1:] - values[0]) / _FD_EPS
+        d = space.n_dims
+        eye = _FD_EPS * np.eye(d)
 
         def batch_acq(cube: np.ndarray) -> np.ndarray:
             mean, std = gp.predict(cube)
@@ -541,40 +532,36 @@ class AcquisitionOptimizer:
         unique: dict = {}
         for z in starts:
             unique.setdefault(np.round(z, 9).tobytes(), np.asarray(z))
-        starts = list(unique.values())
+        start_cube = np.array(list(unique.values()))
 
         # Probe every start's finite-difference gradient in one batched
         # predict; dead-flat starts (zero gradient, typical once EI has
         # collapsed everywhere) cannot move under SLSQP, so the solver
-        # call is skipped and the start stands as its own optimum.
-        d = space.n_dims
-        eye = _FD_EPS * np.eye(d)
-        probe = np.vstack([np.vstack([z, z + eye]) for z in starts])
-        probe_acq = batch_acq(probe).reshape(len(starts), d + 1)
+        # skips them and the start stands as its own optimum.
+        probe = np.concatenate(
+            [start_cube[:, None, :], start_cube[:, None, :] + eye], axis=1
+        )
+        probe_acq = batch_acq(probe.reshape(-1, d)).reshape(-1, d + 1)
         grads = (probe_acq[:, 1:] - probe_acq[:, :1]) / _FD_EPS
         grad_flat = np.max(np.abs(grads), axis=1) < _FLAT_GRAD_TOL
 
-        bounds = self._bounds(dropout, upper_caps)
-        constraints = self._constraints()
-        solutions: List[np.ndarray] = []
-        for x0, flat in zip(starts, grad_flat):
-            if flat:
-                solutions.append(x0)
-                continue
-            result = minimize(
-                fun_and_grad,
-                x0,
-                jac=True,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=constraints,
-                options={"maxiter": 40, "ftol": 1e-8},
-            )
-            solutions.append(result.x if result.success else x0)
+        lower, upper = self._bounds(dropout, upper_caps)
+        solutions = start_cube.copy()
+        solutions[~grad_flat], rounds = _lockstep_slsqp(
+            start_cube[~grad_flat],
+            lambda z: _descent_objective(gp, acq_fn, best_score, z),
+            lower,
+            upper,
+            self._columns,
+            self._column_targets(),
+        )
+        span.set("starts", len(start_cube))
+        span.set("flat_starts", int(grad_flat.sum()))
+        span.set("rounds", rounds)
 
         # Evaluate the continuous optima (the termination signal) and
         # their lattice projections in two batched predicts.
-        sol_cube = np.clip(np.array(solutions), 0.0, 1.0)
+        sol_cube = np.clip(solutions, 0.0, 1.0)
         sol_acq = batch_acq(sol_cube)
         sol_mats = self._repair_caps_batch(
             self._round_batch(sol_cube, dropout), upper_caps, dropout
@@ -610,3 +597,167 @@ class AcquisitionOptimizer:
             for m, v in ranked
         )
         return Proposal(candidates=candidates, max_acquisition=max_acq)
+
+
+def _descent_objective(
+    gp: GaussianProcess,
+    acq_fn: AcquisitionFunction,
+    best_score: Fraction,
+    z: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Negated acquisition at each row of ``z`` and its gradient.
+
+    Each point and its forward-difference neighbours form one
+    ``(d+1)``-point block, and all blocks go through one stacked GP
+    predict, so every point gets bitwise the values a predict of its
+    block alone would give.
+    """
+    n, d = z.shape
+    points = np.empty((n, d + 1, d))
+    points[:, 0] = z
+    points[:, 1:] = z[:, None, :] + _FD_EPS * np.eye(d)
+    mean, std = gp.predict(points)
+    acq = acq_fn(mean.ravel(), std.ravel(), best_score)
+    values = -np.reshape(acq, mean.shape)
+    return values[:, 0], (values[:, 1:] - values[:, :1]) / _FD_EPS
+
+
+def _lockstep_slsqp(
+    starts: np.ndarray,
+    value_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    lower: np.ndarray,
+    upper: np.ndarray,
+    columns: np.ndarray,
+    targets: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """Minimize from every start at once with SLSQP.
+
+    Returns each start's solution, bitwise what
+    ``scipy.optimize.minimize(fun, x0, jac=True, method="SLSQP",
+    bounds=..., constraints=..., options={"maxiter": 40, "ftol": 1e-8})``
+    gives from that start (falling back to the start itself unless the
+    solver succeeds), and the number of rounds.  The constraints are
+    one equality per resource, ``x[columns[r]].sum() == targets[r]``.
+
+    Scipy's reverse-communication kernel is stepped for every start in
+    turn; each round collects the starts that asked for a value or
+    gradient at a point they have not evaluated yet and hands them to
+    ``value_and_grad`` together — an ``(m, n)`` batch of points to
+    ``(m,)`` objective values and ``(m, n)`` gradients.  Each start
+    keeps minimize's own caching: a value and its gradient are
+    computed together and reused until the start's ``x`` changes.
+    """
+    solutions = starts.copy()
+    if not len(starts):
+        return solutions, 0
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        # Gathering each column into a contiguous row sums it in the
+        # order np.sum(x[idx]) does, at any job count.
+        return x[columns].sum(axis=1) - targets
+
+    if np.all(lower == upper):
+        # minimize() never runs SLSQP when the bounds pin every
+        # variable: the bounds are the answer iff they meet the
+        # constraints exactly.
+        if np.all(residuals(lower) == 0):
+            solutions[:] = lower
+        return solutions, 0
+
+    n, m = starts.shape[1], len(targets)
+    # The constraints are linear, so their normals are built once.
+    normals = np.zeros((m, n), order="F")
+    normals[np.arange(m)[:, None], columns] = 1.0
+    # minimize()'s worst-case workspace with m equality constraints and
+    # no inequalities.
+    buffer_size = (
+        n * (n + 1) // 2 + 3 * m * n - (m + 5 * n + 7) * m + 9 * m
+        + 8 * n * n + 35 * n + m * m + 28 + 2 * n * (n + 1)
+    )
+
+    x = np.clip(starts, lower, upper)
+    values, grads = value_and_grad(x)
+    rounds = 1
+    runs = [
+        _SLSQPRun(
+            i, x[i].copy(), float(values[i]), grads[i], residuals(x[i]),
+            buffer_size,
+        )
+        for i in range(len(starts))
+    ]
+
+    while runs:
+        stepping, waiting = [], []
+        for run in runs:
+            _slsqp_kernel(
+                run.state, run.fx, run.g, normals, run.d, run.x, run.mult,
+                lower, upper, run.buffer, run.indices,
+            )
+            mode = run.state["mode"]
+            if abs(mode) != 1:
+                if mode == 0:
+                    solutions[run.index] = run.x
+                continue
+            if mode == 1:
+                run.d = residuals(run.x)
+            stepping.append(run)
+            if (run.x == run.seen).all():
+                run.hand_over()
+            else:
+                waiting.append(run)
+        if waiting:
+            values, grads = value_and_grad(
+                np.array([run.x for run in waiting])
+            )
+            rounds += 1
+            for run, value, grad in zip(waiting, values, grads):
+                run.seen, run.value, run.grad = run.x.copy(), float(value), grad
+                run.hand_over()
+        runs = stepping
+    return solutions, rounds
+
+
+class _SLSQPRun:
+    """One start's SLSQP kernel state inside :func:`_lockstep_slsqp`."""
+
+    __slots__ = (
+        "index", "x", "seen", "value", "grad", "fx", "g", "d",
+        "state", "mult", "buffer", "indices",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        x: np.ndarray,
+        value: float,
+        grad: np.ndarray,
+        d: np.ndarray,
+        buffer_size: int,
+    ) -> None:
+        n, m = len(x), len(d)
+        self.index = index
+        self.x = x
+        # The point last evaluated, with its value and gradient.
+        self.seen, self.value, self.grad = x.copy(), value, grad
+        # What the kernel is handed: objective, gradient, residuals.
+        self.fx, self.g, self.d = value, grad, d
+        # The kernel's C struct, initialized as minimize() does.
+        self.state = {
+            "acc": _SLSQP_FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0,
+            "h1": 0.0, "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
+            "tol": 10.0 * _SLSQP_FTOL, "exact": 0, "inconsistent": 0,
+            "reset": 0, "iter": 0, "itermax": _SLSQP_MAXITER, "line": 0,
+            "m": m, "meq": m, "mode": 0, "n": n,
+        }
+        self.mult = np.zeros(m + 2 * n + 2)
+        self.buffer = np.zeros(buffer_size)
+        # The kernel's C signature takes a 32-bit index workspace.
+        # repro-lint: disable-next-line=RPL402
+        self.indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+
+    def hand_over(self) -> None:
+        """Give the kernel what its mode asks for at the current ``x``."""
+        if self.state["mode"] == 1:
+            self.fx = self.value
+        else:
+            self.g = self.grad
