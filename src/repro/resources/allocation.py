@@ -433,13 +433,13 @@ class ConfigurationSpace:
         The continuous vector is interpreted per resource as relative
         weights of the spare units (everything above the one-unit floor)
         and rounded with the largest-remainder method, so the result
-        always satisfies Eqs. 5-6 exactly.
+        always satisfies Eqs. 5-6 exactly.  This is a one-row call of
+        :meth:`from_unit_cube_batch`, so both share one rounding path.
         """
-        vec = np.asarray(x, dtype=float).reshape(self.n_jobs, self.n_resources)
-        matrix = np.empty((self.n_jobs, self.n_resources), dtype=int)
-        for r, units in enumerate(self._units):
-            matrix[:, r] = _round_column(np.clip(vec[:, r], 0.0, 1.0), int(units))
-        return Configuration.from_matrix(matrix)
+        vec = np.asarray(x, dtype=float).reshape(1, -1)
+        return Configuration.from_matrix(
+            self.from_unit_cube_batch(vec)[0].tolist()
+        )
 
     @partition_contract
     def from_unit_cube_batch(self, x: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ flavors trade fidelity for wall-clock:
   deterministic candidate set of partitions (the equal split plus
   LC-weighted splits built through the unit-cube projection) against
   the simulator's noise-free truth.  Admits only when a candidate
-  provably meets QoS — it can reject sets the full search would have
-  admitted, never the reverse — and costs microseconds, which is what
+  provably meets QoS, so it never admits a job set for which no
+  candidate partition meets QoS (it can reject sets the full search
+  would have admitted).  At about a millisecond per check it is what
   makes thousand-node scenarios with hundreds of arrivals tractable.
 
 Both flavors are pure functions of ``(node state, seed)``: probing
@@ -30,13 +31,14 @@ shows each root's verdict.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..cluster.scheduler import verify_node
 from ..cluster.state import ClusterNode
 from ..core.engine import CLITEConfig
+from ..resources.allocation import Configuration
 from ..server.node import Node
 from ..server.obstore import ObservationStore
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -65,10 +67,14 @@ class QuickProbe(AdmissionProbe):
     Candidates are the equal partition plus one LC-favoring partition
     per boost factor: LC jobs weigh ``boost * (0.15 + load)`` spare
     units, BG jobs weigh 1, projected onto the feasible lattice through
-    :meth:`~repro.resources.allocation.ConfigurationSpace.from_unit_cube`
+    :meth:`~repro.resources.allocation.ConfigurationSpace.from_unit_cube_batch`
     (largest-remainder rounding, deterministic tie-breaks).  A node
     passes as soon as one candidate's noise-free truth meets every LC
     QoS target.
+
+    One check costs about 0.5-2 ms (median ~1 ms for 1-5 jobs on the
+    Table 2 testbed, one core of a 2-vCPU Intel Xeon host): building
+    the node, one batched projection, and up to five noise-free truths.
     """
 
     name = "quick"
@@ -90,26 +96,22 @@ class QuickProbe(AdmissionProbe):
         if telemetry is not None:
             self._telemetry = telemetry
 
-    def _candidates(self, node: Node) -> List[np.ndarray]:
-        """Unit-cube weight vectors for the LC-favoring candidates."""
-        loads = [
-            job.load.load_at(0.0) if job.is_lc and job.load is not None else None
-            for job in node.jobs
-        ]
-        vectors = []
-        for boost in self.BOOSTS:
-            weights = np.array(
-                [
-                    boost * (0.15 + load) if load is not None else 1.0
-                    for load in loads
-                ]
-            )
-            cube = np.repeat(weights, node.space.n_resources)
-            peak = float(cube.max())
-            if peak > 0:
-                cube = cube / peak
-            vectors.append(cube)
-        return vectors
+    def _candidates(self, node: Node) -> np.ndarray:
+        """Unit-cube weight vectors for the LC-favoring candidates.
+
+        Returns a ``(len(BOOSTS), n_dims)`` array, one row per boost.
+        """
+        lc = [job.is_lc and job.load is not None for job in node.jobs]
+        base = np.array(
+            [
+                0.15 + job.load.load_at(0.0) if is_lc else 1.0
+                for job, is_lc in zip(node.jobs, lc)
+            ]
+        )
+        weights = np.where(lc, np.multiply.outer(self.BOOSTS, base), 1.0)
+        cube = np.repeat(weights, node.space.n_resources, axis=1)
+        peaks = cube.max(axis=1, keepdims=True)
+        return cube / np.where(peaks > 0, peaks, 1.0)
 
     def check(self, node_state: ClusterNode, seed: Optional[int]) -> bool:
         node = node_state.build_node(
@@ -119,9 +121,8 @@ class QuickProbe(AdmissionProbe):
             return True  # nothing with a QoS target to violate
         tried = set()
         configs = [node.space.equal_partition()]
-        configs.extend(
-            node.space.from_unit_cube(vec) for vec in self._candidates(node)
-        )
+        boosted = node.space.from_unit_cube_batch(self._candidates(node))
+        configs.extend(Configuration.from_matrix(m) for m in boosted.tolist())
         for config in configs:
             key = config.flat()
             if key in tried:

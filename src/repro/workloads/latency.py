@@ -108,18 +108,18 @@ def mmc_sojourn_quantile(
         return -math.log(1.0 - percentile) / mu
 
     p_wait = erlang_c(c, lam / mu)
+    p_direct = 1.0 - p_wait
     nu = c * mu - lam  # conditional wait is Exp(nu)
+    gap = nu - mu
+    erlang2 = abs(gap) < 1e-12 * mu  # Exp(mu) + Exp(mu) is Erlang-2
 
     def cdf(t: float) -> float:
-        f_service = 1.0 - math.exp(-mu * t)
-        if abs(nu - mu) < 1e-12 * mu:
-            # Exp(mu) + Exp(mu) is Erlang-2.
-            f_sum = 1.0 - math.exp(-mu * t) * (1.0 + mu * t)
+        decay = math.exp(-mu * t)
+        if erlang2:
+            f_sum = 1.0 - decay * (1.0 + mu * t)
         else:
-            f_sum = 1.0 - (
-                nu * math.exp(-mu * t) - mu * math.exp(-nu * t)
-            ) / (nu - mu)
-        return (1.0 - p_wait) * f_service + p_wait * f_sum
+            f_sum = 1.0 - (nu * decay - mu * math.exp(-nu * t)) / gap
+        return p_direct * (1.0 - decay) + p_wait * f_sum
 
     lo, hi = 0.0, 1.0 / mu
     while cdf(hi) < percentile:
@@ -128,6 +128,10 @@ def mmc_sojourn_quantile(
             return float("inf")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # Fixed point: every later step leaves 0.5 * (lo + hi) at
+            # mid bit-for-bit, so the remaining steps are no-ops.
+            break
         if cdf(mid) < percentile:
             lo = mid
         else:

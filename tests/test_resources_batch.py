@@ -7,6 +7,7 @@ the batch sampler must draw from the same distribution as ``random``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,17 @@ def spaces(draw):
         resources=tuple(Resource(f"r{i}", u) for i, u in enumerate(units))
     )
     return ConfigurationSpace(server, n_jobs)
+
+
+def _per_column_projection(space, x):
+    """Reference lattice projection: one scalar rounding per resource."""
+    vec = np.asarray(x, dtype=float).reshape(space.n_jobs, space.n_resources)
+    matrix = np.empty((space.n_jobs, space.n_resources), dtype=int)
+    for r, resource in enumerate(space.spec.resources):
+        matrix[:, r] = _round_column(
+            np.clip(vec[:, r], 0.0, 1.0), resource.units
+        )
+    return Configuration.from_matrix(matrix)
 
 
 class TestRandomBatch:
@@ -95,6 +107,28 @@ class TestCubeBatch:
             assert (
                 Configuration.from_matrix(mats[i]) == space.from_unit_cube(x[i])
             )
+
+    @pytest.mark.parametrize("n_jobs", range(2, 9))
+    def test_one_projection_path_matches_per_column_loop(self, n_jobs):
+        rng = np.random.default_rng(100 + n_jobs)
+        server = ServerSpec(
+            resources=tuple(
+                Resource(f"r{i}", int(rng.integers(n_jobs, 3 * n_jobs + 12)))
+                for i in range(int(rng.integers(1, 6)))
+            )
+        )
+        space = ConfigurationSpace(server, n_jobs)
+        x = rng.uniform(-0.2, 1.2, (300, space.n_dims))
+        x[:100] = np.round(x[:100] * 4) / 4  # coarse weights: remainder ties
+        x[0] = 0.0  # degenerate all-zero columns fall back to equal split
+        batch = space.from_unit_cube_batch(x)
+        for i, row in enumerate(x):
+            single = space.from_unit_cube(row)
+            assert single == Configuration.from_matrix(
+                space.from_unit_cube_batch(row[None])[0]
+            )
+            assert single == Configuration.from_matrix(batch[i])
+            assert single == _per_column_projection(space, row)
 
     def test_round_trip(self):
         server = ServerSpec(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conftest import make_bg, make_lc
@@ -184,6 +185,100 @@ class TestQuickProbe:
         assert probe.check(node_of([1.0]), seed=0)
         assert probe.check(node_of([0.85]), seed=0)
         assert not probe.check(node_of([1.0, 0.85]), seed=0)
+
+
+def _per_candidate_quick_check(node_state, seed):
+    """Reference quick probe: each boosted candidate projected on its own.
+
+    Returns ``(verdict, truths)`` where ``truths`` counts the distinct
+    candidates whose noise-free truth was evaluated.
+    """
+    from repro.resources import Configuration
+    from repro.resources.allocation import _round_column
+
+    node = node_state.build_node(seed=seed)
+    if not node.lc_indices:
+        return True, 0
+    space = node.space
+    configs = [space.equal_partition()]
+    for boost in QuickProbe.BOOSTS:
+        weights = np.array(
+            [
+                boost * (0.15 + job.load.load_at(0.0))
+                if job.is_lc and job.load is not None
+                else 1.0
+                for job in node.jobs
+            ]
+        )
+        cube = np.repeat(weights, space.n_resources)
+        peak = float(cube.max())
+        if peak > 0:
+            cube = cube / peak
+        vec = cube.reshape(space.n_jobs, space.n_resources)
+        matrix = np.empty((space.n_jobs, space.n_resources), dtype=int)
+        for r, resource in enumerate(space.spec.resources):
+            matrix[:, r] = _round_column(vec[:, r], resource.units)
+        configs.append(Configuration.from_matrix(matrix))
+    tried = set()
+    for config in configs:
+        if config.flat() in tried:
+            continue
+        tried.add(config.flat())
+        if node.true_performance(config).all_qos_met:
+            return True, len(tried)
+    return False, len(tried)
+
+
+def _seeded_tailbench_nodes(count, seed):
+    """Random Tailbench/PARSEC co-locations on the paper's testbed."""
+    from repro.cluster.state import ClusterNode, JobRequest
+    from repro.resources import default_server
+    from repro.workloads.parsec import BG_NAMES, bg_workload
+    from repro.workloads.tailbench import LC_NAMES, lc_workload
+
+    server = default_server()
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for index in range(count):
+        requests = []
+        for slot in range(int(rng.integers(1, 6))):
+            if rng.random() < 0.7:
+                name = LC_NAMES[int(rng.integers(len(LC_NAMES)))]
+                load = round(float(rng.uniform(0.05, 1.0)), 3)
+                requests.append(
+                    JobRequest(
+                        lc_workload(name, server), load, name=f"{name}-{slot}"
+                    )
+                )
+            else:
+                name = BG_NAMES[int(rng.integers(len(BG_NAMES)))]
+                requests.append(
+                    JobRequest(bg_workload(name), name=f"{name}-{slot}")
+                )
+        nodes.append(ClusterNode(index, server, requests))
+    return nodes
+
+
+class TestQuickProbeEquivalence:
+    def test_verdicts_and_truths_match_per_candidate_projection(self):
+        from repro.telemetry import MetricRegistry
+
+        telemetry = Telemetry(metrics=MetricRegistry())
+        truths = telemetry.metrics.counter("warehouse.probe.truths")
+        probe = QuickProbe()
+        probe.attach(None, telemetry)
+        got, want = [], []
+        for seed, node in enumerate(_seeded_tailbench_nodes(60, seed=14)):
+            before = truths.value
+            verdict = probe.check(node, seed=seed)
+            got.append((verdict, int(truths.value - before)))
+            want.append(_per_candidate_quick_check(node, seed))
+        assert got == want
+        # The set exercises admits, rejects, the early return and the
+        # dedupe (a reject that evaluated fewer than five candidates).
+        assert {verdict for verdict, _ in want} == {True, False}
+        assert any(v and n > 1 for v, n in want)
+        assert any(not v and n < 1 + len(QuickProbe.BOOSTS) for v, n in want)
 
 
 class TestServiceBasics:

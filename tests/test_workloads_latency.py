@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,93 @@ class TestMMC:
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError):
             mmc_sojourn_quantile(-1.0, 100.0, 4)
+
+
+def _bisect_80_steps(lam, mu, c, percentile):
+    """Reference M/M/c sojourn quantile: a fixed 80-step bisection.
+
+    A frozen copy of the plain algorithm: the mixture CDF re-derives
+    every constant per evaluation and all 80 bisection steps run.
+    :func:`mmc_sojourn_quantile` must return the same float, bit for bit.
+    """
+    if lam >= c * mu:
+        return float("inf")
+    if lam == 0:
+        return -math.log(1.0 - percentile) / mu
+    p_wait = erlang_c(c, lam / mu)
+    nu = c * mu - lam
+
+    def cdf(t):
+        f_service = 1.0 - math.exp(-mu * t)
+        if abs(nu - mu) < 1e-12 * mu:
+            f_sum = 1.0 - math.exp(-mu * t) * (1.0 + mu * t)
+        else:
+            f_sum = 1.0 - (
+                nu * math.exp(-mu * t) - mu * math.exp(-nu * t)
+            ) / (nu - mu)
+        return (1.0 - p_wait) * f_service + p_wait * f_sum
+
+    lo, hi = 0.0, 1.0 / mu
+    while cdf(hi) < percentile:
+        hi *= 2.0
+        if hi > 1e9:
+            return float("inf")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < percentile:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _quantile_grid():
+    """Seeded (lambda, mu, c, percentile) cases plus the edge regimes."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for _ in range(400):
+        c = int(rng.integers(1, 65))
+        mu = float(10.0 ** rng.uniform(-1.0, 4.0))
+        rho = float(rng.uniform(0.0, 1.0))
+        cases.append((rho * c * mu, mu, c, float(rng.uniform(0.01, 0.999))))
+    for c in (1, 2, 4, 10, 64, 256):
+        for mu in (0.5, 37.0, 1000.0):
+            for p in (0.5, 0.95, 0.99):
+                cases.append((0.0, mu, c, p))  # idle: service quantile
+                if c > 1:
+                    # nu = c*mu - lambda = mu: the Erlang-2 branch.
+                    cases.append(((c - 1) * mu, mu, c, p))
+                for rho in (0.3, 0.9, 0.999, 1.0 - 1e-9):  # rho -> 1
+                    cases.append((rho * c * mu, mu, c, p))
+    return cases
+
+
+class TestMMCBitwise:
+    def test_equals_fixed_80_step_bisection(self):
+        cases = _quantile_grid()
+        mismatches = [
+            (case, mmc_sojourn_quantile(*case), _bisect_80_steps(*case))
+            for case in cases
+            if mmc_sojourn_quantile(*case) != _bisect_80_steps(*case)
+        ]
+        assert mismatches == []
+
+    def test_grid_reaches_every_branch(self):
+        cases = _quantile_grid()
+        assert any(lam == 0 for lam, _, _, _ in cases)
+        assert any(c == 1 and lam > 0 for lam, _, c, _ in cases)
+        assert any(c >= 256 for _, _, c, _ in cases)
+        erlang2 = [
+            (lam, mu, c, p)
+            for lam, mu, c, p in cases
+            if lam > 0 and abs((c * mu - lam) - mu) < 1e-12 * mu
+        ]
+        assert erlang2
+        assert all(math.isfinite(_bisect_80_steps(*case)) for case in erlang2)
+        near_saturation = [
+            case for case in cases if case[0] >= (1.0 - 1e-6) * case[2] * case[1]
+        ]
+        assert near_saturation
 
 
 class TestStageModel:
