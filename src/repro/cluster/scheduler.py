@@ -16,17 +16,19 @@ introduction:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.engine import CLITEConfig, CLITEEngine
 from ..resources.contracts import placement_contract
 from ..sanitizer.hooks import register_shared
-from ..server.node import NodeBudget
-from ..server.obstore import ObservationStore
+from ..server.node import Node, NodeBudget
+from ..server.obstore import ObservationStore, Verdict, verdict_key
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .state import Cluster, ClusterNode, JobRequest, PlacementOutcome
 
@@ -38,6 +40,58 @@ PLACEMENT_ENGINE = CLITEConfig(
     confirm_top=2,
     n_restarts=4,
 )
+
+
+def engine_digest(config: CLITEConfig) -> Optional[str]:
+    """Digest of every engine setting but ``telemetry``, or ``None``.
+
+    A custom ``acquisition`` or ``kernel`` is an arbitrary object with
+    no stable digest, so such a config gets ``None`` (no memo).
+    """
+    if config.acquisition is not None or config.kernel is not None:
+        return None
+    settings = {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if f.name != "telemetry"
+    }
+    canonical = json.dumps(settings, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _memo_key(
+    node: Node, node_state: ClusterNode, config: CLITEConfig
+) -> Optional[str]:
+    """The verdict-memo key of one verification, or ``None`` to bypass.
+
+    Storeless nodes have no fingerprint; unseeded runs read ambient
+    counter noise, so they are not a function of their inputs.
+    """
+    fingerprint, digest = node.fingerprint, engine_digest(config)
+    if fingerprint is None or config.seed is None or digest is None:
+        return None
+    loads = [r.load for r in node_state.lc_requests if r.load is not None]
+    return verdict_key(fingerprint, loads, config.seed, digest)
+
+
+def _run_clite(
+    node: Node, node_state: ClusterNode, config: CLITEConfig, tel: Telemetry
+) -> Verdict:
+    """One CLITE BO run on ``node``, judged by its noise-free truth."""
+    result = CLITEEngine(node, config).optimize()
+    if tel.active:
+        tel.metrics.counter(
+            "cluster.verify.samples", node=str(node_state.index)
+        ).add(result.samples_taken)
+    if result.best_config is None:
+        return Verdict(False, None, result.samples_taken)
+    truth = node.true_performance(result.best_config)
+    bg = [j.throughput_norm for j in truth.bg_jobs]
+    return Verdict(
+        truth.all_qos_met,
+        sum(bg) / len(bg) if bg else None,
+        result.samples_taken,
+    )
 
 
 def verify_node(
@@ -55,38 +109,46 @@ def verify_node(
     repeated verification of similar job sets (the warehouse common
     case) skips the physics on warm truths; the store is thread-safe
     and may back every worker of :func:`verify_nodes` at once.
+
+    The store also memoises the whole answer: a seeded verification is
+    a pure function of the node's physics fingerprint, its LC loads,
+    the seed and the engine settings (:func:`engine_digest`), so a
+    repeat of an identical node state returns the stored
+    :class:`~repro.server.obstore.Verdict` without building an engine.
+    Unseeded runs and configs with a custom acquisition or kernel
+    bypass the memo.
+
     With telemetry, the run is wrapped in a ``cluster.verify_node``
-    span and its observation windows land on the per-node
+    span (``memo`` says whether the verdict came from the store), memo
+    traffic lands on ``verify.memo.hits``/``verify.memo.misses``, and
+    the observation windows actually spent land on the per-node
     ``cluster.verify.samples`` counter — safe under the thread pool,
     since each worker thread keeps its own span stack and the metric
     instruments serialize their updates.
     """
-    from dataclasses import replace
-
     config = engine_config or PLACEMENT_ENGINE
     tel = telemetry if telemetry is not None else (
         config.telemetry if config.telemetry is not None else NULL_TELEMETRY
     )
+    config = replace(config, seed=seed, telemetry=tel if tel.active else None)
     with tel.tracer.span(
         "cluster.verify_node", node=node_state.index, jobs=node_state.n_jobs
     ) as span:
         node = node_state.build_node(seed=seed, store=store)
-        engine = CLITEEngine(
-            node,
-            replace(config, seed=seed, telemetry=tel if tel.active else None),
-        )
-        result = engine.optimize()
-        if tel.active:
+        key = _memo_key(node, node_state, config)
+        verdict = None
+        if key is not None:
+            verdict = node.stored_verdict(key)
             tel.metrics.counter(
-                "cluster.verify.samples", node=str(node_state.index)
-            ).add(result.samples_taken)
-        if result.best_config is None:
-            span.set("qos_met", False)
-            return False, None
-        truth = node.true_performance(result.best_config)
-        span.set("qos_met", truth.all_qos_met)
-    bg = [j.throughput_norm for j in truth.bg_jobs]
-    return truth.all_qos_met, (sum(bg) / len(bg) if bg else None)
+                "verify.memo.hits" if verdict is not None else "verify.memo.misses"
+            ).add()
+        span.set("memo", verdict is not None)
+        if verdict is None:
+            verdict = _run_clite(node, node_state, config, tel)
+            if key is not None:
+                node.publish_verdict(key, verdict)
+        span.set("qos_met", verdict.qos_met)
+    return verdict.qos_met, verdict.bg_perf
 
 
 def verify_nodes(

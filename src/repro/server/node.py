@@ -27,7 +27,7 @@ from ..workloads.latency import capacity_qps, p95_latency_ms
 from ..workloads.loadgen import LoadSchedule
 from ..workloads.throughput import normalized_throughput
 from .counters import DEFAULT_OBSERVATION_PERIOD_S, PerformanceCounters
-from .obstore import ObservationStore, node_fingerprint
+from .obstore import ObservationStore, Verdict, node_fingerprint
 
 LC_ROLE = "LC"
 BG_ROLE = "BG"
@@ -410,6 +410,24 @@ class Node:
         # *other* ObservationStore.put on probe paths.
         # repro-lint: disable-next-line=RPL902
         self.store.put(self._fingerprint, flat, loads, truth.jobs)
+
+    def stored_verdict(self, key: str) -> Optional[Verdict]:
+        """The store's memoised verification verdict under ``key``."""
+        if self.store is None:
+            return None
+        return self.store.get_verdict(key)
+
+    def publish_verdict(self, key: str, verdict: Verdict) -> None:
+        """Memoise one whole verification of this node in the store."""
+        if self.store is None:
+            return
+        # The sanctioned verdict publish path, mirroring _store_publish:
+        # probe-side CLITE admission reaches it through verify_node, but
+        # the verdict is a deterministic function of its key (physics
+        # fingerprint, LC loads, seed, engine settings), so any replay
+        # recomputes the identical value on a miss.
+        # repro-lint: disable-next-line=RPL902
+        self.store.put_verdict(key, verdict)
 
     def _truth_for(
         self, config: Configuration, key: tuple, at_time: Seconds

@@ -30,8 +30,18 @@ Design points:
   poisoning the load.
 * **Thread-safe.**  One store may back every worker of the cluster
   scheduler's ``verify_nodes`` pool; all state transitions happen under
-  the instance lock, and the store registers itself (and its entry map)
-  with ``repro-san`` so the sanitizer sees every access.
+  the instance lock, and the store registers itself (and its entry
+  maps) with ``repro-san`` so the sanitizer sees every access.
+* **Verdicts ride along.**  A second record kind memoises whole CLITE
+  verifications: :func:`~repro.cluster.scheduler.verify_node` is a pure
+  function of the node's physics, its LC loads, the seed and the engine
+  configuration, so its ``(qos_met, mean BG perf, samples)`` answer is
+  stored under :func:`verdict_key` and a repeated probe skips the BO
+  run entirely.  Verdicts share the file, the schema version, the
+  compaction and the LRU capacity (each kind holds at most
+  ``max_entries`` records).  Anything that changes what the engine
+  decides for a given key must bump :data:`SCHEMA_VERSION`, or stale
+  verdicts would be replayed.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from typing import (
     Any,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -63,15 +74,30 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (node imports us)
     from .node import Job, JobObservation
 
-#: Bump when the on-disk entry layout changes; older files are ignored
-#: (and rewritten from scratch) rather than misread.
-SCHEMA_VERSION = 1
+#: Bump when the on-disk entry layout changes, or when the engine's
+#: decisions change for a given verdict key; older files are ignored
+#: (and rewritten from scratch) rather than misread.  Version 2 added
+#: the verdict records.
+SCHEMA_VERSION = 2
 
 #: The header's magic string; anything else is not an observation store.
 SCHEMA_KIND = "repro-obstore"
 
 #: ``(fingerprint, flattened partition units, LC load fractions)``.
 StoreKey = Tuple[str, Tuple[int, ...], Tuple[float, ...]]
+
+
+class Verdict(NamedTuple):
+    """One memoised CLITE verification of a node state.
+
+    ``bg_perf`` is the mean normalised BG throughput of the chosen
+    partition (``None`` without BG jobs or without a partition);
+    ``samples`` is how many observation windows the original run spent.
+    """
+
+    qos_met: bool
+    bg_perf: Optional[float]
+    samples: int
 
 
 def _workload_signature(workload: object) -> Dict[str, Any]:
@@ -105,12 +131,37 @@ def node_fingerprint(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def verdict_key(
+    fingerprint: str,
+    loads: Sequence[float],
+    seed: int,
+    engine_digest: str,
+) -> str:
+    """The memo key of one verification: physics, loads, seed, engine.
+
+    ``engine_digest`` stands for every engine setting that steers the
+    search (see :func:`repro.cluster.scheduler.engine_digest`); the
+    schema version is folded in so a version bump retires every key.
+    """
+    payload = {
+        "version": SCHEMA_VERSION,
+        "fp": fingerprint,
+        "loads": [float(load) for load in loads],
+        "seed": seed,
+        "engine": engine_digest,
+    }
+    canonical = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class StoreStats:
     """Telemetry counters of one store since it was opened.
 
-    ``loaded`` counts entries recovered from disk at open time;
-    ``corrupt`` counts unparsable lines skipped during that load.
+    ``loaded`` counts records (truths and verdicts) recovered from disk
+    at open time; ``corrupt`` counts unparsable lines skipped during
+    that load.  ``hits``/``misses``/``entries`` are the truth map's;
+    ``verdict_hits``/``verdicts`` are the verdict memo's.
     """
 
     hits: int
@@ -119,16 +170,19 @@ class StoreStats:
     loaded: int
     corrupt: int
     entries: int
+    verdict_hits: int
+    verdicts: int
 
 
 class ObservationStore:
-    """File-backed LRU map of noise-free observation truths.
+    """File-backed LRU map of noise-free observation truths and verdicts.
 
     Args:
         path: Backing file (created, along with parent directories, on
             first use).
-        max_entries: LRU capacity; the least-recently-used entry is
-            evicted when a ``put`` would exceed it.
+        max_entries: LRU capacity of each record kind; the
+            least-recently-used truth (or verdict) is evicted when a
+            ``put`` (or ``put_verdict``) would exceed it.
         telemetry: Optional :class:`repro.telemetry.Telemetry` context;
             hit/miss/evict/load traffic is then counted on the
             ``obstore.*`` metric series.
@@ -156,10 +210,12 @@ class ObservationStore:
         self._entries: "OrderedDict[StoreKey, Tuple[JobObservation, ...]]" = (
             OrderedDict()
         )
+        self._verdicts: "OrderedDict[str, Verdict]" = OrderedDict()
         self._fh: Optional[IO[str]] = None
         self._file_lines = 0
         self._hits = 0
         self._misses = 0
+        self._verdict_hits = 0
         self._evictions = 0
         self._loaded = 0
         self._corrupt = 0
@@ -167,14 +223,14 @@ class ObservationStore:
         register_shared(
             self,
             name=f"ObservationStore@{self.path.name}",
-            container_attrs=("_entries",),
+            container_attrs=("_entries", "_verdicts"),
         )
 
     # ------------------------------------------------------------------
     # Loading and persistence
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        """Recover entries from disk; skip anything unparsable.
+        """Recover records from disk; skip anything unparsable.
 
         Runs in ``__init__`` only, before the store is shared; it takes
         the (reentrant) lock anyway so the helper is safe from any call
@@ -199,20 +255,17 @@ class ObservationStore:
                 return
             self._file_lines = len(lines)
             for line in lines[1:]:
-                entry = self._parse_entry(line)
-                if entry is None:
+                record = self._parse_record(line)
+                if record is None:
                     self._corrupt += 1
                     continue
-                key, jobs = entry
                 # Later lines win and refresh recency, mirroring put
                 # order.
-                if key in self._entries:
-                    del self._entries[key]
-                self._entries[key] = jobs
+                records, key, value = record
+                records.pop(key, None)
+                records[key] = value
                 self._loaded += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            self._evict()
         if self._loaded:
             self.telemetry.metrics.counter("obstore.loads").add(self._loaded)
         if self._corrupt:
@@ -232,13 +285,26 @@ class ObservationStore:
             return None
         return header
 
-    def _parse_entry(
+    def _parse_record(
         self, line: str
-    ) -> Optional[Tuple[StoreKey, Tuple["JobObservation", ...]]]:
+    ) -> Optional[Tuple["OrderedDict[Any, Any]", Any, Any]]:
+        """One truth (``fp``/``cfg``/``loads``/``jobs``) or verdict line,
+        as ``(the map it belongs in, key, value)``."""
         from .node import JobObservation
 
         try:
             raw = json.loads(line)
+            if "verdict" in raw:
+                vkey, qos_met = raw["verdict"], raw["qos_met"]
+                bg_perf, samples = raw["bg_perf"], raw["samples"]
+                if not (
+                    isinstance(vkey, str)
+                    and isinstance(qos_met, bool)
+                    and (bg_perf is None or isinstance(bg_perf, float))
+                    and isinstance(samples, int)
+                ):
+                    return None
+                return self._verdicts, vkey, Verdict(qos_met, bg_perf, samples)
             key: StoreKey = (
                 str(raw["fp"]),
                 tuple(int(u) for u in raw["cfg"]),
@@ -247,7 +313,7 @@ class ObservationStore:
             jobs = tuple(JobObservation(**fields) for fields in raw["jobs"])
         except (ValueError, TypeError, KeyError):
             return None
-        return key, jobs
+        return self._entries, key, jobs
 
     @staticmethod
     def _encode_entry(key: StoreKey, jobs: Tuple["JobObservation", ...]) -> str:
@@ -256,6 +322,16 @@ class ObservationStore:
             "cfg": list(key[1]),
             "loads": list(key[2]),
             "jobs": [asdict(job) for job in jobs],
+        }
+        return json.dumps(record)
+
+    @staticmethod
+    def _encode_verdict(key: str, verdict: Verdict) -> str:
+        record = {
+            "verdict": key,
+            "qos_met": verdict.qos_met,
+            "bg_perf": verdict.bg_perf,
+            "samples": verdict.samples,
         }
         return json.dumps(record)
 
@@ -280,21 +356,36 @@ class ObservationStore:
                     self._file_lines = 1
             return self._fh
 
-    def _append(self, key: StoreKey, jobs: Tuple["JobObservation", ...]) -> None:
+    def _append(self, line: str) -> None:
+        """Append one encoded record; compact once the log outgrows twice
+        the live record count (and 64 lines)."""
         with self._lock:
             fh = self._writer()
-            fh.write(self._encode_entry(key, jobs) + "\n")
+            fh.write(line + "\n")
             fh.flush()
             self._file_lines += 1
-            if self._file_lines > max(2 * self.max_entries, 64):
+            live = len(self._entries) + len(self._verdicts)
+            if self._file_lines > max(2 * live, 64):
                 self._compact()
 
+    def _evict(self) -> None:
+        """Drop least-recently-used records of either kind over capacity."""
+        with self._lock:
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+                self.telemetry.metrics.counter("obstore.evictions").add()
+            while len(self._verdicts) > self.max_entries:
+                self._verdicts.popitem(last=False)
+                self._evictions += 1
+                self.telemetry.metrics.counter("obstore.evictions").add()
+
     def _compact(self) -> None:
-        """Atomically rewrite the file with only the live entries."""
+        """Atomically rewrite the file with only the live records."""
         with self._lock:
             tmp = self.path.with_name(self.path.name + ".tmp")
             try:
-                # Durability by design: compaction must snapshot _entries
+                # Durability by design: compaction must snapshot the maps
                 # and swap the file while no concurrent put can interleave;
                 # the pause is the compaction cost in bench_perf.py.
                 # repro-lint: disable-next-line=RPL802
@@ -302,6 +393,8 @@ class ObservationStore:
                     out.write(self._header_line() + "\n")
                     for key, jobs in self._entries.items():
                         out.write(self._encode_entry(key, jobs) + "\n")
+                    for vkey, verdict in self._verdicts.items():
+                        out.write(self._encode_verdict(vkey, verdict) + "\n")
                     out.flush()
                     # Durability by design: fsync before the atomic
                     # os.replace is the crash guarantee.
@@ -320,7 +413,7 @@ class ObservationStore:
                 except OSError:
                     pass
                 raise
-            self._file_lines = 1 + len(self._entries)
+            self._file_lines = 1 + len(self._entries) + len(self._verdicts)
         self.telemetry.metrics.counter("obstore.compactions").add()
 
     # ------------------------------------------------------------------
@@ -359,13 +452,36 @@ class ObservationStore:
                 self._entries.move_to_end(key)
                 return
             self._entries[key] = jobs
-            self._append(key, jobs)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                self.telemetry.metrics.counter("obstore.evictions").add()
+            self._append(self._encode_entry(key, jobs))
+            self._evict()
+
+    def get_verdict(self, key: str) -> Optional[Verdict]:
+        """The memoised verdict under ``key``, refreshing its recency.
+
+        Misses are not counted here: the caller
+        (:func:`~repro.cluster.scheduler.verify_node`) counts memo
+        traffic on its own ``verify.memo.*`` series.
+        """
+        with self._lock:
+            verdict = self._verdicts.get(key)
+            if verdict is None:
+                return None
+            self._verdicts.move_to_end(key)
+            self._verdict_hits += 1
+            return verdict
+
+    def put_verdict(self, key: str, verdict: Verdict) -> None:
+        """Persist one verdict (idempotent; evicts LRU verdicts over capacity)."""
+        with self._lock:
+            if key in self._verdicts:
+                self._verdicts.move_to_end(key)
+                return
+            self._verdicts[key] = verdict
+            self._append(self._encode_verdict(key, verdict))
+            self._evict()
 
     def __len__(self) -> int:
+        """The number of stored truths (verdicts are in :meth:`stats`)."""
         with self._lock:
             return len(self._entries)
 
@@ -379,6 +495,8 @@ class ObservationStore:
                 loaded=self._loaded,
                 corrupt=self._corrupt,
                 entries=len(self._entries),
+                verdict_hits=self._verdict_hits,
+                verdicts=len(self._verdicts),
             )
 
     def flush(self) -> None:

@@ -7,8 +7,10 @@ flavors trade fidelity for wall-clock:
 
 * :class:`CLITEProbe` — the full answer: run a (small-budget) CLITE BO
   search via :func:`~repro.cluster.scheduler.verify_node`.  Shares the
-  warehouse's :class:`~repro.server.obstore.ObservationStore`, so
-  repeated probes of recurring job sets skip the physics.
+  warehouse's :class:`~repro.server.obstore.ObservationStore`, so a
+  seeded probe of a node state already verified replays the stored
+  verdict without running the search at all, and new job sets reuse
+  stored truths instead of paying the physics.
 * :class:`QuickProbe` — a sufficient-condition screen: evaluate a small
   deterministic candidate set of partitions (the equal split plus
   LC-weighted splits built through the unit-cube projection) against
@@ -138,10 +140,15 @@ class CLITEProbe(AdmissionProbe):
     """The full verification: a small-budget CLITE BO run per probe.
 
     This is :class:`~repro.cluster.scheduler.CLITEPlacement`'s
-    admissibility check as a reusable object.  Each probe increments the
-    existing ``cluster.verify.samples`` counter (per node label) and
-    reads/feeds the shared observation store, so re-probing a recurring
-    job set is near-free once the store is warm.
+    admissibility check as a reusable object.  With a store attached,
+    ``check`` is memoised on (node physics, LC loads, seed, engine
+    settings): a repeat returns the stored verdict without building an
+    engine (``verify.memo.hits``, ``memo=True`` on the
+    ``cluster.verify_node`` span).  A fresh probe runs the search,
+    counts its windows on ``cluster.verify.samples`` (per node label),
+    reads/feeds the store's truths, and publishes its verdict.
+    Unseeded probes and engine configs with a custom acquisition or
+    kernel always run the search.
     """
 
     name = "clite"

@@ -2,13 +2,31 @@
 
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import make_node
+from conftest import make_bg, make_lc, make_node
+from repro.cluster import JobRequest, verify_node
+from repro.cluster.scheduler import engine_digest
+from repro.cluster.state import ClusterNode
+from repro.core import CLITEConfig
+from repro.core.acquisition import ExpectedImprovement
+from repro.core.kernels import Matern52
+from repro.resources import Resource, ServerSpec
 from repro.server import ObservationStore, node_fingerprint
-from repro.server.obstore import SCHEMA_KIND, SCHEMA_VERSION
+from repro.server.obstore import SCHEMA_KIND, SCHEMA_VERSION, Verdict
+from repro.telemetry import Telemetry
+
+#: A small engine budget for memo tests (each miss is one BO run).
+MEMO_ENGINE = CLITEConfig(
+    max_iterations=6,
+    post_qos_iterations=2,
+    refine_budget=2,
+    confirm_top=1,
+    n_restarts=2,
+)
 
 
 @pytest.fixture
@@ -231,3 +249,161 @@ class TestConcurrency:
             t.join()
         assert not errors
         assert len(store) == 64
+
+
+def _memo_state(spec, loads=(0.3,)):
+    """A node state with one LC job per load plus one BG job."""
+    state = ClusterNode(0, spec)
+    for i, load in enumerate(loads):
+        state = state.with_request(
+            JobRequest(make_lc(f"svc-{i}"), load, name=f"svc-{i}")
+        )
+    return state.with_request(JobRequest(make_bg("batch"), name="batch"))
+
+
+def _engine_runs(telemetry):
+    return telemetry.metrics.counter("engine.runs").value
+
+
+class TestVerdictMemo:
+    """Whole CLITE verifications are memoised under an exact key."""
+
+    def test_repeat_verification_skips_the_engine(
+        self, mini_server, store_path
+    ):
+        state = _memo_state(mini_server)
+        telemetry = Telemetry.enabled()
+        with ObservationStore(store_path) as store:
+            first = verify_node(state, MEMO_ENGINE, 0, telemetry, store)
+            second = verify_node(state, MEMO_ENGINE, 0, telemetry, store)
+            stats = store.stats()
+        assert first == second == verify_node(state, MEMO_ENGINE, 0)
+        assert _engine_runs(telemetry) == 1
+        assert stats.verdicts == 1 and stats.verdict_hits == 1
+        assert telemetry.metrics.counter("verify.memo.hits").value == 1
+        assert telemetry.metrics.counter("verify.memo.misses").value == 1
+        memo = [
+            span.attributes["memo"]
+            for span in telemetry.tracer.finished()
+            if span.name == "cluster.verify_node"
+        ]
+        assert memo == [False, True]
+
+    def test_verdicts_survive_a_restart(self, mini_server, store_path):
+        state = _memo_state(mini_server)
+        with ObservationStore(store_path) as store:
+            cold = verify_node(state, MEMO_ENGINE, 0, store=store)
+        telemetry = Telemetry.enabled()
+        with ObservationStore(store_path) as reopened:
+            assert reopened.stats().verdicts == 1
+            warm = verify_node(state, MEMO_ENGINE, 0, telemetry, reopened)
+            assert reopened.stats().verdict_hits == 1
+        assert warm == cold
+        assert _engine_runs(telemetry) == 0
+
+    def test_keys_differ_across_inputs(self, mini_server, store_path):
+        """Loads, seed, engine settings and the server spec each reach
+        the key: every variant runs its own search."""
+        bigger = ServerSpec(
+            resources=tuple(
+                Resource(r.name, r.units + 1) for r in mini_server.resources
+            )
+        )
+        variants = [
+            (_memo_state(mini_server), MEMO_ENGINE, 0),
+            (_memo_state(mini_server, loads=(0.4,)), MEMO_ENGINE, 0),
+            (_memo_state(mini_server), MEMO_ENGINE, 1),
+            (_memo_state(mini_server), replace(MEMO_ENGINE, n_restarts=3), 0),
+            (_memo_state(bigger), MEMO_ENGINE, 0),
+        ]
+        telemetry = Telemetry.enabled()
+        with ObservationStore(store_path) as store:
+            for state, config, seed in variants:
+                verify_node(state, config, seed, telemetry, store)
+            stats = store.stats()
+        assert stats.verdicts == len(variants)
+        assert stats.verdict_hits == 0
+        assert _engine_runs(telemetry) == len(variants)
+
+    def test_engine_digest_covers_settings_not_telemetry(self):
+        assert engine_digest(MEMO_ENGINE) == engine_digest(
+            replace(MEMO_ENGINE, telemetry=Telemetry.enabled())
+        )
+        assert engine_digest(MEMO_ENGINE) != engine_digest(
+            replace(MEMO_ENGINE, zeta=0.02)
+        )
+        assert engine_digest(MEMO_ENGINE) != engine_digest(
+            replace(MEMO_ENGINE, seed=1)
+        )
+
+    @pytest.mark.parametrize(
+        "config, seed",
+        [
+            (MEMO_ENGINE, None),
+            (replace(MEMO_ENGINE, acquisition=ExpectedImprovement()), 0),
+            (replace(MEMO_ENGINE, kernel=Matern52()), 0),
+        ],
+        ids=["unseeded", "custom-acquisition", "custom-kernel"],
+    )
+    def test_unstable_inputs_bypass_the_memo(
+        self, mini_server, store_path, config, seed
+    ):
+        state = _memo_state(mini_server)
+        telemetry = Telemetry.enabled()
+        with ObservationStore(store_path) as store:
+            for _ in range(2):
+                verify_node(state, config, seed, telemetry, store)
+            stats = store.stats()
+        assert stats.verdicts == 0 and stats.verdict_hits == 0
+        assert _engine_runs(telemetry) == 2
+        assert telemetry.metrics.counter("verify.memo.misses").value == 0
+
+    def test_truncated_verdict_line_skipped(self, store_path):
+        with ObservationStore(store_path) as store:
+            for i in range(3):
+                store.put_verdict(f"k{i}", Verdict(True, 0.5, 10 + i))
+        lines = store_path.read_text().splitlines()
+        lines[2] = lines[2][: len(lines[2]) // 2]
+        lines.append(json.dumps({"verdict": "k9", "qos_met": "yes",
+                                 "bg_perf": None, "samples": 1}))
+        store_path.write_text("\n".join(lines) + "\n")
+        reopened = ObservationStore(store_path)
+        assert reopened.stats().corrupt == 2
+        assert reopened.stats().verdicts == 2
+        assert reopened.get_verdict("k0") == Verdict(True, 0.5, 10)
+        assert reopened.get_verdict("k1") is None
+
+    def test_version_1_file_is_discarded(self, mini_server, store_path):
+        with ObservationStore(store_path) as store:
+            sweep(make_node(mini_server, store=store), n=4)
+            store.put_verdict("k", Verdict(False, None, 7))
+        lines = store_path.read_text().splitlines()
+        lines[0] = json.dumps({"schema": SCHEMA_KIND, "version": 1})
+        store_path.write_text("\n".join(lines) + "\n")
+        old = ObservationStore(store_path)
+        assert len(old) == 0
+        assert old.stats().verdicts == 0
+        assert old.stats().corrupt == 1
+
+    def test_verdicts_respect_the_lru_bound(self, store_path):
+        store = ObservationStore(store_path, max_entries=3)
+        for i in range(5):
+            store.put_verdict(f"k{i}", Verdict(True, None, i))
+        assert store.stats().verdicts == 3
+        assert store.stats().evictions == 2
+        assert store.get_verdict("k0") is None
+        assert store.get_verdict("k4") == Verdict(True, None, 4)
+        store.close()
+        assert ObservationStore(store_path, max_entries=2).stats().verdicts == 2
+
+    def test_verdicts_survive_compaction(self, mini_server, store_path):
+        store = ObservationStore(store_path, max_entries=4)
+        store.put_verdict("kept", Verdict(True, 0.25, 12))
+        sweep(make_node(mini_server, store=store), n=80, rng_seed=1)
+        store.close()
+        # Compaction kept the file near the live record count ...
+        assert len(store_path.read_text().splitlines()) <= 64 + 1
+        # ... and carried the verdict through every rewrite.
+        reloaded = ObservationStore(store_path, max_entries=4)
+        assert reloaded.get_verdict("kept") == Verdict(True, 0.25, 12)
+        assert len(reloaded) == 4

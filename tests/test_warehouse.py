@@ -37,6 +37,15 @@ FAST_ENGINE = CLITEConfig(
 )
 
 
+def _counter_total(telemetry, name):
+    """One counter summed over all its label sets."""
+    return sum(
+        value
+        for series, value in telemetry.snapshot().counters.items()
+        if parse_series(series)[0] == name
+    )
+
+
 def lc_job(name, load, qos_latency_ms=10.0):
     return WarehouseJob.lc(
         make_lc(name, qos_latency_ms=qos_latency_ms), load, name
@@ -263,7 +272,7 @@ class TestQuickProbeEquivalence:
     def test_verdicts_and_truths_match_per_candidate_projection(self):
         from repro.telemetry import MetricRegistry
 
-        telemetry = Telemetry(metrics=MetricRegistry())
+        telemetry = Telemetry.enabled()
         truths = telemetry.metrics.counter("warehouse.probe.truths")
         probe = QuickProbe()
         probe.attach(None, telemetry)
@@ -483,26 +492,75 @@ class TestIncrementalVerification:
 
     def test_warm_store_makes_repeat_probes_cheap(self, mini_server, tmp_path):
         def run(store):
+            telemetry = Telemetry.enabled()
             service = WarehouseService(
                 2,
                 spec=mini_server,
                 probe="clite",
                 engine_config=FAST_ENGINE,
                 store=store,
+                telemetry=telemetry,
             )
             service.submit(lc_job("a", 0.3), at=1.0)
             service.submit(lc_job("b", 0.3), at=2.0)
             service.run_until(3.0)
-            return service.timeline
+            return service.timeline, telemetry
 
         with ObservationStore(tmp_path / "obs.jsonl") as store:
-            cold = run(store)
+            cold, _ = run(store)
             misses_after_cold = store.stats().misses
-            warm = run(store)
+            warm, telemetry = run(store)
             stats = store.stats()
         assert cold == warm  # same decisions either way
-        assert stats.hits > 0  # the second run reused stored truths
+        # The second run replayed stored verdicts: no BO run at all, and
+        # every probe was a memo hit.
+        probes = _counter_total(telemetry, "warehouse.verify.nodes")
+        assert probes > 0
+        assert _counter_total(telemetry, "engine.runs") == 0
+        assert _counter_total(telemetry, "verify.memo.hits") == probes
+        assert _counter_total(telemetry, "verify.memo.misses") == 0
         assert stats.misses == misses_after_cold  # and added no new physics
+
+    def test_restarted_store_replays_the_storeless_timeline(
+        self, mini_server, tmp_path
+    ):
+        """A seeded stream played through a store, then replayed through
+        the reopened file, decides exactly like the same stream with no
+        store at all."""
+        events = [
+            (1.0, lc_job("a", 0.3)),
+            (2.0, lc_job("b", 0.4)),
+            (3.0, bg_job("c")),
+            (4.0, lc_job("d", 0.3)),
+        ]
+
+        def run(store):
+            service = WarehouseService(
+                2,
+                spec=mini_server,
+                probe="clite",
+                engine_config=FAST_ENGINE,
+                seed=5,
+                store=store,
+            )
+            for at, job in events:
+                service.submit(job, at=at)
+            service.depart("b", at=5.0)
+            service.run_until(6.0)
+            return service.timeline, service.placements()
+
+        reference = run(None)
+        path = tmp_path / "obs.jsonl"
+        with ObservationStore(path) as store:
+            cold = run(store)
+            verdicts = store.stats().verdicts
+        with ObservationStore(path) as reopened:
+            warm = run(reopened)
+            replayed = reopened.stats()
+        assert cold == reference
+        assert warm == reference
+        assert verdicts > 0
+        assert replayed.verdict_hits > 0 and replayed.misses == 0
 
 
 class CountingService(WarehouseService):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_bg, make_lc
+from repro.core import CLITEConfig
+from repro.server import ObservationStore
 from repro.warehouse import (
     ROUTING_POLICIES,
     ScenarioConfig,
@@ -13,6 +15,16 @@ from repro.warehouse import (
     home_shard,
     load_into,
     synthesize,
+)
+
+
+#: Small engine budgets for full-CLITE probes in tests.
+FAST_ENGINE = CLITEConfig(
+    max_iterations=10,
+    post_qos_iterations=3,
+    refine_budget=5,
+    confirm_top=1,
+    n_restarts=3,
 )
 
 
@@ -226,3 +238,45 @@ class TestTimelineCursor:
             assert len(collected) == len(full) > 0
             assert Counter(map(repr, collected)) == Counter(map(repr, full))
             assert fed.timeline_since(cursor) == ()
+
+
+class TestSharedStoreConcurrency:
+    """Shards sharing one observation store (truths and verdicts) decide
+    exactly as serial probing does, cold and replayed warm."""
+
+    def test_concurrent_clite_probes_over_one_store(self, tmp_path):
+        events = synthesize(
+            ScenarioConfig(n_jobs=8, duration_s=150.0, lc_fraction=0.5, seed=4)
+        )
+
+        def run(concurrent, store):
+            with WarehouseFederation(
+                2,
+                4,
+                concurrent_probes=concurrent,
+                probe="clite",
+                engine_config=FAST_ENGINE,
+                seed=4,
+                recheck_period_s=30.0,
+                stores=[store, store],
+            ) as fed:
+                load_into(fed, events)
+                fed.run_to_completion()
+                return (
+                    fed.routed,
+                    [shard.timeline for shard in fed.shards],
+                    fed.placements(),
+                )
+
+        with ObservationStore(tmp_path / "serial.jsonl") as store:
+            serial = run(False, store)
+        with ObservationStore(tmp_path / "concurrent.jsonl") as store:
+            threaded = run(True, store)
+            cold = store.stats()
+            replayed = run(True, store)
+            warm = store.stats()
+        assert threaded == serial
+        assert replayed == serial
+        assert cold.verdicts > 0
+        assert warm.verdict_hits > cold.verdict_hits
+        assert warm.misses == cold.misses  # the replay ran no physics
