@@ -23,7 +23,7 @@ from ..sanitizer.hooks import register_shared
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..workloads.base import BGWorkload, LCWorkload
 from ..workloads.interference import co_runner_pressure, exerted_pressure
-from ..workloads.latency import capacity_qps, p95_latency_ms
+from ..workloads.latency import capacity_qps, p95_latency_ms, p95_meets_target
 from ..workloads.loadgen import LoadSchedule
 from ..workloads.throughput import normalized_throughput
 from .counters import DEFAULT_OBSERVATION_PERIOD_S, PerformanceCounters
@@ -217,6 +217,8 @@ class Node:
             raise ValueError("observation window must be positive")
         self.spec = spec
         self.jobs: Tuple[Job, ...] = tuple(jobs)
+        self._lc_indices = tuple(i for i, j in enumerate(self.jobs) if j.is_lc)
+        self._cores = spec.resource_names.index(CORES)
         self.space = ConfigurationSpace(spec, len(self.jobs))
         self.counters = counters if counters is not None else PerformanceCounters()
         self.window_s = window_s
@@ -255,7 +257,7 @@ class Node:
 
     @property
     def lc_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.jobs) if j.is_lc)
+        return self._lc_indices
 
     @property
     def bg_indices(self) -> Tuple[int, ...]:
@@ -297,36 +299,68 @@ class Node:
             pressures.append(exerted_pressure(job.workload, activity))
         return pressures
 
+    def _lc_inputs(
+        self,
+        config: Configuration,
+        job_index: int,
+        at_time: Seconds,
+        pressures: List[float],
+    ) -> Tuple[Fraction, Rate, int, Dict[str, float], float]:
+        """One LC job's physics inputs: load, qps, cores, shares and
+        co-runner contention."""
+        job = self.jobs[job_index]
+        load = job.load.load_at(at_time)
+        return (
+            load,
+            load * job.workload.max_qps,
+            config.get(job_index, self._cores),
+            self._shares(config, job_index),
+            co_runner_pressure(pressures, job_index),
+        )
+
+    def _saturated_latency_ms(
+        self,
+        lc: LCWorkload,
+        qps: Rate,
+        cores: int,
+        shares: Dict[str, float],
+        contention: float,
+    ) -> Millis:
+        """What a saturated queue reports over one window.
+
+        Queries that do complete waited on the order of the window,
+        scaled by how overloaded the queue is.  This keeps the score
+        landscape graded instead of flat-zero (Sec. 4's smoothness
+        requirement on the objective).
+        """
+        capacity = capacity_qps(lc, cores, shares, contention)
+        overload = qps / capacity if capacity > 0 else 2.0
+        return 1000.0 * self.window_s * max(overload, 1.0)
+
     def true_performance(
         self, config: Configuration, at_time: Optional[Seconds] = None
     ) -> Observation:
-        """Noise-free performance of ``config`` (used by ORACLE).
+        """Noise-free performance of ``config``: every job's reading.
 
-        Does not touch the clock, the isolation layer, or the history.
+        The truth the observation caches hold and ORACLE reads; for a
+        bare QoS verdict :meth:`qos_met` is cheaper.  Does not touch the
+        clock, the isolation layer, or the history.
         """
         self.space.validate(config)
         t = self._clock_s if at_time is None else at_time
         pressures = self._pressures(config, t)
         readings: List[JobObservation] = []
         for i, job in enumerate(self.jobs):
-            shares = self._shares(config, i)
-            contention = co_runner_pressure(pressures, i)
             if job.is_lc:
                 lc = job.workload
-                load = job.load.load_at(t)
-                qps = load * lc.max_qps
-                cores = config.get(i, self._core_index())
+                load, qps, cores, shares, contention = self._lc_inputs(
+                    config, i, t, pressures
+                )
                 latency = p95_latency_ms(lc, qps, cores, shares, contention)
                 if math.isinf(latency):
-                    # A saturated queue still reports a finite number
-                    # over a finite window: queries that do complete
-                    # waited on the order of the window, scaled by how
-                    # overloaded the queue is.  This keeps the score
-                    # landscape graded instead of flat-zero (Sec. 4's
-                    # smoothness requirement on the objective).
-                    capacity = capacity_qps(lc, cores, shares, contention)
-                    overload = qps / capacity if capacity > 0 else 2.0
-                    latency = 1000.0 * self.window_s * max(overload, 1.0)
+                    latency = self._saturated_latency_ms(
+                        lc, qps, cores, shares, contention
+                    )
                 readings.append(
                     JobObservation(
                         name=job.name,
@@ -339,7 +373,11 @@ class Node:
                     )
                 )
             else:
-                perf = normalized_throughput(job.workload, shares, contention)
+                perf = normalized_throughput(
+                    job.workload,
+                    self._shares(config, i),
+                    co_runner_pressure(pressures, i),
+                )
                 readings.append(
                     JobObservation(
                         name=job.name,
@@ -355,8 +393,35 @@ class Node:
             config=config, time_s=t, window_s=self.window_s, jobs=tuple(readings)
         )
 
-    def _core_index(self) -> int:
-        return self.spec.resource_names.index(CORES)
+    def qos_met(
+        self, config: Configuration, at_time: Optional[Seconds] = None
+    ) -> bool:
+        """``true_performance(config, at_time).all_qos_met``, bit for bit.
+
+        The cheap form of that question for admission screens: it
+        visits LC jobs only (BG readings never affect the verdict),
+        stops at the first violation, and lets each p95 bisection stop
+        as soon as its bracket decides (:func:`p95_meets_target`).
+        Pure, like :meth:`true_performance`.
+        """
+        self.space.validate(config)
+        t = self._clock_s if at_time is None else at_time
+        pressures = self._pressures(config, t)
+        for i in self._lc_indices:
+            lc = self.jobs[i].workload
+            _, qps, cores, shares, contention = self._lc_inputs(
+                config, i, t, pressures
+            )
+            target = lc.qos_latency_ms
+            met = p95_meets_target(lc, qps, cores, shares, target, contention)
+            if met is None:
+                saturated = self._saturated_latency_ms(
+                    lc, qps, cores, shares, contention
+                )
+                met = saturated <= target
+            if not met:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # The controller-facing interface

@@ -14,11 +14,12 @@ flavors trade fidelity for wall-clock:
 * :class:`QuickProbe` — a sufficient-condition screen: evaluate a small
   deterministic candidate set of partitions (the equal split plus
   LC-weighted splits built through the unit-cube projection) against
-  the simulator's noise-free truth.  Admits only when a candidate
-  provably meets QoS, so it never admits a job set for which no
-  candidate partition meets QoS (it can reject sets the full search
-  would have admitted).  At about a millisecond per check it is what
-  makes thousand-node scenarios with hundreds of arrivals tractable.
+  the simulator's noise-free truth, asked as a bare QoS verdict.
+  Admits only when a candidate provably meets QoS, so it never admits
+  a job set for which no candidate partition meets QoS (it can reject
+  sets the full search would have admitted).  At under a millisecond
+  per check it is what makes thousand-node scenarios with hundreds of
+  arrivals tractable.
 
 Both flavors are pure functions of ``(node state, seed)``: probing
 commits nothing and perturbs nothing, so federation can race probes
@@ -33,7 +34,7 @@ shows each root's verdict.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -70,13 +71,18 @@ class QuickProbe(AdmissionProbe):
     per boost factor: LC jobs weigh ``boost * (0.15 + load)`` spare
     units, BG jobs weigh 1, projected onto the feasible lattice through
     :meth:`~repro.resources.allocation.ConfigurationSpace.from_unit_cube_batch`
-    (largest-remainder rounding, deterministic tie-breaks).  A node
-    passes as soon as one candidate's noise-free truth meets every LC
-    QoS target.
+    (largest-remainder rounding, deterministic tie-breaks) only once
+    the equal partition has failed.  A node passes as soon as one
+    candidate meets every LC QoS target.  Each candidate is asked for
+    a bare verdict, :meth:`~repro.server.node.Node.qos_met` (LC jobs
+    only, first violation stops, each p95 bisected only until its
+    bracket decides), not for a full noise-free observation; the
+    answer is the same bit for bit.
 
-    One check costs about 0.5-2 ms (median ~1 ms for 1-5 jobs on the
-    Table 2 testbed, one core of a 2-vCPU Intel Xeon host): building
-    the node, one batched projection, and up to five noise-free truths.
+    One check costs about 0.2-1.2 ms (median 0.6-0.9 ms for 1-4 jobs
+    on the Table 2 testbed, one core of a 2-vCPU Intel Xeon host):
+    building the node, up to five QoS verdicts, and one batched
+    projection when the equal partition fails.
     """
 
     name = "quick"
@@ -106,7 +112,7 @@ class QuickProbe(AdmissionProbe):
         lc = [job.is_lc and job.load is not None for job in node.jobs]
         base = np.array(
             [
-                0.15 + job.load.load_at(0.0) if is_lc else 1.0
+                0.15 + job.load.load_at(node.clock_s) if is_lc else 1.0
                 for job, is_lc in zip(node.jobs, lc)
             ]
         )
@@ -115,23 +121,32 @@ class QuickProbe(AdmissionProbe):
         peaks = cube.max(axis=1, keepdims=True)
         return cube / np.where(peaks > 0, peaks, 1.0)
 
+    def _configs(self, node: Node) -> Iterator[Configuration]:
+        """The equal partition, then the boosted candidates.
+
+        The boosted ones are projected only when the caller asks past
+        the equal partition, i.e. after it failed.
+        """
+        yield node.space.equal_partition()
+        boosted = node.space.from_unit_cube_batch(self._candidates(node))
+        for matrix in boosted.tolist():
+            yield Configuration.from_matrix(matrix)
+
     def check(self, node_state: ClusterNode, seed: Optional[int]) -> bool:
         node = node_state.build_node(
             seed=seed if seed is not None else self.seed
         )
         if not node.lc_indices:
             return True  # nothing with a QoS target to violate
+        truths = self._telemetry.metrics.counter("warehouse.probe.truths")
         tried = set()
-        configs = [node.space.equal_partition()]
-        boosted = node.space.from_unit_cube_batch(self._candidates(node))
-        configs.extend(Configuration.from_matrix(m) for m in boosted.tolist())
-        for config in configs:
+        for config in self._configs(node):
             key = config.flat()
             if key in tried:
                 continue
             tried.add(key)
-            self._telemetry.metrics.counter("warehouse.probe.truths").add()
-            if node.true_performance(config).all_qos_met:
+            truths.add()
+            if node.qos_met(config):
                 return True
         return False
 

@@ -19,6 +19,7 @@ from .latency import (
     mmc_mean_sojourn,
     mmc_sojourn_quantile,
     p95_latency_ms,
+    p95_meets_target,
     stage_rates,
 )
 from .loadgen import (
@@ -66,6 +67,7 @@ __all__ = [
     "normalized_throughput",
     "stage_rates",
     "p95_latency_ms",
+    "p95_meets_target",
     "parsec_catalog",
     "simulate_mmc",
     "simulate_tandem",

@@ -23,7 +23,8 @@ saturation, giving the QPS-vs-latency knees of Fig. 6.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Tuple
+from collections import deque
+from typing import Iterator, Mapping, Optional, Tuple
 
 from ..core.units import Fraction, Millis, Rate, Seconds
 
@@ -78,20 +79,16 @@ def mm1_mean_sojourn(arrival_rate: Rate, service_rate: Rate) -> Seconds:
     return 1.0 / (service_rate - arrival_rate)
 
 
-def mmc_sojourn_quantile(
+def _mmc_closed_form(
     arrival_rate: Rate,
     service_rate: Rate,
     servers: int,
-    percentile: Fraction = 0.95,
-) -> Seconds:
-    """The ``percentile`` quantile of M/M/c response (sojourn) time, seconds.
+    percentile: Fraction,
+) -> Optional[Seconds]:
+    """The M/M/c quantile when it needs no bisection, else None.
 
-    The sojourn time is ``S + W`` where ``S ~ Exp(mu)`` is service and the
-    wait ``W`` is zero with probability ``1 - Pw`` and ``Exp(c*mu - lambda)``
-    with probability ``Pw`` (the Erlang-C waiting probability).  The CDF
-    of that mixture has a closed form, which we invert by bisection.
-
-    Returns ``inf`` if the queue is saturated (``lambda >= c*mu``).
+    Validates the inputs; a saturated queue (``lambda >= c*mu``) gives
+    ``inf`` and an idle one (``lambda == 0``) the service quantile.
     """
     if not 0 < percentile < 1:
         raise ValueError(f"percentile must be in (0, 1), got {percentile}")
@@ -99,14 +96,32 @@ def mmc_sojourn_quantile(
         return float("inf")
     if arrival_rate < 0:
         raise ValueError(f"arrival rate must be >= 0, got {arrival_rate}")
+    if arrival_rate >= servers * service_rate:
+        return float("inf")
+    if arrival_rate == 0:
+        return -math.log(1.0 - percentile) / service_rate
+    return None
+
+
+def _mmc_brackets(
+    arrival_rate: Rate,
+    service_rate: Rate,
+    servers: int,
+    percentile: Fraction,
+) -> Iterator[Tuple[Seconds, Seconds]]:
+    """Every bracket ``(lo, hi)`` of the M/M/c quantile's bisection.
+
+    The one bisection loop of this module: the quantile is
+    ``0.5 * (lo + hi)`` of the last bracket (``inf`` when none is
+    yielded, i.e. the doubling search gave up).  The bracket only
+    shrinks and each step's midpoint lies inside it, so every yielded
+    bracket contains the final quantile -- which is what lets
+    :func:`p95_meets_target` stop as soon as a bracket decides.
+    Callers go through :func:`_mmc_closed_form` first.
+    """
     mu = service_rate
     lam = arrival_rate
     c = servers
-    if lam >= c * mu:
-        return float("inf")
-    if lam == 0:
-        return -math.log(1.0 - percentile) / mu
-
     p_wait = erlang_c(c, lam / mu)
     p_direct = 1.0 - p_wait
     nu = c * mu - lam  # conditional wait is Exp(nu)
@@ -125,17 +140,45 @@ def mmc_sojourn_quantile(
     while cdf(hi) < percentile:
         hi *= 2.0
         if hi > 1e9:  # pathological; treat as saturated
-            return float("inf")
+            return
+    yield lo, hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             # Fixed point: every later step leaves 0.5 * (lo + hi) at
             # mid bit-for-bit, so the remaining steps are no-ops.
-            break
+            return
         if cdf(mid) < percentile:
             lo = mid
         else:
             hi = mid
+        yield lo, hi
+
+
+def mmc_sojourn_quantile(
+    arrival_rate: Rate,
+    service_rate: Rate,
+    servers: int,
+    percentile: Fraction = 0.95,
+) -> Seconds:
+    """The ``percentile`` quantile of M/M/c response (sojourn) time, seconds.
+
+    The sojourn time is ``S + W`` where ``S ~ Exp(mu)`` is service and the
+    wait ``W`` is zero with probability ``1 - Pw`` and ``Exp(c*mu - lambda)``
+    with probability ``Pw`` (the Erlang-C waiting probability).  The CDF
+    of that mixture has a closed form, which we invert by bisection.
+
+    Returns ``inf`` if the queue is saturated (``lambda >= c*mu``).
+    """
+    quantile = _mmc_closed_form(arrival_rate, service_rate, servers, percentile)
+    if quantile is not None:
+        return quantile
+    last = deque(
+        _mmc_brackets(arrival_rate, service_rate, servers, percentile), maxlen=1
+    )
+    if not last:
+        return float("inf")
+    lo, hi = last[0]
     return 0.5 * (lo + hi)
 
 
@@ -205,6 +248,51 @@ def capacity_qps(
     return min(mu_serial, cores * mu_parallel)
 
 
+#: The serial stage's ``(quantile, mean)`` and the parallel stage's mean,
+#: in seconds; None when the job has no serial stage.
+_SerialTerms = Optional[Tuple[Seconds, Seconds, Seconds]]
+
+
+def _tandem_inputs(
+    workload: LCWorkload,
+    qps: Rate,
+    cores: int,
+    shares: Mapping[str, float],
+    contention: float,
+    percentile: Fraction,
+) -> Tuple[Rate, _SerialTerms]:
+    """Validated tandem-queue inputs: the parallel stage's per-core rate
+    and the closed-form terms the tail adds to its quantile."""
+    if qps < 0:
+        raise ValueError(f"qps must be >= 0, got {qps}")
+    if cores < 1:
+        raise ValueError(f"cores must be >= 1, got {cores}")
+    mu_serial, mu_parallel = stage_rates(workload, shares, contention)
+    if math.isinf(mu_serial):
+        return mu_parallel, None
+    return mu_parallel, (
+        mm1_sojourn_quantile(qps, mu_serial, percentile),
+        mm1_mean_sojourn(qps, mu_serial),
+        mmc_mean_sojourn(qps, mu_parallel, cores),
+    )
+
+
+def _tandem_ms(q_parallel: Seconds, serial: _SerialTerms) -> Millis:
+    """The tandem tail (ms) for a parallel-stage quantile ``q_parallel``.
+
+    Monotone non-decreasing in ``q_parallel``: IEEE ``+``, ``max`` and
+    ``* 1000`` all are, and a saturated total maps to the top (inf).
+    """
+    if serial is None:
+        total_s = q_parallel
+    else:
+        q_serial, m_serial, m_parallel = serial
+        total_s = max(q_serial + m_parallel, q_parallel + m_serial)
+    if math.isinf(total_s):
+        return SATURATED_LATENCY_MS
+    return total_s * 1000.0
+
+
 def p95_latency_ms(
     workload: LCWorkload,
     qps: Rate,
@@ -227,22 +315,56 @@ def p95_latency_ms(
         contention: Co-runner pressure on unpartitioned resources.
         percentile: Tail percentile (default 0.95, as in the paper).
     """
-    if qps < 0:
-        raise ValueError(f"qps must be >= 0, got {qps}")
-    if cores < 1:
-        raise ValueError(f"cores must be >= 1, got {cores}")
-    mu_serial, mu_parallel = stage_rates(workload, shares, contention)
-
+    mu_parallel, serial = _tandem_inputs(
+        workload, qps, cores, shares, contention, percentile
+    )
     q_parallel = mmc_sojourn_quantile(qps, mu_parallel, cores, percentile)
-    if math.isinf(mu_serial):
-        total_s = q_parallel
-    else:
-        q_serial = mm1_sojourn_quantile(qps, mu_serial, percentile)
-        if math.isinf(q_serial) or math.isinf(q_parallel):
-            return SATURATED_LATENCY_MS
-        m_serial = mm1_mean_sojourn(qps, mu_serial)
-        m_parallel = mmc_mean_sojourn(qps, mu_parallel, cores)
-        total_s = max(q_serial + m_parallel, q_parallel + m_serial)
-    if math.isinf(total_s):
-        return SATURATED_LATENCY_MS
-    return total_s * 1000.0
+    return _tandem_ms(q_parallel, serial)
+
+
+def p95_meets_target(
+    workload: LCWorkload,
+    qps: Rate,
+    cores: int,
+    shares: Mapping[str, float],
+    target_ms: Millis,
+    contention: float = 0.0,
+    percentile: Fraction = 0.95,
+) -> Optional[bool]:
+    """``p95_latency_ms(...) <= target_ms``, bisecting only until decided.
+
+    Returns None when that p95 is saturated (:data:`SATURATED_LATENCY_MS`),
+    so the caller's saturated-queue model can decide.  Every bracket
+    ``[lo, hi]`` of the parallel stage's bisection contains its final
+    quantile ``q`` and :func:`_tandem_ms` is monotone, so
+    ``_tandem_ms(lo) <= p95 <= _tandem_ms(hi)``: the search stops with
+    True once the upper bound meets a finite target, and with False
+    once the lower bound exceeds it while the upper bound is finite.
+    A tail already saturated at ``q = 0`` (a saturated serial stage)
+    skips the bisection.  The answer is the one the full bisection
+    gives, bit for bit.
+    """
+    mu_parallel, serial = _tandem_inputs(
+        workload, qps, cores, shares, contention, percentile
+    )
+    q_parallel = _mmc_closed_form(qps, mu_parallel, cores, percentile)
+    if q_parallel is None:
+        if math.isinf(_tandem_ms(0.0, serial)):
+            return None  # every quantile is >= 0: saturated whatever q is
+        # An early True must imply a finite p95, so an infinite (or NaN)
+        # target runs the bisection to the end.
+        decidable = target_ms < math.inf
+        lo = hi = math.inf
+        for lo, hi in _mmc_brackets(qps, mu_parallel, cores, percentile):
+            if not decidable:
+                continue
+            upper = _tandem_ms(hi, serial)
+            if upper <= target_ms:
+                return True
+            if upper < math.inf and _tandem_ms(lo, serial) > target_ms:
+                return False
+        q_parallel = 0.5 * (lo + hi)
+    latency = _tandem_ms(q_parallel, serial)
+    if math.isinf(latency):
+        return None
+    return latency <= target_ms

@@ -20,6 +20,7 @@ from repro.warehouse import (
     QuickProbe,
     Recheck,
     ScenarioConfig,
+    WarehouseFederation,
     WarehouseJob,
     WarehouseService,
     load_into,
@@ -288,6 +289,65 @@ class TestQuickProbeEquivalence:
         assert {verdict for verdict, _ in want} == {True, False}
         assert any(v and n > 1 for v, n in want)
         assert any(not v and n < 1 + len(QuickProbe.BOOSTS) for v, n in want)
+
+
+class _TruthQuickProbe(QuickProbe):
+    """Reference quick probe: each candidate judged by a whole noise-free
+    observation (``Node.true_performance(...).all_qos_met``)."""
+
+    def check(self, node_state, seed):
+        from repro.resources import Configuration
+
+        node = node_state.build_node(seed=seed if seed is not None else self.seed)
+        if not node.lc_indices:
+            return True
+        configs = [node.space.equal_partition()]
+        boosted = node.space.from_unit_cube_batch(self._candidates(node))
+        configs.extend(Configuration.from_matrix(m) for m in boosted.tolist())
+        tried = set()
+        for config in configs:
+            if config.flat() in tried:
+                continue
+            tried.add(config.flat())
+            self._telemetry.metrics.counter("warehouse.probe.truths").add()
+            if node.true_performance(config).all_qos_met:
+                return True
+        return False
+
+
+def _quick_churn(reference):
+    """Play a dense churn stream; the reference run swaps every shard's
+    probe for :class:`_TruthQuickProbe`."""
+    telemetry = Telemetry.enabled()
+    events = synthesize(ScenarioConfig(n_jobs=90, duration_s=500.0, seed=16))
+    with WarehouseFederation(
+        2, 5, recheck_period_s=60.0, seed=16, telemetry=telemetry
+    ) as fed:
+        if reference:
+            for shard in fed.shards:
+                shard.probe = _TruthQuickProbe()
+                shard.probe.attach(None, telemetry)
+        load_into(fed, events)
+        status = fed.run_to_completion()
+        return (
+            fed.routed,
+            [shard.timeline for shard in fed.shards],
+            fed.placements(),
+            status,
+            _counter_total(telemetry, "warehouse.verify.nodes"),
+            _counter_total(telemetry, "warehouse.probe.truths"),
+        )
+
+
+class TestQuickProbeChurnReplay:
+    def test_verdict_probe_replays_the_truth_probe(self):
+        got = _quick_churn(reference=False)
+        want = _quick_churn(reference=True)
+        assert got == want
+        *_, status, checks, truths = want
+        # Dense enough that the boosted candidates and rejections matter.
+        assert status["rejections"] > 0
+        assert truths > checks > 0
 
 
 class TestServiceBasics:

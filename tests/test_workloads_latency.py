@@ -18,8 +18,10 @@ from repro.workloads import (
     mmc_mean_sojourn,
     mmc_sojourn_quantile,
     p95_latency_ms,
+    p95_meets_target,
     stage_rates,
 )
+from repro.workloads.latency import _mmc_brackets, _mmc_closed_form
 
 from conftest import make_lc
 
@@ -203,6 +205,41 @@ class TestMMCBitwise:
         assert near_saturation
 
 
+class TestBisectionBrackets:
+    """The bisection's brackets bound its answer, which early exits rely on."""
+
+    def test_every_bracket_contains_the_final_quantile(self):
+        bisected = 0
+        for case in _quantile_grid():
+            if _mmc_closed_form(*case) is not None:
+                continue
+            brackets = list(_mmc_brackets(*case))
+            q = mmc_sojourn_quantile(*case)
+            if not brackets:  # the doubling search gave up
+                assert math.isinf(q)
+                continue
+            bisected += 1
+            assert all(lo <= q <= hi for lo, hi in brackets), case
+            # Nested: the bracket only ever shrinks.
+            for (lo_a, hi_a), (lo_b, hi_b) in zip(brackets, brackets[1:]):
+                assert lo_a <= lo_b <= hi_b <= hi_a
+            lo, hi = brackets[-1]
+            assert q == 0.5 * (lo + hi)
+        assert bisected > 400
+
+    def test_closed_form_cases_yield_no_bisection(self):
+        assert _mmc_closed_form(0.0, 37.0, 4, 0.95) == mmc_sojourn_quantile(
+            0.0, 37.0, 4, 0.95
+        )
+        assert math.isinf(_mmc_closed_form(400.0, 100.0, 4, 0.95))
+        assert math.isinf(_mmc_closed_form(1.0, 0.0, 4, 0.95))
+        assert _mmc_closed_form(250.0, 100.0, 4, 0.95) is None
+        with pytest.raises(ValueError):
+            _mmc_closed_form(-1.0, 100.0, 4, 0.95)
+        with pytest.raises(ValueError):
+            _mmc_closed_form(1.0, 100.0, 4, 1.0)
+
+
 class TestStageModel:
     def test_stage_rates_split_by_serial_fraction(self):
         lc = make_lc(base_service_rate=1000.0, serial_fraction=0.25)
@@ -310,3 +347,70 @@ def test_latency_finite_below_capacity(sigma, cores, load, llc):
 def test_more_cores_never_increase_saturation(cores_a, load):
     lc = make_lc()
     assert capacity_qps(lc, cores_a + 1, FULL) >= capacity_qps(lc, cores_a, FULL) - 1e-9
+
+
+def _meets_reference(lc, qps, cores, shares, target, contention):
+    """What :func:`p95_meets_target` must return: the full p95's verdict."""
+    p95 = p95_latency_ms(lc, qps, cores, shares, contention)
+    return None if math.isinf(p95) else p95 <= target
+
+
+class TestP95MeetsTarget:
+    def _cases(self):
+        """Seeded tandem queues from idle to past both stages' capacity."""
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            lc = make_lc(
+                base_service_rate=float(10.0 ** rng.uniform(1.0, 4.0)),
+                serial_fraction=float(rng.choice([0.0, 0.02, 0.3, 0.7])),
+            )
+            cores = int(rng.integers(1, 17))
+            shares = {
+                LLC_WAYS: float(rng.uniform(0.05, 1.0)),
+                MEMORY_BANDWIDTH: float(rng.uniform(0.05, 1.0)),
+            }
+            contention = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            cap = capacity_qps(lc, cores, shares, contention)
+            qps = float(rng.choice([0.0, rng.uniform(0.0, 1.1) * cap]))
+            yield lc, qps, cores, shares, contention
+
+    def test_matches_full_bisection_at_every_target(self):
+        outcomes = set()
+        for lc, qps, cores, shares, contention in self._cases():
+            p95 = p95_latency_ms(lc, qps, cores, shares, contention)
+            finite = p95 if math.isfinite(p95) else 1.0
+            targets = [
+                finite,  # bitwise equal: met
+                math.nextafter(finite, 0.0),  # one ulp under: missed
+                math.nextafter(finite, math.inf),
+                0.5 * finite,
+                2.0 * finite,
+                0.0,
+                math.inf,
+                math.nan,
+            ]
+            for target in targets:
+                got = p95_meets_target(lc, qps, cores, shares, target, contention)
+                want = _meets_reference(lc, qps, cores, shares, target, contention)
+                assert got is want, (lc.serial_fraction, qps, cores, target)
+                outcomes.add(want)
+        assert outcomes == {True, False, None}
+
+    def test_exact_boundary(self):
+        lc = make_lc()
+        p95 = p95_latency_ms(lc, 1500.0, 4, FULL)
+        assert p95_meets_target(lc, 1500.0, 4, FULL, p95) is True
+        below = math.nextafter(p95, 0.0)
+        assert p95_meets_target(lc, 1500.0, 4, FULL, below) is False
+
+    def test_saturated_is_none(self):
+        lc = make_lc(base_service_rate=100.0, serial_fraction=0.3)
+        qps = 1.01 * capacity_qps(lc, 4, FULL)
+        assert p95_meets_target(lc, qps, 4, FULL, 1e12) is None
+
+    def test_invalid_inputs(self):
+        lc = make_lc()
+        with pytest.raises(ValueError):
+            p95_meets_target(lc, -1.0, 4, FULL, 10.0)
+        with pytest.raises(ValueError):
+            p95_meets_target(lc, 10.0, 0, FULL, 10.0)
