@@ -238,7 +238,6 @@ def bench_batch(ks=(1, 2, 4, 8), max_samples=60, seed=0):
                 max_iterations=10**6,
                 post_qos_iterations=10**6,
                 batch_k=k,
-                parallel_observe=k > 1,
             ),
         )
         t0 = CLOCK.now()

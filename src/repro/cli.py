@@ -134,14 +134,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("error: --batch-k must be >= 1")
     if args.batch_k > 1 and args.policy != "CLITE":
         raise SystemExit("error: --batch-k applies only to --policy CLITE")
-    if args.batch_k > 1:
-        policy = CLITEPolicy(
-            config=CLITEConfig(
-                seed=args.seed,
-                batch_k=args.batch_k,
-                parallel_observe=True,
-            )
-        )
+    if args.policy == "CLITE":
+        policy = CLITEPolicy(CLITEConfig(batch_k=args.batch_k), seed=args.seed)
     else:
         policy = STANDARD_POLICIES[args.policy](args.seed)
     print(f"Partitioning {mix.label()} with {args.policy} ...")

@@ -18,7 +18,6 @@ import numpy as np
 from ..resources.allocation import Configuration
 from ..resources.spec import CORES
 from ..server.node import Node, Observation
-from ..server.observe import ObservationService
 from ..telemetry import NULL_TELEMETRY, Telemetry, TelemetrySnapshot
 from .acquisition import AcquisitionFunction, ExpectedImprovement
 from .bootstrap import bootstrap_configurations, run_bootstrap
@@ -93,17 +92,9 @@ class CLITEConfig:
             amortizes the acquisition maximization — the engine's
             dominant CPU cost — over k observation windows, trading
             some sample-efficiency fidelity (candidates 2..k are chosen
-            without seeing candidate 1's outcome) for wall-clock.
-        parallel_observe: With ``batch_k > 1``, warm the node's truth
-            caches for the whole batch concurrently before the serial
-            observe loop runs.  Results are deterministic for a given
-            seed regardless of worker count or completion order: the
-            workers only precompute noise-free truths at the exact
-            (config, time) points the serial loop will visit, and every
-            clock advance and noise draw still happens serially in
-            candidate-rank order.
-        observe_workers: Thread-pool width for ``parallel_observe``
-            (default: the batch size, capped at 8).
+            without seeing candidate 1's outcome) for wall-clock.  A
+            batch is observed serially in candidate-rank order, one
+            window each, as a real node enacts one partition at a time.
         seed: Seed for all engine randomness.
         telemetry: Optional :class:`repro.telemetry.Telemetry` context.
             When given, the engine wraps each Algorithm 1 phase in a
@@ -136,8 +127,6 @@ class CLITEConfig:
     refine_patience: int = 5
     stop_on_infeasible: bool = True
     batch_k: int = 1
-    parallel_observe: bool = False
-    observe_workers: Optional[int] = None
     seed: Optional[int] = None
     telemetry: Optional[Telemetry] = None
 
@@ -222,12 +211,6 @@ class CLITEEngine:
             else NULL_TELEMETRY
         )
         self._tracer = self._telemetry.tracer
-        self._service = ObservationService(
-            self.node,
-            parallel=self.config.parallel_observe,
-            workers=self.config.observe_workers,
-            telemetry=self._telemetry,
-        )
         self.score_fn = ScoreFunction()
         self._dropout = DropoutCopy(
             random_job_prob=self.config.dropout_random_prob,
@@ -311,19 +294,13 @@ class CLITEEngine:
         if telemetry.active and not self.node.telemetry.active:
             self.node.telemetry = telemetry
         spans_before = telemetry.tracer.finished_count
-        try:
-            with telemetry.tracer.span(
-                "engine.optimize", jobs=self.node.n_jobs
-            ) as span:
-                result = self._optimize()
-                span.set("samples", result.samples_taken)
-                span.set("qos_met", result.qos_met)
-                span.set("converged", result.converged)
-        finally:
-            # Release the observation pool's worker threads even when a
-            # run dies mid-loop; the service re-creates its pool lazily,
-            # so the engine stays reusable after this.
-            self._service.close()
+        with telemetry.tracer.span(
+            "engine.optimize", jobs=self.node.n_jobs
+        ) as span:
+            result = self._optimize()
+            span.set("samples", result.samples_taken)
+            span.set("qos_met", result.qos_met)
+            span.set("converged", result.converged)
         if not telemetry.active:
             return result
         telemetry.metrics.counter("engine.runs").add()
@@ -470,9 +447,9 @@ class CLITEEngine:
                 picks = [(self._random_unseen(sampled), None)]
 
             with self._tracer.span("engine.observe", phase="search"):
-                observations = self._service.observe_batch(
-                    [config for config, _ in picks]
-                )
+                observations = [
+                    self.node.observe(config) for config, _ in picks
+                ]
             for (config, ei), observation in zip(picks, observations):
                 score = self.score_fn(observation)
                 self._dropout.update(config, observation, self.node)

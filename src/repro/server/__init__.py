@@ -11,7 +11,6 @@ from .node import (
     NodeBudget,
     Observation,
 )
-from .observe import ObservationService
 from .obstore import ObservationStore, StoreStats, node_fingerprint
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "Node",
     "NodeBudget",
     "Observation",
-    "ObservationService",
     "ObservationStore",
     "PerformanceCounters",
     "QoSMonitor",

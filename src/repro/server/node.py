@@ -11,7 +11,6 @@ simulated wall clock advancing as samples are taken.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -235,9 +234,6 @@ class Node:
         self._history: List[Observation] = []
         # The simulator is deterministic given a partition and the LC
         # loads, so noise-free truths are memoized per lattice point.
-        # The lock covers the cache and its counters: prime() warms the
-        # cache from pool workers while observe() stays serial.
-        self._cache_lock = threading.RLock()
         self._obs_cache: Dict[tuple, Observation] = {}
         self._cache_hits = 0
         self._cache_misses = 0
@@ -494,36 +490,7 @@ class Node:
         # repro-lint: disable-next-line=RPL902
         self.store.put_verdict(key, verdict)
 
-    def _truth_for(
-        self, config: Configuration, key: tuple, at_time: Seconds
-    ) -> Observation:
-        """Store→physics fallthrough on an in-memory miss.
-
-        The physics run happens outside the cache lock so concurrent
-        ``prime`` workers do not serialize; a racing double-compute is
-        harmless because the truth is deterministic.
-        """
-        jobs = self._store_lookup(key)
-        if jobs is not None:
-            truth = Observation(
-                config=config,
-                time_s=at_time,
-                window_s=self.window_s,
-                jobs=jobs,
-            )
-        else:
-            truth = self.true_performance(config, at_time=at_time)
-            with self._cache_lock:
-                self._physics_count += 1
-            self._store_publish(key, truth)
-        with self._cache_lock:
-            if len(self._obs_cache) < self.CACHE_MAX_ENTRIES:
-                self._obs_cache[key] = truth
-        return truth
-
-    def _cached_truth(
-        self, config: Configuration, at_time: Optional[Seconds] = None
-    ) -> Observation:
+    def _cached_truth(self, config: Configuration) -> Observation:
         """The noise-free truth of ``config`` now, memoized.
 
         The simulator is deterministic given the partition and the LC
@@ -536,45 +503,30 @@ class Node:
         is attached, in-memory misses fall through to it before paying
         the physics cost, and fresh truths are published back.
         """
-        t = self._clock_s if at_time is None else at_time
+        t = self._clock_s
         if not self.cache_enabled:
-            with self._cache_lock:
-                self._physics_count += 1
+            self._physics_count += 1
             return self.true_performance(config, at_time=t)
         key = self._cache_key(config, t)
-        with self._cache_lock:
-            truth = self._obs_cache.get(key)
-            if truth is not None:
-                self._cache_hits += 1
-                self.telemetry.metrics.counter("node.cache.hits").add()
-                return truth
-            self._cache_misses += 1
-            self.telemetry.metrics.counter("node.cache.misses").add()
-        return self._truth_for(config, key, t)
-
-    def prime(
-        self, config: Configuration, at_time: Optional[Seconds] = None
-    ) -> bool:
-        """Warm the truth caches for ``config`` at ``at_time``.
-
-        Side-effect-free with respect to everything a trajectory depends
-        on: no clock advance, no history append, no isolation change, no
-        noise draw, and no hit/miss accounting.  Thread-safe — the
-        engine's batch mode calls this from pool workers for the times
-        its serial observe loop is about to visit, so the subsequent
-        ``observe`` calls are pure cache hits in a deterministic order.
-
-        Returns True when the truth was not already in memory.
-        """
-        if not self.cache_enabled:
-            return False
-        t = self._clock_s if at_time is None else at_time
-        key = self._cache_key(config, t)
-        with self._cache_lock:
-            if key in self._obs_cache:
-                return False
-        self._truth_for(config, key, t)
-        return True
+        truth = self._obs_cache.get(key)
+        if truth is not None:
+            self._cache_hits += 1
+            self.telemetry.metrics.counter("node.cache.hits").add()
+            return truth
+        self._cache_misses += 1
+        self.telemetry.metrics.counter("node.cache.misses").add()
+        jobs = self._store_lookup(key)
+        if jobs is not None:
+            truth = Observation(
+                config=config, time_s=t, window_s=self.window_s, jobs=jobs
+            )
+        else:
+            truth = self.true_performance(config, at_time=t)
+            self._physics_count += 1
+            self._store_publish(key, truth)
+        if len(self._obs_cache) < self.CACHE_MAX_ENTRIES:
+            self._obs_cache[key] = truth
+        return truth
 
     def observe(self, config: Configuration) -> Observation:
         """Enact ``config``, run one observation window, read the counters.

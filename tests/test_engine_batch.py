@@ -1,19 +1,20 @@
-"""Batched acquisition + concurrent observation (``batch_k``).
+"""Batched acquisition (``batch_k``).
 
 The contract under test: ``batch_k=1`` (the default) is the paper's
 sequential Algorithm 1, bit for bit; ``batch_k > 1`` trades some
 sample-efficiency fidelity for wall-clock but must stay seed-
-deterministic regardless of thread-pool width or worker completion
-order.
+deterministic, observing each batch serially in candidate-rank order.
 """
 
 from __future__ import annotations
+
+import hashlib
+import struct
 
 import pytest
 
 from conftest import make_node
 from repro.core import CLITEConfig, CLITEEngine
-from repro.server import ObservationService
 from repro.telemetry import Telemetry
 from test_core_termination_engine import small_engine_config
 
@@ -40,52 +41,39 @@ class TestBatchConfigValidation:
         with pytest.raises(ValueError, match="batch_k"):
             CLITEEngine(node, small_engine_config(batch_k=0))
 
-    def test_worker_count_must_be_positive(self, quiet_node):
-        with pytest.raises(ValueError, match="workers"):
-            ObservationService(quiet_node, workers=0)
-
 
 class TestSequentialFidelity:
     def test_explicit_batch_k_1_matches_default(self, mini_server):
-        """batch_k=1 routes through the service yet changes nothing."""
+        """An explicit batch_k=1 is the default engine, bit for bit."""
         assert trajectory(mini_server) == trajectory(mini_server, batch_k=1)
 
-    def test_parallel_flag_inert_at_k_1(self, mini_server):
-        """parallel_observe cannot touch single-candidate batches."""
-        assert trajectory(mini_server, batch_k=1) == trajectory(
-            mini_server, batch_k=1, parallel_observe=True, observe_workers=4
-        )
+    @pytest.mark.parametrize(
+        "k, expected", [(1, "cab3e5512287e9a3"), (4, "34a7f5ddc6597c0a")]
+    )
+    def test_pinned_trajectory_digest(self, mini_server, k, expected):
+        """Every sampled (config bytes, score, EI), pinned bitwise.
+
+        A change that moves what BO samples at these batch sizes moves
+        the digest; refresh it only together with the change's reason.
+        """
+        digest = hashlib.sha256()
+        for config_bytes, score, ei in trajectory(mini_server, batch_k=k):
+            digest.update(config_bytes)
+            digest.update(struct.pack("<d", score))
+            digest.update(b"none" if ei is None else struct.pack("<d", ei))
+        assert digest.hexdigest()[:16] == expected
 
 
 class TestBatchDeterminism:
     def test_same_seed_same_trajectory(self, mini_server):
-        kwargs = dict(batch_k=4, parallel_observe=True)
-        assert trajectory(mini_server, **kwargs) == trajectory(
-            mini_server, **kwargs
+        assert trajectory(mini_server, batch_k=4) == trajectory(
+            mini_server, batch_k=4
         )
-
-    def test_worker_count_is_invisible(self, mini_server):
-        """2-wide and 8-wide pools finish primes in different orders;
-        the trajectory must not notice."""
-        narrow = trajectory(
-            mini_server, batch_k=4, parallel_observe=True, observe_workers=2
-        )
-        wide = trajectory(
-            mini_server, batch_k=4, parallel_observe=True, observe_workers=8
-        )
-        assert narrow == wide
-
-    def test_serial_priming_matches_parallel(self, mini_server):
-        """parallel_observe only moves physics onto threads — the
-        observations themselves are identical to inline priming."""
-        inline = trajectory(mini_server, batch_k=4, parallel_observe=False)
-        threaded = trajectory(mini_server, batch_k=4, parallel_observe=True)
-        assert inline == threaded
 
     def test_different_seeds_differ(self, mini_server):
-        assert trajectory(
-            mini_server, seed=0, batch_k=4, parallel_observe=True
-        ) != trajectory(mini_server, seed=1, batch_k=4, parallel_observe=True)
+        assert trajectory(mini_server, seed=0, batch_k=4) != trajectory(
+            mini_server, seed=1, batch_k=4
+        )
 
 
 class TestBatchBudget:
@@ -124,16 +112,14 @@ class TestBatchBudget:
 
 class TestBatchTelemetry:
     def test_batch_counters(self, mini_server):
+        """Batched rounds observe through Node.observe, one counted
+        window per sample, like every other engine phase."""
         telemetry = Telemetry.enabled()
         node = make_node(
             mini_server, lc_loads=(0.4, 0.3), n_bg=1, noise=0.01
         )
-        config = small_engine_config(
-            telemetry=telemetry, batch_k=4, parallel_observe=True
-        )
-        CLITEEngine(node, config).optimize()
+        config = small_engine_config(telemetry=telemetry, batch_k=4)
+        result = CLITEEngine(node, config).optimize()
         snapshot = telemetry.metrics.snapshot()
-        batches = snapshot["observe.batch.batches"]["value"]
-        configs = snapshot["observe.batch.configs"]["value"]
-        assert batches > 0
-        assert configs >= batches
+        windows = snapshot["node.observe.windows"]["value"]
+        assert windows == result.samples_taken == node.samples_taken

