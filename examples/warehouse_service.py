@@ -8,7 +8,7 @@ ramp their load through phases, and depart — and prints the operator's
 rolling view: utilization, QoS health, and what migration cost.
 
 Everything is deterministic: run it twice and the timelines match byte
-for byte, concurrent shard probing included.
+for byte.
 """
 
 from repro.telemetry import SimulatedClock, Telemetry
@@ -29,7 +29,6 @@ def main() -> None:
         n_shards=2,
         nodes_per_shard=30,
         routing="least-loaded",
-        concurrent_probes=True,
         recheck_period_s=60.0,
         migration=MigrationModel(cost_s=5.0),
         clock=clock,

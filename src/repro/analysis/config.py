@@ -228,7 +228,6 @@ class LintConfig:
     flow_resources: Tuple[str, ...] = (
         "MetricsServer=server_close,shutdown",
         "ObservationStore=close",
-        "ThreadPoolExecutor=shutdown",
         "make_server=server_close,shutdown",
         "open=close",
         "socket.socket=close",

@@ -1,12 +1,12 @@
 """Thread-safety rules (RPL2xx).
 
-``verify_nodes`` fans per-node verification out over a thread pool;
-that is only sound because each worker builds private state from the
-shared ``ClusterNode``/``Cluster`` inputs.  These rules keep it that
-way: no mutation of shared-typed parameters, globals, or class
-attributes anywhere reachable from a pool entry point; objects used as
-dict/cache keys must be frozen dataclasses; and frozen classes may only
-be back-doored via ``object.__setattr__`` inside ``__post_init__``.
+The scheduler core runs on one thread; code a thread pool fans out is
+only sound if each worker builds private state from its shared
+``ClusterNode``/``Cluster`` inputs.  These rules keep it that way: no
+mutation of shared-typed parameters, globals, or class attributes
+anywhere reachable from a pool entry point; objects used as dict/cache
+keys must be frozen dataclasses; and frozen classes may only be
+back-doored via ``object.__setattr__`` inside ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class SharedStateMutation(Rule):
         "A function reachable from a thread-pool entry point mutates "
         "shared state: an attribute/item of a shared-typed parameter "
         "(ClusterNode, Cluster), a module global, or a class attribute. "
-        "Concurrent verify_nodes workers would race on it."
+        "Concurrent pool workers would race on it."
     )
     autofix_hint = (
         "Build private state inside the worker (copy, or construct via "

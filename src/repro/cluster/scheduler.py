@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.engine import CLITEConfig, CLITEEngine
 from ..resources.contracts import placement_contract
-from ..sanitizer.hooks import register_shared
 from ..server.node import Node, NodeBudget
 from ..server.obstore import ObservationStore, Verdict, verdict_key
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -107,8 +104,7 @@ def verify_node(
     partition, like every other ground-truth metric in the harness.
     ``store`` attaches a shared observation store to the built node, so
     repeated verification of similar job sets (the warehouse common
-    case) skips the physics on warm truths; the store is thread-safe
-    and may back every worker of :func:`verify_nodes` at once.
+    case) skips the physics on warm truths.
 
     The store also memoises the whole answer: a seeded verification is
     a pure function of the node's physics fingerprint, its LC loads,
@@ -122,9 +118,7 @@ def verify_node(
     span (``memo`` says whether the verdict came from the store), memo
     traffic lands on ``verify.memo.hits``/``verify.memo.misses``, and
     the observation windows actually spent land on the per-node
-    ``cluster.verify.samples`` counter — safe under the thread pool,
-    since each worker thread keeps its own span stack and the metric
-    instruments serialize their updates.
+    ``cluster.verify.samples`` counter.
     """
     config = engine_config or PLACEMENT_ENGINE
     tel = telemetry if telemetry is not None else (
@@ -155,43 +149,23 @@ def verify_nodes(
     node_states: Iterable[ClusterNode],
     engine_config: Optional[CLITEConfig] = None,
     seed: Optional[int] = 0,
-    max_workers: Optional[int] = None,
     telemetry: Optional[Telemetry] = None,
     store: Optional[ObservationStore] = None,
 ) -> Dict[int, Tuple[bool, Optional[float]]]:
-    """Run :func:`verify_node` over many nodes, concurrently when possible.
+    """Run :func:`verify_node` over many nodes, in node order.
 
-    Nodes are independent — each verification builds its own simulated
-    node and engine from the node state and the seed — so the runs are
-    embarrassingly parallel and deterministic regardless of scheduling.
-    A thread pool is used (numpy/scipy release the GIL in the kernels
-    the engine leans on); pass ``max_workers=1`` to force serial runs.
-    One ``store`` is shared across all workers: nodes hosting identical
-    job sets (same fingerprint) reuse each other's truths, and a store
-    kept warm across placement rounds makes re-verification near-free.
+    Each verification builds its own simulated node and engine from the
+    node state and the seed, so every report is a function of its node
+    alone.  One ``store`` backs every node: nodes hosting identical job
+    sets (same fingerprint) reuse each other's truths, and a store kept
+    warm across placement rounds makes re-verification near-free.
     """
-    states = list(node_states)
-    if max_workers is None:
-        max_workers = min(len(states), os.cpu_count() or 1) or 1
-    if len(states) <= 1 or max_workers <= 1:
-        return {
-            state.index: verify_node(
-                state, engine_config, seed, telemetry, store=store
-            )
-            for state in states
-        }
-    for state in states:
-        # No-op unless repro-san is active: workers read these states
-        # concurrently, so the sanitizer should see every access.
-        register_shared(state, name=f"ClusterNode[{state.index}]")
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {
-            state.index: pool.submit(
-                verify_node, state, engine_config, seed, telemetry, store
-            )
-            for state in states
-        }
-        return {index: future.result() for index, future in futures.items()}
+    return {
+        state.index: verify_node(
+            state, engine_config, seed, telemetry, store=store
+        )
+        for state in node_states
+    }
 
 
 class PlacementPolicy(ABC):
@@ -215,7 +189,6 @@ class PlacementPolicy(ABC):
         seed: Optional[int],
         verify: bool,
         engine_config: Optional[CLITEConfig] = None,
-        max_workers: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
         spans_since: int = 0,
         store: Optional[ObservationStore] = None,
@@ -225,7 +198,7 @@ class PlacementPolicy(ABC):
         if verify:
             with tel.tracer.span("cluster.verify") as span:
                 reports = verify_nodes(
-                    cluster.used_nodes(), engine_config, seed, max_workers,
+                    cluster.used_nodes(), engine_config, seed,
                     telemetry=tel, store=store,
                 )
                 span.set("nodes", len(reports))
@@ -246,9 +219,6 @@ class DedicatedPlacement(PlacementPolicy):
     baseline the paper's introduction argues against)."""
 
     verify: bool = True
-    #: Thread-pool width for per-node verification (None = one worker
-    #: per used node, capped at the CPU count; 1 = serial).
-    verify_workers: Optional[int] = None
     #: Optional telemetry context shared across placement + verification.
     telemetry: Optional[Telemetry] = None
     #: Optional observation store shared by every verification node.
@@ -277,7 +247,6 @@ class DedicatedPlacement(PlacementPolicy):
                 cluster.place(empty[0].index, request)
         return self._finalize(
             cluster, rejected, seed, self.verify,
-            max_workers=self.verify_workers,
             telemetry=tel, spans_since=spans_before, store=self.store,
         )
 
@@ -288,7 +257,6 @@ class FirstFitPlacement(PlacementPolicy):
 
     max_jobs_per_node: int = 4
     verify: bool = True
-    verify_workers: Optional[int] = None
     telemetry: Optional[Telemetry] = None
     store: Optional[ObservationStore] = None
 
@@ -326,7 +294,6 @@ class FirstFitPlacement(PlacementPolicy):
                 cluster.place(target, request)
         return self._finalize(
             cluster, rejected, seed, self.verify,
-            max_workers=self.verify_workers,
             telemetry=tel, spans_since=spans_before, store=self.store,
         )
 
@@ -350,7 +317,6 @@ class CLITEPlacement(PlacementPolicy):
         default_factory=lambda: PLACEMENT_ENGINE
     )
     verify: bool = True
-    verify_workers: Optional[int] = None
     telemetry: Optional[Telemetry] = None
     #: Shared observation store: admission probes and final verification
     #: reuse each other's truths, and a warm store makes re-placement of
@@ -433,7 +399,6 @@ class CLITEPlacement(PlacementPolicy):
                 cluster.place(target, request)
         return self._finalize(
             cluster, rejected, seed, self.verify, self.engine_config,
-            max_workers=self.verify_workers,
             telemetry=tel, spans_since=spans_before, store=self.store,
         )
 

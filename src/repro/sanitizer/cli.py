@@ -3,12 +3,15 @@
 Two subcommands:
 
 ``repro-san stress``
-    Builds a small cluster and runs the real ``verify_nodes`` thread
-    pool with a live telemetry stack under the sanitizer, reporting any
-    lockset-empty conflicting access pairs.  This is the dynamic
-    counterpart of the static RPL603 lockset rule: the linter proves
-    the lock discipline of the code it can see; the sanitizer checks
-    the discipline actually held at runtime.
+    Plays a small warehouse scenario while concurrent HTTP clients
+    ``POST /submit``, ``GET /status`` and ``GET /metrics`` against a
+    live control plane, under the sanitizer with a live telemetry stack,
+    and reports any lockset-empty conflicting access pairs.  The HTTP
+    control plane is the one place where threads meet the scheduler, so
+    this is the dynamic counterpart of the static RPL603 lockset rule:
+    the linter proves the lock discipline of the code it can see; the
+    sanitizer checks the discipline actually held at runtime.  The
+    sanitized timeline must also equal a direct, uninstrumented replay.
 
 ``repro-san probe pkg.module:function``
     Runs the target once per ``PYTHONHASHSEED`` universe in fresh
@@ -19,66 +22,128 @@ Two subcommands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional, Sequence
+import threading
+import time
+import urllib.request
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hashorder import DEFAULT_HASH_SEEDS, ProbeError, diff_outputs, hash_order_probe
 from .shadow import instrument
 
+#: Simulated horizon of the synthesized scenario; client jobs arrive after it.
+STRESS_HORIZON_S = 300.0
 
-def _stress(args: argparse.Namespace) -> int:
+
+def control_plane_stress(
+    clients: int, n_requests: int, seed: int, via_http: bool = True
+) -> Tuple[tuple, int]:
+    """Play a scenario plus the clients' submissions; (timeline, submits).
+
+    With ``via_http`` every client thread sends ``n_requests`` rounds of
+    ``POST /submit``, ``GET /status`` and ``GET /metrics`` to a live
+    :class:`~repro.warehouse.api.WarehouseAPIServer` while this thread
+    runs the event loop, drains the gateway and publishes status;
+    without it the submissions are scheduled directly (the reference).
+    Either way they are scheduled in name order once every client is
+    done, so the timeline is a function of the seed alone.
+    """
     # Imported lazily so `repro-san probe` works without pulling in the
     # full engine stack (numpy/scipy).
-    from repro.cluster.scheduler import verify_nodes
-    from repro.cluster.state import ClusterNode, JobRequest
-    from repro.core.engine import CLITEConfig
-    from repro.resources import small_server
-    from repro.telemetry import Telemetry
-    from repro.workloads import bg_workload, lc_workload
-
-    spec = small_server(units=6, n_resources=3)
-    lc = lc_workload("memcached", server=spec)
-    bg = bg_workload("canneal")
-    states = []
-    for i in range(args.nodes):
-        states.append(
-            ClusterNode(i, spec)
-            .with_request(JobRequest(lc, 0.3, name=f"svc-{i}"))
-            .with_request(JobRequest(bg, name=f"batch-{i}"))
-        )
-    engine_config = CLITEConfig(
-        max_iterations=args.iterations,
-        post_qos_iterations=2,
-        refine_budget=3,
-        confirm_top=1,
-        n_restarts=2,
+    from repro.telemetry import SimulatedClock, Telemetry
+    from repro.warehouse import (
+        ScenarioConfig, ServiceGateway, WarehouseService, job_from_spec,
+        load_into, make_api_server, synthesize,
     )
-    telemetry = Telemetry()  # live registry + tracer: real shared state
-    with instrument(
-        telemetry.metrics, telemetry.tracer, names=("MetricRegistry", "Tracer")
-    ) as sanitizer:
-        for state in states:
-            sanitizer.watch(state, name=f"ClusterNode[{state.index}]")
-        reports = verify_nodes(
-            states,
-            engine_config,
-            seed=args.seed,
-            max_workers=args.workers,
-            telemetry=telemetry,
+
+    def specs(client: int) -> List[Dict[str, object]]:
+        return [
+            {"workload": "memcached" if i % 2 else "canneal",
+             "name": f"client{client}-{i:03d}", "at": STRESS_HORIZON_S + i}
+            for i in range(n_requests)
+        ]
+
+    clock = SimulatedClock()
+    telemetry = Telemetry.enabled(clock=clock)
+    service = WarehouseService(
+        8, seed=seed, recheck_period_s=30.0, clock=clock, telemetry=telemetry
+    )
+    load_into(service, synthesize(ScenarioConfig(
+        n_jobs=20, duration_s=STRESS_HORIZON_S, seed=seed
+    )))
+    commands = [] if via_http else [
+        job_from_spec(spec) for c in range(clients) for spec in specs(c)
+    ]
+    if via_http:
+        gateway = ServiceGateway()
+        server = make_api_server(gateway, telemetry.metrics)
+
+        def client_loop(client: int) -> None:
+            for spec in specs(client):
+                for path, body in (
+                    ("submit", json.dumps(spec).encode("utf-8")),
+                    ("status", None),
+                    ("metrics", None),
+                ):
+                    url = f"{server.url}/{path}"
+                    request = urllib.request.Request(url, body)
+                    with urllib.request.urlopen(request, timeout=30) as reply:
+                        reply.read()
+
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threads = [
+            threading.Thread(target=client_loop, args=(c,))
+            for c in range(clients)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            t = 0.0
+            while any(thread.is_alive() for thread in threads):
+                commands.extend(gateway.drain())
+                t = min(t + 10.0, STRESS_HORIZON_S)
+                service.run_until(t)
+                gateway.publish(service.status())
+                time.sleep(0.001)
+        finally:
+            server.shutdown()
+            server.server_close()
+        commands.extend(gateway.drain())
+    service.run_until(STRESS_HORIZON_S)
+    for command in sorted(commands, key=lambda c: c.name):
+        service.submit(command.job, at=command.at_s)  # type: ignore[arg-type]
+    service.run_to_completion()
+    return service.timeline, len(commands)
+
+
+def _stress(args: argparse.Namespace) -> int:
+    reference, _ = control_plane_stress(
+        args.clients, args.requests, args.seed, via_http=False
+    )
+    with instrument() as sanitizer:
+        timeline, submits = control_plane_stress(
+            args.clients, args.requests, args.seed
         )
         races = sanitizer.races()
         n_access = len(sanitizer.accesses())
     print(
-        f"repro-san stress: {len(reports)} node(s) verified on "
-        f"{args.workers} worker(s); {n_access} access pattern(s) recorded"
+        f"repro-san stress: {submits} submission(s) from {args.clients} "
+        f"HTTP client(s); {n_access} access pattern(s) recorded"
     )
-    if races:
-        for race in races:
-            print(f"  RACE {race.describe()}")
-        print(f"repro-san: {len(races)} race(s) detected")
-        return 1
-    print("repro-san: no races detected")
-    return 0
+    for race in races:
+        print(f"  RACE {race.describe()}")
+    failures = [f"{len(races)} race(s) detected"] if races else []
+    lost = args.clients * args.requests - submits
+    if lost:
+        failures.append(f"{lost} submission(s) lost")
+    if timeline != reference:
+        failures.append("sanitized timeline differs from the direct replay")
+    print(f"repro-san: {'; '.join(failures)}" if failures else (
+        f"repro-san: no races detected; {len(timeline)} decisions match "
+        "the direct replay"
+    ))
+    return 1 if failures else 0
 
 
 def _probe(args: argparse.Namespace) -> int:
@@ -105,15 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     stress = sub.add_parser(
         "stress",
-        help="run the verify_nodes thread pool under the sanitizer",
+        help="hammer the HTTP control plane under the sanitizer",
     )
-    stress.add_argument("--nodes", type=int, default=4)
-    stress.add_argument("--workers", type=int, default=4)
+    stress.add_argument("--clients", type=int, default=4,
+                        help="concurrent HTTP client threads")
+    stress.add_argument("--requests", type=int, default=20,
+                        help="submit/status/metrics rounds per client")
     stress.add_argument("--seed", type=int, default=0)
-    stress.add_argument(
-        "--iterations", type=int, default=6,
-        help="engine iterations per node (keep small; this is a probe)",
-    )
     stress.set_defaults(func=_stress)
 
     probe = sub.add_parser(

@@ -1,7 +1,7 @@
 """Registration hooks production code calls at object-creation time.
 
-Shared-state owners (the metric registry, the node observation cache,
-the scheduler's per-node state) call :func:`register_shared` when they
+Shared-state owners (the metric registry, the observation store, the
+HTTP control plane's gateway) call :func:`register_shared` when they
 come to life.  With no sanitizer active the call is a single ``None``
 check — effectively free — so the hooks stay in production code
 permanently; under ``repro-san`` (or :func:`..shadow.instrument`) the

@@ -272,6 +272,14 @@ class _ShadowSequence:
     def copy(self) -> Any:
         return self._delegate("copy", "read")
 
+    def __or__(self, other: Any) -> Any:
+        self._note("read")
+        return self._inner | other
+
+    def __ror__(self, other: Any) -> Any:
+        self._note("read")
+        return other | self._inner
+
     def __repr__(self) -> str:
         return f"_ShadowSequence({self._inner!r})"
 
@@ -322,6 +330,18 @@ class _ShadowSequence:
 
     def reverse(self) -> None:
         self._delegate("reverse", "write")
+
+
+def _foreign_private(cls: type, attr_name: str) -> bool:
+    """Whether ``attr_name`` is a name-mangled private of a non-repro
+    base class: library internals synchronised by means a lockset model
+    cannot see (socketserver's shutdown flag rides a ``threading.Event``).
+    """
+    owner, sep, _ = attr_name[1:].partition("__")
+    return bool(sep) and attr_name.startswith("_") and any(
+        base.__name__ == owner and not base.__module__.startswith("repro")
+        for base in cls.__mro__
+    )
 
 
 class Sanitizer:
@@ -459,7 +479,9 @@ class Sanitizer:
         # Only data attributes: class-level methods/descriptors are
         # immutable from the races' point of view and would drown the
         # report in noise.
-        return attr_name in object.__getattribute__(obj, "__dict__")
+        if attr_name not in object.__getattribute__(obj, "__dict__"):
+            return False
+        return not _foreign_private(type(obj), attr_name)
 
     def restore(self) -> None:
         """Undo every class swap and lock replacement."""

@@ -28,10 +28,10 @@ Design points:
   header; a missing or incompatible header discards the file, and any
   individually unparsable line is counted and skipped rather than
   poisoning the load.
-* **Thread-safe.**  One store may back every worker of the cluster
-  scheduler's ``verify_nodes`` pool; all state transitions happen under
-  the instance lock, and the store registers itself (and its entry
-  maps) with ``repro-san`` so the sanitizer sees every access.
+* **Thread-safe.**  A store is long-lived and its owner may share it
+  across services or threads; all state transitions happen under the
+  instance lock, and the store registers itself (and its entry maps)
+  with ``repro-san`` so the sanitizer sees every access.
 * **Verdicts ride along.**  A second record kind memoises whole CLITE
   verifications: :func:`~repro.cluster.scheduler.verify_node` is a pure
   function of the node's physics, its LC loads, the seed and the engine
@@ -191,7 +191,7 @@ class ObservationStore:
 
         store = ObservationStore("obs/paper-mixes.jsonl")
         node = mix.build_node(seed=0, store=store)
-        # ... any number of runs, processes, or verify_nodes workers ...
+        # ... any number of runs, services, or verify_nodes rounds ...
         store.close()
     """
 

@@ -1,10 +1,10 @@
 """Metric instruments: counters, gauges, fixed-bucket histograms.
 
 A :class:`MetricRegistry` hands out named instruments and snapshots
-them.  All instruments are safe under the ``verify_workers`` thread
-pool: creation is serialized on the registry lock and every update is
-serialized on the owning instrument's lock, so concurrent engine runs
-sharing one registry never lose increments.
+them.  All instruments are thread-safe: creation is serialized on the
+registry lock and every update on the owning instrument's lock, so
+``GET /metrics`` scrapes on HTTP handler threads never see a half-made
+instrument and concurrent writers never lose increments.
 
 Metric names must match ``^[a-z][a-z0-9_.]*$`` (dots as namespace
 separators, e.g. ``node.cache.hits``); repro-lint RPL501 enforces the

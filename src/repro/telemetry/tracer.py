@@ -3,9 +3,9 @@
 Spans are opened as context managers (``with tracer.span("engine.bootstrap",
 jobs=3) as span:``) and close themselves on exit, timestamped through the
 tracer's injectable :class:`~repro.telemetry.clock.Clock`.  Nesting is
-tracked per thread, so concurrent engine runs under the
-``verify_workers`` pool each get their own parent/child chains while
-sharing one finished-span log.
+tracked per thread, so a span opened on an HTTP handler thread never
+becomes the parent of a scheduler span, while every thread shares one
+finished-span log.
 
 repro-lint RPL502 statically enforces the ``with`` discipline: a span
 that is opened but never closed would silently corrupt the per-phase

@@ -22,8 +22,8 @@ flavors trade fidelity for wall-clock:
   arrivals tractable.
 
 Both flavors are pure functions of ``(node state, seed)``: probing
-commits nothing and perturbs nothing, so federation can race probes
-across shards on a thread pool without disturbing the event timeline.
+commits nothing and perturbs nothing, so a federation can probe shards
+that end up rejecting without disturbing the event timeline.
 Both ``check`` methods are declared in ``[tool.repro-lint.pure]`` and
 the promise is enforced statically — ``repro-lint`` (RPL901,
 :mod:`repro.analysis.pure`) fails CI on any write to pre-existing

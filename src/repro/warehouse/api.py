@@ -24,6 +24,7 @@ another thread.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -45,6 +46,9 @@ from .events import WarehouseJob
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
+#: Largest ``POST`` body accepted; a job spec is a few hundred bytes.
+MAX_BODY_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class GatewayCommand:
@@ -56,6 +60,17 @@ class GatewayCommand:
     #: Requested simulated time, or None for "as soon as possible" (the
     #: driver schedules it at the loop's current time).
     at_s: Optional[Seconds] = None
+
+
+def _at_of(spec: Dict[str, object]) -> Optional[Seconds]:
+    """The spec's optional ``at`` time; rejects non-finite and booleans."""
+    at = spec.get("at")
+    if at is None:
+        return None
+    if isinstance(at, bool) or not isinstance(at, (int, float)) \
+            or not math.isfinite(at):
+        raise ValueError("'at' must be a finite number of simulated seconds")
+    return float(at)
 
 
 def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
@@ -78,9 +93,7 @@ def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
     name = spec.get("name", workload_name)
     if not isinstance(name, str) or not name:
         raise ValueError("'name' must be a non-empty string")
-    at = spec.get("at")
-    if at is not None and not isinstance(at, (int, float)):
-        raise ValueError("'at' must be a number of simulated seconds")
+    at = _at_of(spec)
     if workload_name in LC_NAMES:
         schedule: Union[LoadSchedule, float]
         raw_schedule = spec.get("schedule")
@@ -93,7 +106,7 @@ def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
                 raise ValueError(f"bad 'schedule': {exc}") from exc
         else:
             load = spec.get("load", 0.5)
-            if not isinstance(load, (int, float)):
+            if isinstance(load, bool) or not isinstance(load, (int, float)):
                 raise ValueError("'load' must be a number")
             schedule = float(load)
         job = WarehouseJob.lc(lc_workload(workload_name), schedule, name)
@@ -106,12 +119,7 @@ def job_from_spec(spec: Dict[str, object]) -> GatewayCommand:
             f"unknown workload {workload_name!r}; "
             f"LC: {LC_NAMES}, BG: {BG_NAMES}"
         )
-    return GatewayCommand(
-        kind="submit",
-        name=name,
-        job=job,
-        at_s=float(at) if at is not None else None,
-    )
+    return GatewayCommand(kind="submit", name=name, job=job, at_s=at)
 
 
 class ServiceGateway:
@@ -140,8 +148,12 @@ class ServiceGateway:
 
     def drain(self) -> List[GatewayCommand]:
         """Driver side: take every queued command (oldest first)."""
+        # Copy-and-clear rather than swapping in a fresh list: the inbox
+        # object never leaves the lock, so repro-san's item tracking
+        # sees every access to it guarded.
         with self._lock:
-            commands, self._inbox = self._inbox, []
+            commands = list(self._inbox)
+            self._inbox.clear()
         return commands
 
     def publish(self, status: Dict[str, object]) -> None:
@@ -196,11 +208,24 @@ class _WarehouseHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0]
         gateway: ServiceGateway = self.server.gateway  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._respond_json(400, {"error": "bad Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            self._respond_json(
+                413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+            )
+            return
         raw = self.rfile.read(length) if length else b"{}"
         try:
             spec = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (
+            UnicodeDecodeError, json.JSONDecodeError, RecursionError
+        ) as exc:
             self._respond_json(400, {"error": f"bad JSON body: {exc}"})
             return
         if not isinstance(spec, dict):
@@ -217,15 +242,12 @@ class _WarehouseHandler(BaseHTTPRequestHandler):
             if not isinstance(name, str) or not name:
                 self._respond_json(400, {"error": "'name' must be a string"})
                 return
-            at = spec.get("at")
-            if at is not None and not isinstance(at, (int, float)):
-                self._respond_json(400, {"error": "'at' must be a number"})
+            try:
+                at = _at_of(spec)
+            except ValueError as exc:
+                self._respond_json(400, {"error": str(exc)})
                 return
-            command = GatewayCommand(
-                kind="depart",
-                name=name,
-                at_s=float(at) if at is not None else None,
-            )
+            command = GatewayCommand(kind="depart", name=name, at_s=at)
         else:
             self.send_error(404, "try /submit or /depart")
             return

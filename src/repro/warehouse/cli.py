@@ -14,9 +14,10 @@ as simulated time advances::
 scenario runs, pacing simulated time against short wall-clock sleeps so
 a human (or a test) can poll and inject jobs mid-run.  ``--check`` runs
 a small scenario twice and verifies the two timelines are identical,
-then replays a clite-probe scenario serially and with concurrent
-probes over a shared observation store and diffs those timelines too —
-the determinism smoke test CI runs on every push.
+then plays a clite-probe scenario cold and again warm over one shared
+observation store, requiring identical timelines and a warm pass that
+runs no engine and no physics — the determinism smoke test CI runs on
+every push.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="admission probe flavor")
     run.add_argument("--routing", choices=ROUTING_POLICIES,
                      default="least-loaded", help="federation routing policy")
-    run.add_argument("--concurrent-probes", action="store_true",
-                     help="fan shard probes out on a thread pool")
     run.add_argument("--recheck", type=float, default=60.0,
                      help="QoS re-check period in simulated seconds "
                           "(0 disables ticks)")
@@ -107,7 +106,6 @@ def _build_target(
             n_shards=args.shards,
             nodes_per_shard=args.nodes // args.shards,
             routing=args.routing,
-            concurrent_probes=args.concurrent_probes,
             probe=args.probe,
             seed=args.seed,
             recheck_period_s=recheck,
@@ -160,16 +158,10 @@ def _apply_gateway(target: Target, gateway: ServiceGateway) -> None:
 
 
 def _cursor_of(target: Target) -> Union[int, tuple]:
-    """Current timeline position, for incremental :func:`_decisions_since`."""
+    """Current timeline position, for incremental ``timeline_since``."""
     if isinstance(target, WarehouseFederation):
         return target.timeline_cursor()
     return target.timeline_len
-
-
-def _decisions_since(target: Target, cursor: Union[int, tuple]) -> tuple:
-    """Decisions recorded since ``cursor`` — each entry copied once per
-    run instead of re-flattening the whole federation every slice."""
-    return target.timeline_since(cursor)  # type: ignore[arg-type]
 
 
 def _run_scenario(
@@ -193,7 +185,10 @@ def _run_scenario(
             gateway.publish(status)
             time.sleep(args.serve_tick)
         row = _report_row(status)
-        row["decisions"] = len(_decisions_since(target, cursor))
+        # Each entry is copied once per run instead of re-flattening the
+        # whole federation every slice.
+        since = target.timeline_since(cursor)  # type: ignore[arg-type]
+        row["decisions"] = len(since)
         cursor = _cursor_of(target)
         rows.append(row)
         if not args.as_json:
@@ -209,50 +204,38 @@ def _run_scenario(
     return final
 
 
-def _timeline_of(target: Target) -> tuple:
-    if isinstance(target, WarehouseFederation):
-        return _decisions_since(
-            target, (0,) * (len(target.shards) + 1)
-        )
-    return target.timeline
+def _play_check(
+    args: argparse.Namespace, config: ScenarioConfig, **kwargs: object
+) -> tuple:
+    """(timeline, placements, jobs running) of one 2x20-node check run."""
+    with WarehouseFederation(
+        n_shards=2,
+        nodes_per_shard=20,
+        routing=args.routing,
+        seed=args.seed,
+        recheck_period_s=30.0,
+        **kwargs,  # type: ignore[arg-type]
+    ) as federation:
+        load_into(federation, synthesize(config))
+        running = federation.run_to_completion()["jobs_running"]
+        timeline = federation.timeline_since((0,) * 3)  # root + 2 shards
+        return timeline, federation.placements(), running
 
 
 def _run_check(args: argparse.Namespace) -> int:
     """Two determinism smoke tests; identical timelines or bust.
 
-    First a small fixed scenario is played twice through the same
-    federation shape (same-seed bit-identity).  Then the same shape is
-    played once with serial probes and once with ``concurrent_probes``
-    under ``--probe clite`` with one observation store shared by both
-    shards — the exact configuration whose determinism rests on the
-    probe/commit split that ``repro-lint``'s PURE family proves
-    statically.
+    First a small fixed scenario is played twice (same-seed
+    bit-identity).  Then a ``--probe clite`` scenario is played cold and
+    again warm over one store shared by both shards: the warm pass must
+    decide exactly as the cold one with no engine run (every probe
+    replays a stored verdict) and no new store miss — a guarantee that
+    rests on the probe/commit split ``repro-lint``'s PURE family proves.
     """
     config = ScenarioConfig(
         n_jobs=30, duration_s=300.0, lc_fraction=0.5, seed=args.seed
     )
-    events = synthesize(config)
-    outcomes = []
-    for _ in range(2):
-        clock = SimulatedClock()
-        with WarehouseFederation(
-            n_shards=2,
-            nodes_per_shard=20,
-            routing=args.routing,
-            concurrent_probes=args.concurrent_probes,
-            seed=args.seed,
-            recheck_period_s=30.0,
-            clock=clock,
-        ) as federation:
-            load_into(federation, events)
-            status = federation.run_to_completion()
-            outcomes.append(
-                (
-                    _timeline_of(federation),
-                    federation.placements(),
-                    status["jobs_running"],
-                )
-            )
+    outcomes = [_play_check(args, config) for _ in range(2)]
     if outcomes[0] != outcomes[1]:
         print("warehouse check: FAILED (same-seed runs diverged)")
         return 1
@@ -260,54 +243,39 @@ def _run_check(args: argparse.Namespace) -> int:
     clite_config = ScenarioConfig(
         n_jobs=12, duration_s=200.0, lc_fraction=0.5, seed=args.seed
     )
-    clite_events = synthesize(clite_config)
     probe_engine = CLITEConfig(
-        max_iterations=10,
-        post_qos_iterations=3,
-        refine_budget=5,
-        confirm_top=1,
-        n_restarts=3,
+        max_iterations=10, post_qos_iterations=3, refine_budget=5,
+        confirm_top=1, n_restarts=3,
     )
-    clite_outcomes = []
-    with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
-        for concurrent in (False, True):
-            store_path = f"{tmp}/obs-{'conc' if concurrent else 'serial'}.jsonl"
-            with ObservationStore(store_path) as store, WarehouseFederation(
-                n_shards=2,
-                nodes_per_shard=20,
-                routing=args.routing,
-                concurrent_probes=concurrent,
-                probe="clite",
-                engine_config=probe_engine,
-                seed=args.seed,
-                recheck_period_s=30.0,
-                clock=SimulatedClock(),
-                stores=[store, store],
-            ) as federation:
-                load_into(federation, clite_events)
-                status = federation.run_to_completion()
-                clite_outcomes.append(
-                    (
-                        _timeline_of(federation),
-                        federation.placements(),
-                        status["jobs_running"],
-                    )
-                )
-    if clite_outcomes[0] != clite_outcomes[1]:
+    passes = []  # (outcome, engine runs, new store misses), cold then warm
+    with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp, \
+            ObservationStore(f"{tmp}/obs.jsonl") as store:
+        for _ in ("cold", "warm"):
+            misses, telemetry = store.stats().misses, Telemetry.enabled()
+            outcome = _play_check(
+                args, clite_config, probe="clite", engine_config=probe_engine,
+                telemetry=telemetry, stores=[store, store],
+            )
+            runs = int(telemetry.metrics.counter_value("engine.runs"))
+            passes.append((outcome, runs, store.stats().misses - misses))
+    (cold, cold_runs, _), (warm, warm_runs, warm_misses) = passes
+    if warm != cold:
+        print("warehouse check: FAILED (cold vs warm clite replay diverged)")
+        return 1
+    if warm_runs or warm_misses:
         print(
-            "warehouse check: FAILED "
-            "(serial vs concurrent clite probes diverged)"
+            f"warehouse check: FAILED (warm clite replay ran {warm_runs} "
+            f"engine run(s), {warm_misses} store miss(es))"
         )
         return 1
 
     timeline, placements, running = outcomes[0]
-    clite_timeline = clite_outcomes[0][0]
     print(
-        f"warehouse check: OK ({len(events)} events, "
+        f"warehouse check: OK ({len(synthesize(config))} events, "
         f"{len(timeline)} decisions, {running} jobs still running, "
         f"{len(placements)} placements, bit-identical across runs; "
-        f"clite serial == concurrent over a shared store, "
-        f"{len(clite_timeline)} decisions)"
+        f"clite cold == warm over a shared store, "
+        f"{len(cold[0])} decisions, {cold_runs} engine runs cold, 0 warm)"
     )
     return 0
 
@@ -364,8 +332,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if server is not None:
             server.shutdown()
             server.server_close()
-        if isinstance(target, WarehouseFederation):
-            target.close()
         if stores:
             for store in stores:
                 if store is not None:

@@ -19,6 +19,7 @@ reproducible dynamic-allocation experiments).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -204,7 +205,10 @@ class EventLoop:
         return self.clock.now()
 
     def schedule(self, at_s: Seconds, payload: Payload) -> int:
-        """Queue ``payload``; the past is not schedulable."""
+        """Queue ``payload``; the past and non-finite times are not
+        schedulable (a NaN head would never satisfy ``head <= t``)."""
+        if not math.isfinite(at_s):
+            raise ValueError(f"cannot schedule at non-finite t={at_s}")
         if at_s < self.clock.now():
             raise ValueError(
                 f"cannot schedule at t={at_s} (clock is at {self.clock.now()})"

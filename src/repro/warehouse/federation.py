@@ -18,13 +18,11 @@ Whatever the policy, routing degrades gracefully: every shard is tried
 in preference order before the federation rejects.
 
 Shard admission probes are side-effect-free (see
-:meth:`~.service.WarehouseService.probe_admit`), so the root may fan
-them out over a thread pool (``concurrent_probes=True``).  Determinism
-survives the concurrency because probe *results* are collected per
-shard and committed in preference order — the committed decision is a
-pure function of the event, never of thread completion order — which the
-serial-vs-concurrent equivalence test pins down.  The side-effect-free
-half of that bargain is *proven statically*: ``repro-lint``'s PURE
+:meth:`~.service.WarehouseService.probe_admit`): the root probes shards
+one at a time in preference order and commits on the first that admits,
+so a rejected probe leaves every shard exactly as it found it and a
+same-seed replay reproduces the timeline bit for bit.  The side-effect-
+free half of that bargain is *proven statically*: ``repro-lint``'s PURE
 family (RPL9xx, :mod:`repro.analysis.pure`) closes the probe entry
 points over the call graph and fails CI on any mutation of
 pre-existing state, fresh RNG/clock draw, or commit-mutator call in a
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple, Union
@@ -43,7 +40,6 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 from ..core.engine import CLITEConfig
 from ..core.units import Seconds
 from ..resources.spec import ServerSpec
-from ..sanitizer.hooks import register_shared
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..telemetry.clock import SimulatedClock
 from ..server.obstore import ObservationStore
@@ -83,14 +79,13 @@ class WarehouseFederation:
         n_shards: Number of sub-clusters.
         nodes_per_shard: Fleet size of each shard.
         routing: One of :data:`ROUTING_POLICIES`.
-        concurrent_probes: Fan admission probes across shards on a
-            thread pool (results are still committed deterministically).
         stores: Optional per-shard observation stores (one each).
         Everything else is forwarded to each shard's
         :class:`~.service.WarehouseService`.
 
-    The federation must be :meth:`close`\\ d (or used as a context
-    manager) when ``concurrent_probes`` is on, to shut the pool down.
+    The federation holds no thread or OS resource; :meth:`close` and
+    the context-manager protocol are kept as no-ops so callers can
+    scope it like the stores it is built with.
     """
 
     def __init__(
@@ -98,7 +93,6 @@ class WarehouseFederation:
         n_shards: int,
         nodes_per_shard: int,
         routing: str = "least-loaded",
-        concurrent_probes: bool = False,
         probe: str = "quick",
         engine_config: Optional[CLITEConfig] = None,
         seed: Optional[int] = 0,
@@ -144,13 +138,6 @@ class WarehouseFederation:
             )
             for i in range(n_shards)
         ]
-        self._pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=n_shards, thread_name_prefix="warehouse-probe"
-            )
-            if concurrent_probes and n_shards > 1
-            else None
-        )
         self._routed: Deque[RoutedEntry] = deque(maxlen=TIMELINE_LIMIT)
         self._routed_dropped = 0
         self._rr_next = 0
@@ -160,20 +147,12 @@ class WarehouseFederation:
             "rejections": 0,
             "departures": 0,
         }
-        register_shared(
-            self,
-            name=f"WarehouseFederation@{id(self):x}",
-            container_attrs=("shards",),
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the probe pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """No-op: the federation owns nothing to release (idempotent)."""
 
     def __enter__(self) -> "WarehouseFederation":
         return self
@@ -295,32 +274,6 @@ class WarehouseFederation:
         # least-loaded: ascending running jobs, shard index breaks ties.
         return sorted(range(n), key=lambda i: (self.shards[i].jobs_running, i))
 
-    def _probe_all(
-        self, job: WarehouseJob, t: Seconds, order: List[int]
-    ) -> Dict[int, Tuple[Optional[int], object, Tuple[int, ...]]]:
-        """Probe shards for ``job`` — concurrently when a pool exists.
-
-        Serial mode probes lazily in preference order and stops at the
-        first admitting shard; concurrent mode probes every shard and
-        keeps all results.  Either way the caller scans ``order`` and
-        commits the first hit, so both modes choose identically.
-        """
-        results: Dict[int, Tuple[Optional[int], object, Tuple[int, ...]]] = {}
-        if self._pool is not None:
-            futures = {
-                i: self._pool.submit(self.shards[i].probe_admit, job, t)
-                for i in order
-            }
-            for i, future in futures.items():
-                results[i] = future.result()
-            return results
-        for i in order:
-            outcome = self.shards[i].probe_admit(job, t)
-            results[i] = outcome
-            if outcome[0] is not None:
-                break
-        return results
-
     # ------------------------------------------------------------------
     # Event handling
     # ------------------------------------------------------------------
@@ -354,15 +307,14 @@ class WarehouseFederation:
                 )
             )
             return
-        results = self._probe_all(job, t, order)
         for shard_index in order:
-            target, tentative, verified = results.get(
-                shard_index, (None, None, ())
+            target, tentative, verified = self.shards[shard_index].probe_admit(
+                job, t
             )
             if target is None or tentative is None:
                 continue
             self.shards[shard_index].commit_admit(
-                job, t, seq, target, tentative, verified  # type: ignore[arg-type]
+                job, t, seq, target, tentative, verified
             )
             self._counts["routed"] += 1
             self.telemetry.metrics.counter(

@@ -147,10 +147,10 @@ class WarehouseService:
             power-of-k-choices bound that keeps admission O(1) in fleet
             size).
 
-    The service itself is single-threaded by design — determinism comes
-    from processing events in ``(time, seq)`` order — but its state is
-    registered with ``repro-san`` because federation probes read it from
-    pool workers.
+    The service is single-threaded by design — determinism comes from
+    processing events in ``(time, seq)`` order.  Its state is registered
+    with ``repro-san`` so a sanitized run of the HTTP control plane can
+    show that only the driver thread ever touches it.
     """
 
     def __init__(
@@ -338,8 +338,8 @@ class WarehouseService:
 
         Returns ``(node_index, tentative_node_state, verified_nodes)``;
         the index is None when no node admits the job.  Pure with
-        respect to cluster state, so a federation root may run it for
-        sibling shards concurrently on a thread pool.
+        respect to cluster state, so a federation root may probe shards
+        that end up rejecting without disturbing them.
         """
         if job.name in self._jobs:
             return None, None, ()

@@ -168,17 +168,6 @@ class TestVerifyNodes:
             )
         return states
 
-    def test_parallel_matches_serial(self, mini_server):
-        """Each node's engine run is deterministic given the seed, so the
-        thread-pool fan-out must reproduce the serial reports exactly."""
-        states = self._states(mini_server)
-        serial = verify_nodes(states, FAST_ENGINE, seed=0, max_workers=1)
-        parallel = verify_nodes(states, FAST_ENGINE, seed=0, max_workers=3)
-        assert serial == parallel
-        assert set(serial) == {0, 1, 2}
-        for state in states:
-            assert serial[state.index] == verify_node(state, FAST_ENGINE, 0)
-
     def test_empty_and_single(self, mini_server):
         assert verify_nodes([], FAST_ENGINE, seed=0) == {}
         (state,) = self._states(mini_server, n=1)
@@ -186,9 +175,9 @@ class TestVerifyNodes:
         assert reports == {0: verify_node(state, FAST_ENGINE, 0)}
 
     def test_shared_store_across_parallel_workers(self, mini_server, tmp_path):
-        """One store backs every pool worker; identical job sets share a
-        fingerprint, and a warm store makes re-verification physics-free
-        without changing any report."""
+        """One store backs every node's verification; identical job sets
+        share a fingerprint, and a warm store makes re-verification
+        physics-free without changing any report."""
         from repro.server import ObservationStore
 
         # Same workload set on every node -> same fingerprint.
@@ -198,43 +187,21 @@ class TestVerifyNodes:
             .with_request(bg_request("batch"))
             for i in range(3)
         ]
-        baseline = verify_nodes(states, FAST_ENGINE, seed=0, max_workers=3)
+        baseline = verify_nodes(states, FAST_ENGINE, seed=0)
+        assert baseline == {
+            state.index: verify_node(state, FAST_ENGINE, 0) for state in states
+        }
         store = ObservationStore(tmp_path / "verify.jsonl")
-        cold = verify_nodes(
-            states, FAST_ENGINE, seed=0, max_workers=3, store=store
-        )
+        cold = verify_nodes(states, FAST_ENGINE, seed=0, store=store)
         assert cold == baseline
         warm_misses = store.stats().misses
         cold_verdict_hits = store.stats().verdict_hits
-        warm = verify_nodes(
-            states, FAST_ENGINE, seed=0, max_workers=3, store=store
-        )
+        warm = verify_nodes(states, FAST_ENGINE, seed=0, store=store)
         assert warm == baseline
         # The second round replays the verdicts the first round
         # published: every node is a memo hit and no physics runs.
         assert store.stats().verdict_hits - cold_verdict_hits == len(states)
         assert store.stats().misses == warm_misses
-
-    def test_policy_verify_workers_same_outcome(self, mini_server):
-        requests = [
-            lc_request("svc-1", 0.3),
-            bg_request("batch-1"),
-            lc_request("svc-2", 0.3),
-            bg_request("batch-2"),
-        ]
-        outcomes = []
-        for workers in (1, 4):
-            cluster = Cluster(n_nodes=4, spec=mini_server)
-            policy = DedicatedPlacement(verify_workers=workers)
-            # Dedicated placement with FAST settings is still slow-ish;
-            # swap in the fast engine by verifying manually instead.
-            policy.verify = False
-            out = policy.place(cluster, requests, seed=0)
-            reports = verify_nodes(
-                cluster.used_nodes(), FAST_ENGINE, 0, workers
-            )
-            outcomes.append((out.placements, reports))
-        assert outcomes[0] == outcomes[1]
 
 
 class TestPolicies:

@@ -146,16 +146,27 @@ class TestLockOrderGraph:
             token.endswith("._pool_lock") for token in entry_locks["work"]
         )
 
-    def test_repo_graph_covers_verify_pool_and_serve_handler(self):
-        """Acceptance: the verify_workers pool and the telemetry serve
-        handler are both entry points of the graph."""
-        config = LintConfig()
+    def test_repo_graph_covers_http_handlers(self):
+        """Acceptance: the HTTP handlers — the one place threads meet the
+        scheduler — are entry points of the graph, and no scheduler-core
+        function is."""
+        from repro.analysis.config import load_config
+
+        config = load_config(PACKAGE)
         engine = LintEngine(config)
         project = engine.build_project([PACKAGE])
         analysis = flow_analysis(project, config)
         qualnames = {key.split(":")[-1] for key in analysis.entry_locks}
-        assert "verify_node" in qualnames          # verify_workers pool
-        assert "_MetricsHandler.do_GET" in qualnames  # telemetry serve
+        assert {
+            "_MetricsHandler.do_GET",      # telemetry serve
+            "_WarehouseHandler.do_GET",    # warehouse control plane
+            "_WarehouseHandler.do_POST",
+        } <= qualnames
+        modules = {key.split(":")[0] for key in analysis.entry_locks}
+        assert not any(
+            module.startswith(("repro.cluster", "repro.core"))
+            for module in modules
+        )
         assert analysis.cycles == []
 
 
@@ -200,7 +211,7 @@ class TestFlowCLI:
         assert "lock-order graph" in result.stdout
         assert "entry-point lock coverage" in result.stdout
         assert "cycles: none" in result.stdout
-        assert "verify_node" in result.stdout
+        assert "_WarehouseHandler.do_POST" in result.stdout
 
     def test_json_report_schema(self, tmp_path):
         (tmp_path / "mod.py").write_text(CYCLE_SOURCE)

@@ -1,6 +1,5 @@
 """Telemetry woven through engine, node, monitor, cluster, and dynamic
-runs: snapshots on results, counters that agree with ground truth, and
-thread-pool safety under ``verify_workers``."""
+runs: snapshots on results and counters that agree with ground truth."""
 
 from __future__ import annotations
 
@@ -167,24 +166,6 @@ def cluster_states(mini_server, n=3):
 
 
 class TestClusterTelemetry:
-    def test_parallel_counters_match_serial(self, mini_server):
-        """The verify_workers pool shares one registry; fan-out must not
-        lose or duplicate a single increment relative to a serial run."""
-        states = cluster_states(mini_server)
-        snapshots = []
-        for workers in (1, 3):
-            tel = Telemetry.enabled()
-            verify_nodes(
-                states, FAST_ENGINE, seed=0, max_workers=workers,
-                telemetry=tel,
-            )
-            snapshots.append(tel.metrics.snapshot())
-        assert snapshots[0] == snapshots[1]
-        assert any(
-            series.startswith("cluster.verify.samples")
-            for series in snapshots[0]
-        )
-
     def test_verify_span_per_node(self, mini_server):
         states = cluster_states(mini_server)
         tel = Telemetry.enabled()

@@ -92,6 +92,18 @@ class TestEventLoop:
         with pytest.raises(ValueError, match="cannot schedule"):
             loop.schedule(5.0, Recheck())
 
+    @pytest.mark.parametrize("at", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_times(self, at):
+        """A NaN head never satisfies ``head <= t`` and would wedge
+        ``run_until`` for every later event."""
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="non-finite"):
+            loop.schedule(at, Recheck())
+        loop.schedule(5.0, Departure("valid"))
+        seen = []
+        assert loop.run_until(10.0, lambda t, seq, p: seen.append(t)) == 1
+        assert seen == [5.0]
+
     def test_rejects_running_backwards(self):
         loop = EventLoop()
         loop.clock.tick(10.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -17,6 +18,7 @@ from repro.warehouse import (
     job_from_spec,
     make_api_server,
 )
+from repro.warehouse.api import MAX_BODY_BYTES
 from repro.warehouse.cli import main
 
 
@@ -54,6 +56,10 @@ class TestJobFromSpec:
             ({"workload": "memcached", "schedule": [[1, 2, 3]]}, "schedule"),
             ({"workload": "memcached", "name": ""}, "name"),
             ({"workload": "memcached", "at": "now"}, "'at'"),
+            ({"workload": "memcached", "at": float("nan")}, "'at'"),
+            ({"workload": "memcached", "at": float("inf")}, "'at'"),
+            ({"workload": "memcached", "at": True}, "'at'"),
+            ({"workload": "memcached", "load": True}, "'load'"),
         ],
     )
     def test_bad_specs_raise(self, spec, message):
@@ -159,6 +165,14 @@ class TestHTTPEndpoints:
             _post(f"{server.url}/depart", {"name": 3})
         assert err.value.code == 400
 
+    @pytest.mark.parametrize("at", [True, 1e400])
+    def test_depart_rejects_boolean_and_infinite_at(self, api_server, at):
+        gateway, server = api_server
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(f"{server.url}/depart", {"name": "x", "at": at})
+        assert err.value.code == 400
+        assert gateway.drain() == []
+
     def test_unknown_paths_are_404(self, api_server):
         _, server = api_server
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -167,6 +181,74 @@ class TestHTTPEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(f"{server.url}/reboot", {})
         assert err.value.code == 404
+
+
+def _raw_post(server, path, body, content_length):
+    """Send one hand-built POST over a socket; (status code, reply).
+
+    ``urllib`` always sends an honest ``Content-Length`` and encodes
+    ``NaN`` away, so malformed requests need a raw socket.
+    """
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {content_length}\r\nConnection: close\r\n\r\n"
+    )
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1]), reply
+
+
+class TestRawRequests:
+    """Requests a well-behaved client never sends still get a 4xx."""
+
+    @pytest.mark.parametrize(
+        "length, code",
+        [("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_bad_content_length(self, api_server, length, code):
+        gateway, server = api_server
+        status, _ = _raw_post(server, "/submit", b"", length)
+        assert status == code
+        assert gateway.drain() == []
+
+    def test_deeply_nested_json_is_400(self, api_server):
+        """Under the size cap, yet deep enough to exhaust the decoder's
+        recursion limit."""
+        gateway, server = api_server
+        body = b"[" * (MAX_BODY_BYTES // 2)
+        status, _ = _raw_post(server, "/submit", body, len(body))
+        assert status == 400
+        assert gateway.drain() == []
+
+    def test_body_at_the_cap_is_read(self, api_server):
+        gateway, server = api_server
+        body = json.dumps({"workload": "canneal", "name": "edge"}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status, _ = _raw_post(server, "/submit", body, len(body))
+        assert status == 202
+        assert [c.name for c in gateway.drain()] == ["edge"]
+
+    def test_nan_at_is_rejected_and_later_jobs_still_run(self, api_server):
+        """``json.loads`` accepts a bare ``NaN``; scheduled, it would
+        wedge the event loop for every later event."""
+        from repro.warehouse.cli import _apply_gateway
+
+        gateway, server = api_server
+        for path, name in (("/submit", "poison"), ("/depart", "poison")):
+            body = (
+                b'{"workload": "canneal", "name": "%s", "at": NaN}'
+                % name.encode()
+            )
+            status, reply = _raw_post(server, path, body, len(body))
+            assert status == 400, reply
+        _post(f"{server.url}/submit", {"workload": "canneal", "name": "ok", "at": 5.0})
+        service = WarehouseService(2)
+        _apply_gateway(service, gateway)
+        assert service.run_until(100.0) >= 1
+        assert service.placements() == {"ok": 0}
 
 
 class TestGatewayDrivesService:

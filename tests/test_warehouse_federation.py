@@ -1,4 +1,4 @@
-"""Sharded federation: routing policies, concurrency equivalence, scale."""
+"""Sharded federation: routing policies, shared-store replay, scale."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from conftest import make_bg, make_lc
 from repro.core import CLITEConfig
 from repro.server import ObservationStore
 from repro.warehouse import (
-    ROUTING_POLICIES,
     ScenarioConfig,
     WarehouseFederation,
     WarehouseJob,
@@ -122,35 +121,6 @@ class TestRouting:
         assert departs[1].job == "ghost" and departs[1].detail == "unknown"
 
 
-def _run_scenario(events, concurrent, routing="least-loaded"):
-    with WarehouseFederation(
-        2,
-        25,
-        routing=routing,
-        concurrent_probes=concurrent,
-        recheck_period_s=60.0,
-        seed=9,
-    ) as fed:
-        load_into(fed, events)
-        status = fed.run_to_completion()
-        return (
-            fed.routed,
-            [shard.timeline for shard in fed.shards],
-            fed.placements(),
-            status["jobs_running"],
-            status["migrations"],
-        )
-
-
-class TestConcurrencyEquivalence:
-    @pytest.mark.parametrize("routing", ROUTING_POLICIES)
-    def test_serial_and_concurrent_probing_choose_identically(self, routing):
-        events = synthesize(ScenarioConfig(n_jobs=40, duration_s=400.0, seed=9))
-        serial = _run_scenario(events, concurrent=False, routing=routing)
-        threaded = _run_scenario(events, concurrent=True, routing=routing)
-        assert serial == threaded
-
-
 class TestWarehouseScale:
     def test_500_nodes_2_shards_200_plus_events_deterministic(self):
         """The issue's acceptance scenario: big, busy, bit-identical."""
@@ -160,8 +130,7 @@ class TestWarehouseScale:
         runs = []
         for _ in range(2):
             with WarehouseFederation(
-                2, 250, recheck_period_s=120.0, seed=7,
-                concurrent_probes=True,
+                2, 250, recheck_period_s=120.0, seed=7
             ) as fed:
                 load_into(fed, events)
                 status = fed.run_to_completion()
@@ -200,9 +169,7 @@ class TestStatusAggregation:
         )
 
     def test_close_is_idempotent(self, mini_server):
-        fed = WarehouseFederation(
-            2, 2, spec=mini_server, concurrent_probes=True
-        )
+        fed = WarehouseFederation(2, 2, spec=mini_server)
         fed.close()
         fed.close()
 
@@ -242,18 +209,17 @@ class TestTimelineCursor:
 
 class TestSharedStoreConcurrency:
     """Shards sharing one observation store (truths and verdicts) decide
-    exactly as serial probing does, cold and replayed warm."""
+    exactly as storeless shards do, cold and replayed warm."""
 
     def test_concurrent_clite_probes_over_one_store(self, tmp_path):
         events = synthesize(
             ScenarioConfig(n_jobs=8, duration_s=150.0, lc_fraction=0.5, seed=4)
         )
 
-        def run(concurrent, store):
+        def run(store):
             with WarehouseFederation(
                 2,
                 4,
-                concurrent_probes=concurrent,
                 probe="clite",
                 engine_config=FAST_ENGINE,
                 seed=4,
@@ -268,15 +234,14 @@ class TestSharedStoreConcurrency:
                     fed.placements(),
                 )
 
-        with ObservationStore(tmp_path / "serial.jsonl") as store:
-            serial = run(False, store)
-        with ObservationStore(tmp_path / "concurrent.jsonl") as store:
-            threaded = run(True, store)
-            cold = store.stats()
-            replayed = run(True, store)
-            warm = store.stats()
-        assert threaded == serial
-        assert replayed == serial
-        assert cold.verdicts > 0
-        assert warm.verdict_hits > cold.verdict_hits
-        assert warm.misses == cold.misses  # the replay ran no physics
+        storeless = run(None)
+        with ObservationStore(tmp_path / "shared.jsonl") as store:
+            cold = run(store)
+            cold_stats = store.stats()
+            warm = run(store)
+            warm_stats = store.stats()
+        assert cold == storeless
+        assert warm == storeless
+        assert cold_stats.verdicts > 0
+        assert warm_stats.verdict_hits > cold_stats.verdict_hits
+        assert warm_stats.misses == cold_stats.misses  # the replay ran no physics
