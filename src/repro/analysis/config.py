@@ -206,6 +206,8 @@ class LintConfig:
     )
     flow_entrypoints: Tuple[str, ...] = (
         "repro.telemetry.serve._MetricsHandler.do_GET",
+        "repro.warehouse.api._WarehouseHandler.do_GET",
+        "repro.warehouse.api._WarehouseHandler.do_POST",
     )
     flow_longlived: Tuple[str, ...] = (
         "MetricRegistry",
@@ -252,7 +254,6 @@ class LintConfig:
     )
     pure_commit_mutators: Tuple[str, ...] = (
         "repro.cluster.state.Cluster.place",
-        "repro.cluster.state.Cluster.remove",
         "repro.cluster.state.Cluster.remove_from",
         "repro.server.obstore.ObservationStore.put",
         "repro.warehouse.service.WarehouseService._migrate",

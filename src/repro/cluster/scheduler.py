@@ -11,7 +11,8 @@ introduction:
 * **QoS-aware (CLITE)** — pack onto the first node where a CLITE run
   *demonstrates* a QoS-meeting partition, falling back to a fresh
   machine otherwise — the "schedule it elsewhere" loop the paper's
-  bootstrap check enables.
+  bootstrap check enables.  This is the warehouse's admission search
+  (:mod:`repro.warehouse.service`) replayed with every request at t=0.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.engine import CLITEConfig, CLITEEngine
 from ..resources.contracts import placement_contract
-from ..server.node import Node, NodeBudget
+from ..server.node import Node
 from ..server.obstore import ObservationStore, Verdict, verdict_key
 from ..telemetry import NULL_TELEMETRY, Telemetry
+from ..workloads.loadgen import LoadSchedule
 from .state import Cluster, ClusterNode, JobRequest, PlacementOutcome
 
 #: Engine settings for the many small optimizations placement needs.
@@ -302,14 +304,23 @@ class FirstFitPlacement(PlacementPolicy):
 class CLITEPlacement(PlacementPolicy):
     """QoS-verified packing: co-locate only where CLITE proves it safe.
 
-    For each request, candidate nodes are tried densest-first; a
-    candidate is accepted only if a CLITE run on the tentative job set
-    finds a partition meeting every LC job's QoS (BG requests are
-    accepted structurally — they have no QoS to violate, and the
-    per-node partitioning protects their hosts' LC jobs).  A request no
-    occupied node can absorb opens a fresh machine; with no machines
-    left it is rejected — the paper's "schedule it elsewhere", at
-    cluster scope.
+    The batch face of the warehouse's admission search: ``place`` builds
+    a :class:`~repro.warehouse.service.WarehouseService` over the
+    cluster's node specs with a :class:`~repro.warehouse.admission.CLITEProbe`,
+    submits every request at t=0 as a constant-load job in stream order,
+    and copies the resulting nodes back.  So there is one QoS-aware
+    search, :meth:`WarehouseService._find_target`: occupied nodes
+    densest-first, each accepted only if a CLITE run on the tentative
+    job set meets every LC job's QoS (BG-only job sets are accepted
+    structurally), then a fresh machine, then rejection — the paper's
+    "schedule it elsewhere", at cluster scope.  Every occupied candidate
+    is probed (``max_probe_nodes`` is the fleet size).
+
+    ``place`` needs an empty cluster (``ValueError`` otherwise), and a
+    request whose name is already placed is rejected, as the warehouse
+    rejects a ``duplicate-name`` arrival.  An LC load below the
+    warehouse's :data:`~repro.warehouse.events.MIN_PROBE_LOAD` is
+    placed and verified at that floor.
     """
 
     max_jobs_per_node: int = 4
@@ -336,21 +347,6 @@ class CLITEPlacement(PlacementPolicy):
             return self.engine_config.telemetry
         return NULL_TELEMETRY
 
-    def _admissible(
-        self,
-        node_state: ClusterNode,
-        request: JobRequest,
-        seed: Optional[int],
-        telemetry: Optional[Telemetry] = None,
-    ) -> bool:
-        tentative = node_state.with_request(request)
-        if not request.is_lc and not tentative.lc_requests:
-            return True  # BG-only nodes need no QoS proof
-        qos_met, _ = verify_node(
-            tentative, self.engine_config, seed, telemetry, store=self.store
-        )
-        return qos_met
-
     @placement_contract
     def place(
         self,
@@ -358,45 +354,41 @@ class CLITEPlacement(PlacementPolicy):
         requests: Sequence[JobRequest],
         seed: Optional[int] = 0,
     ) -> PlacementOutcome:
+        if cluster.used_nodes():
+            raise ValueError("CLITEPlacement needs an empty cluster")
+        # Imported here, not at the top: repro.warehouse.admission
+        # imports verify_node from this module.
+        from ..warehouse.admission import CLITEProbe
+        from ..warehouse.events import WarehouseJob
+        from ..warehouse.service import WarehouseService
+
         tel = self._resolve_telemetry()
         spans_before = tel.tracer.finished_count
-        rejected: List[str] = []
         with tel.tracer.span(
             "cluster.place", policy=self.name, requests=len(requests)
         ):
+            service = WarehouseService(
+                len(cluster.nodes),
+                specs=[node.spec for node in cluster.nodes],
+                probe=CLITEProbe(self.engine_config),
+                seed=seed,
+                max_jobs_per_node=self.max_jobs_per_node,
+                telemetry=tel,
+                store=self.store,
+                max_probe_nodes=len(cluster.nodes),
+            )
             for request in requests:
-                occupied = sorted(
-                    (
-                        n
-                        for n in cluster.nodes
-                        if 0 < n.n_jobs < self.max_jobs_per_node
-                    ),
-                    key=lambda n: -n.n_jobs,
+                schedule = (
+                    None if request.load is None
+                    else LoadSchedule.constant(request.load)
                 )
-                target = None
-                for node_state in occupied:
-                    if not node_state.can_host(request):
-                        continue
-                    if self._admissible(node_state, request, seed, tel):
-                        target = node_state.index
-                        break
-                if target is None:
-                    # The fresh-machine fallback goes through can_host
-                    # too: an empty node can still refuse a request
-                    # (zero-capacity spec, retried name) and silently
-                    # skipping the check let the service loop
-                    # double-place colliding retries.
-                    empty = [
-                        n
-                        for n in cluster.nodes
-                        if n.n_jobs == 0 and n.can_host(request)
-                    ]
-                    if empty:
-                        target = empty[0].index
-                    else:
-                        rejected.append(request.request_name)
-                        continue
-                cluster.place(target, request)
+                service.submit(
+                    WarehouseJob(request.workload, request.request_name, schedule),
+                    at=0.0,
+                )
+            service.run_until(0.0)
+            cluster.nodes[:] = service.cluster.nodes
+        rejected = [e.job for e in service.timeline if e.kind == "reject"]
         return self._finalize(
             cluster, rejected, seed, self.verify, self.engine_config,
             telemetry=tel, spans_since=spans_before, store=self.store,
@@ -416,6 +408,3 @@ def utilization_summary(outcome: PlacementOutcome, total_nodes: int) -> Dict[str
         "mean_bg_performance": outcome.mean_bg_performance(),
     }
 
-
-#: Re-exported for callers configuring placement verification budgets.
-DEFAULT_VERIFY_BUDGET = NodeBudget(60)

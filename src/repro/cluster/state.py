@@ -81,10 +81,6 @@ class ClusterNode:
     def lc_requests(self) -> List[JobRequest]:
         return [r for r in self.requests if r.is_lc]
 
-    @property
-    def bg_requests(self) -> List[JobRequest]:
-        return [r for r in self.requests if not r.is_lc]
-
     def job_names(self) -> List[str]:
         return [r.request_name for r in self.requests]
 
@@ -187,25 +183,12 @@ class Cluster:
             )
         self.nodes[node_index] = self.nodes[node_index].with_request(request)
 
-    def remove(self, name: str) -> int:
-        """Remove the named request; returns the index of its ex-host.
-
-        The freed capacity is immediately visible to later placements —
-        a node whose last job departs returns to the empty pool.
-        """
-        for node in self.nodes:
-            if name in node.job_names():
-                self.nodes[node.index] = node.without_request(name)
-                return node.index
-        raise KeyError(f"no request named {name!r} in the cluster")
-
     def remove_from(self, node_index: int, name: str) -> None:
         """Remove the named request from a *known* host node.
 
-        The O(n_nodes) :meth:`remove` scan exists for callers that only
-        know the job name; callers that track placements (the warehouse
-        service keeps job -> node in ``_jobs``) must use this O(1)
-        variant instead so departures stay fleet-size-independent.
+        O(1) in fleet size: callers track placements (the warehouse
+        service keeps job -> node in ``_jobs``), so departures never
+        scan the fleet.
         """
         if not 0 <= node_index < len(self.nodes):
             raise IndexError(

@@ -280,6 +280,30 @@ class _ShadowSequence:
         self._note("read")
         return other | self._inner
 
+    def __and__(self, other: Any) -> Any:
+        self._note("read")
+        return self._inner & other
+
+    def __rand__(self, other: Any) -> Any:
+        self._note("read")
+        return other & self._inner
+
+    def __sub__(self, other: Any) -> Any:
+        self._note("read")
+        return self._inner - other
+
+    def __rsub__(self, other: Any) -> Any:
+        self._note("read")
+        return other - self._inner
+
+    def __xor__(self, other: Any) -> Any:
+        self._note("read")
+        return self._inner ^ other
+
+    def __rxor__(self, other: Any) -> Any:
+        self._note("read")
+        return other ^ self._inner
+
     def __repr__(self) -> str:
         return f"_ShadowSequence({self._inner!r})"
 

@@ -154,8 +154,10 @@ class QuickProbe(AdmissionProbe):
 class CLITEProbe(AdmissionProbe):
     """The full verification: a small-budget CLITE BO run per probe.
 
-    This is :class:`~repro.cluster.scheduler.CLITEPlacement`'s
-    admissibility check as a reusable object.  With a store attached,
+    Every QoS-aware placement goes through it: the warehouse probes
+    each candidate node with it, and
+    :class:`~repro.cluster.scheduler.CLITEPlacement` replays its batch
+    through a warehouse that uses it.  With a store attached,
     ``check`` is memoised on (node physics, LC loads, seed, engine
     settings): a repeat returns the stored verdict without building an
     engine (``verify.memo.hits``, ``memo=True`` on the

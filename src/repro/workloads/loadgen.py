@@ -157,8 +157,12 @@ class LoadPhase:
     load_fraction: Fraction
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ValueError("phase start must be >= 0")
+        # NaN compares false both ways, so it would pass ``< 0`` and
+        # then scramble the schedule's ordering check.
+        if not math.isfinite(self.start_s) or self.start_s < 0:
+            raise ValueError(
+                f"phase start must be finite and >= 0, got {self.start_s}"
+            )
         if not 0 <= self.load_fraction <= 1.5:
             raise ValueError(
                 f"load fraction should be in [0, 1.5], got {self.load_fraction}"

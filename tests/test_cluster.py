@@ -336,3 +336,91 @@ class TestHeterogeneousCluster:
         ).place(cluster, stream, seed=0)
         assert out.rejected == ()
         assert out.all_qos_met
+
+
+class TestCLITEPlacementReplay:
+    """``CLITEPlacement`` replays its stream through ``WarehouseService``.
+
+    The pinned outcomes are what the earlier private densest-first
+    search produced for the same streams, bit for bit (BG means as
+    ``float.hex``), so the replay is the same placement policy.
+    """
+
+    def _place(self, cluster, stream):
+        policy = CLITEPlacement(max_jobs_per_node=3, engine_config=FAST_ENGINE)
+        return policy.place(cluster, stream, seed=0)
+
+    def test_pinned_mixed_stream(self, mini_server):
+        cluster = Cluster(n_nodes=6, spec=mini_server)
+        out = self._place(
+            cluster,
+            [
+                lc_request("svc-1", 0.3),
+                lc_request("svc-2", 0.3),
+                bg_request("batch-1"),
+                bg_request("batch-2"),
+            ],
+        )
+        assert out.placements == {
+            "svc-1": 0, "svc-2": 0, "batch-1": 0, "batch-2": 1,
+        }
+        assert out.rejected == ()
+        assert out.node_reports == {
+            0: (True, float.fromhex("0x1.5151351121adcp-2")),
+            1: (True, 1.0),
+        }
+        assert [n.job_names() for n in cluster.nodes[:2]] == [
+            ["svc-1", "svc-2", "batch-1"], ["batch-2"],
+        ]
+
+    def test_pinned_heavy_stream(self, mini_server):
+        cluster = Cluster(n_nodes=4, spec=mini_server)
+        out = self._place(
+            cluster,
+            [
+                lc_request("hot-1", 0.9),
+                lc_request("hot-2", 0.9),
+                lc_request("hot-3", 0.9),
+            ],
+        )
+        assert out.placements == {"hot-1": 0, "hot-2": 0, "hot-3": 1}
+        assert out.rejected == ()
+        assert out.node_reports == {0: (True, None), 1: (True, None)}
+
+    def test_pinned_heterogeneous_stream(self, mini_server, tiny_server):
+        cluster = Cluster(
+            n_nodes=3, specs=[tiny_server, mini_server, mini_server]
+        )
+        out = self._place(
+            cluster, [lc_request("svc", 0.4), bg_request("batch")]
+        )
+        assert out.placements == {"svc": 0, "batch": 0}
+        assert out.rejected == ()
+        assert out.node_reports == {
+            0: (True, float.fromhex("0x1.86454be94a276p-1")),
+        }
+        assert cluster.nodes[0].spec is tiny_server
+
+    def test_duplicate_name_rejected(self, mini_server):
+        """A repeated request name is rejected, as the warehouse rejects
+        a ``duplicate-name`` arrival; it used to land on a second node,
+        which ``Cluster.placements()`` then collapsed to one entry."""
+        cluster = Cluster(n_nodes=4, spec=mini_server)
+        out = self._place(
+            cluster,
+            [lc_request("svc"), lc_request("svc"), bg_request("batch")],
+        )
+        assert out.placements == {"svc": 0, "batch": 0}
+        assert out.rejected == ("svc",)
+        assert out.machines_used == 1
+        assert out.node_reports == {
+            0: (True, float.fromhex("0x1.50ae262f9b4e6p-1")),
+        }
+
+    def test_occupied_cluster_rejected(self, mini_server):
+        cluster = Cluster(n_nodes=2, spec=mini_server)
+        cluster.place(0, bg_request("resident"))
+        policy = CLITEPlacement(engine_config=FAST_ENGINE, verify=False)
+        with pytest.raises(ValueError, match="empty cluster"):
+            policy.place(cluster, [lc_request("svc")], seed=0)
+        assert cluster.placements() == {"resident": 0}

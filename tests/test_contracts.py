@@ -164,11 +164,12 @@ class FakePlacement:
 
 
 class TestPlacementContract:
-    def _call(self, outcome, n_nodes=3):
+    def _call(self, outcome, n_nodes=3, names=()):
         policy = FakePlacement()
         policy.outcome = outcome
         cluster = SimpleNamespace(nodes=[None] * n_nodes)
-        return policy.place(cluster, [])
+        requests = [SimpleNamespace(request_name=n) for n in names]
+        return policy.place(cluster, requests)
 
     def _outcome(self, **overrides):
         base = dict(
@@ -189,6 +190,16 @@ class TestPlacementContract:
     def test_placed_and_rejected_overlap_rejected(self):
         with pytest.raises(ContractViolation, match="both placed"):
             self._call(self._outcome(rejected=("a",)))
+
+    def test_repeated_name_may_be_placed_and_rejected(self):
+        """A stream that repeats a name places one copy and rejects the
+        next; more rejections than repeats is still an overlap."""
+        outcome = self._outcome(rejected=("a", "c"))
+        self._call(outcome, names=("a", "a", "b", "c"))
+        with pytest.raises(ContractViolation, match="both placed"):
+            self._call(
+                self._outcome(rejected=("a", "a")), names=("a", "a", "b")
+            )
 
     def test_machine_count_mismatch_rejected(self):
         with pytest.raises(ContractViolation, match="machines_used"):

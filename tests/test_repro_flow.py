@@ -169,6 +169,16 @@ class TestLockOrderGraph:
         )
         assert analysis.cycles == []
 
+    def test_default_entrypoints_match_repo_config(self):
+        """pyproject's flow table restates the built-in defaults, so a
+        bare ``LintConfig()`` sees the same HTTP handler entry points."""
+        from repro.analysis.config import load_config
+
+        assert (
+            LintConfig().flow_entrypoints
+            == load_config(PACKAGE).flow_entrypoints
+        )
+
 
 # ----------------------------------------------------------------------
 # repro-lint report flow / --select FLOW

@@ -495,6 +495,30 @@ class TestSequenceTracking:
             ]
         assert reads and reads[0].count == 2
 
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda a, b: a & b,
+            lambda a, b: a - b,
+            lambda a, b: a ^ b,
+        ],
+        ids=["and", "sub", "xor"],
+    )
+    def test_set_operators_match_the_unwrapped_set(self, apply):
+        """Each binary set operator, either side, returns what the bare
+        set returns and records one read per use."""
+        holder = _SeqHolder()
+        holder.tags.update({1, 2, 3})
+        plain = {2, 3, 4}
+        expected = (apply(set(holder.tags), plain), apply(plain, set(holder.tags)))
+        with instrument(holder, container_attrs=("tags",)) as san:
+            got = (apply(holder.tags, plain), apply(plain, holder.tags))
+            reads = [
+                a for a in san.accesses() if a.fld == "tags[]" and a.kind == "read"
+            ]
+        assert got == expected
+        assert reads and reads[0].count == 2
+
     def test_restore_reinstates_original_list(self):
         holder = _SeqHolder()
         original = holder.log

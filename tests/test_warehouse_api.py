@@ -60,6 +60,17 @@ class TestJobFromSpec:
             ({"workload": "memcached", "at": float("inf")}, "'at'"),
             ({"workload": "memcached", "at": True}, "'at'"),
             ({"workload": "memcached", "load": True}, "'load'"),
+            (
+                {
+                    "workload": "memcached",
+                    "schedule": [[0, 0.3], [float("nan"), 0.9], [50, 0.6]],
+                },
+                "finite",
+            ),
+            (
+                {"workload": "memcached", "schedule": [[0, 0.3], [1e400, 0.9]]},
+                "finite",
+            ),
         ],
     )
     def test_bad_specs_raise(self, spec, message):
@@ -230,6 +241,18 @@ class TestRawRequests:
         status, _ = _raw_post(server, "/submit", body, len(body))
         assert status == 202
         assert [c.name for c in gateway.drain()] == ["edge"]
+
+    @pytest.mark.parametrize("start", [b"NaN", b"Infinity"])
+    def test_non_finite_phase_start_is_400(self, api_server, start):
+        gateway, server = api_server
+        body = (
+            b'{"workload": "memcached", "schedule": [[0, 0.3], ['
+            + start
+            + b', 0.9], [50, 0.6]]}'
+        )
+        status, _ = _raw_post(server, "/submit", body, len(body))
+        assert status == 400
+        assert gateway.drain() == []
 
     def test_nan_at_is_rejected_and_later_jobs_still_run(self, api_server):
         """``json.loads`` accepts a bare ``NaN``; scheduled, it would

@@ -128,6 +128,13 @@ class TestLoadSchedule:
         with pytest.raises(ValueError):
             LoadSchedule.steps([(0, 0.1), (5, 0.2), (3, 0.3)])
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf])
+    def test_non_finite_phase_start_rejected(self, start):
+        """A NaN start passed the ``< 0`` check and scrambled the
+        ordering check: ``load_at(0)`` read the NaN phase's load."""
+        with pytest.raises(ValueError, match="finite"):
+            LoadSchedule.steps([(0, 0.3), (start, 0.9), (50, 0.6)])
+
     def test_negative_time_rejected(self):
         schedule = LoadSchedule.constant(0.5)
         with pytest.raises(ValueError):
