@@ -2,9 +2,11 @@
 
 The defaults encode this repository's own invariants (hot-path modules,
 the thread-pool entry point's shared types, which constructors must
-carry partition contracts).  A ``[tool.repro-lint]`` table in the
-nearest ``pyproject.toml`` overrides any field, so the fixture corpus
-and downstream users can retarget the rules without code changes.
+carry partition contracts, every family's registry) and are the one
+copy: the repository's own ``pyproject.toml`` carries no
+``[tool.repro-lint]`` table.  Such a table in the nearest
+``pyproject.toml`` overrides any field, so the fixture corpus and
+downstream users can retarget the rules without code changes.
 """
 
 from __future__ import annotations
@@ -53,21 +55,6 @@ class LintConfig:
         clock_classes: Extra class names (beyond ``Clock`` subclasses
             discovered structurally) whose instances are sanctioned time
             sources for RPL602.
-        units: The quantity-alias registry for the UNITS family
-            (RPL7xx), as ``"Qualname.param=Domain"`` /
-            ``"Qualname.return=Domain"`` entries (the
-            ``[tool.repro-lint.units]`` TOML table is flattened into
-            this form).  Registered signatures seed the abstract
-            interpreter and must be alias-annotated (RPL705).
-        units_modules: Path substrings marking the partition-math
-            modules in which RPL705 enforces alias annotations on
-            registered signatures.
-        units_capacities: Column capacities for the RPL703 Eq. 6 sum
-            check at partition literals, as ordered ``"name=value"``
-            entries (e.g. ``"cores=10"``).  Empty (the default)
-            disables the sum check — tests legitimately build literal
-            matrices for servers of many shapes — leaving the
-            server-independent Eq. 5 floor check active.
         flow_blocking_calls: The RPL802 blocking-call registry:
             ``"mod.fn"`` dotted names, ``".method"`` receiver-blind
             method names (``.result``), or ``"Class.method"`` entries
@@ -159,37 +146,9 @@ class LintConfig:
         "Gauge",
         "Histogram",
         "Tracer",
+        "ObservationStore",
     )
     clock_classes: Tuple[str, ...] = ()
-    units: Tuple[str, ...] = (
-        "ConfigurationSpace.from_unit_cube.x=UnitCube",
-        "ConfigurationSpace.from_unit_cube_batch.x=UnitCube",
-        "ConfigurationSpace.to_unit_cube.return=UnitCube",
-        "ConfigurationSpace.to_unit_cube_batch.return=UnitCube",
-        "LCWorkload.calibrated.max_qps=Rate",
-        "LCWorkload.calibrated.qos_latency_ms=Millis",
-        "LoadSchedule.load_at.return=Fraction",
-        "LoadSchedule.load_at.t=Seconds",
-        "Node.__init__.window_s=Seconds",
-        "PerformanceCounters.read.window_s=Seconds",
-        "ScoreFunction.__call__.return=Fraction",
-        "SimulationResult.quantile.return=Seconds",
-        "capacity_qps.return=Rate",
-        "effective_service_rate.return=Rate",
-        "mm1_mean_sojourn.return=Seconds",
-        "mm1_sojourn_quantile.return=Seconds",
-        "mmc_mean_sojourn.return=Seconds",
-        "mmc_sojourn_quantile.return=Seconds",
-        "p95_latency_ms.qps=Rate",
-        "p95_latency_ms.return=Millis",
-        "qos_met.score=Fraction",
-        "to_millis.return=Millis",
-        "to_millis.value_s=Seconds",
-        "to_seconds.return=Seconds",
-        "to_seconds.value_ms=Millis",
-    )
-    units_modules: Tuple[str, ...] = ("repro/",)
-    units_capacities: Tuple[str, ...] = ()
     flow_blocking_calls: Tuple[str, ...] = (
         ".result",
         ".serve_forever",
@@ -230,6 +189,9 @@ class LintConfig:
     flow_resources: Tuple[str, ...] = (
         "MetricsServer=server_close,shutdown",
         "ObservationStore=close",
+        "WarehouseAPIServer=server_close,shutdown",
+        "WarehouseFederation=close",
+        "make_api_server=server_close,shutdown",
         "make_server=server_close,shutdown",
         "open=close",
         "socket.socket=close",
@@ -256,6 +218,7 @@ class LintConfig:
         "repro.cluster.state.Cluster.place",
         "repro.cluster.state.Cluster.remove_from",
         "repro.server.obstore.ObservationStore.put",
+        "repro.server.obstore.ObservationStore.put_verdict",
         "repro.warehouse.service.WarehouseService._migrate",
         "repro.warehouse.service.WarehouseService._rebalance_node",
         "repro.warehouse.service.WarehouseService.commit_admit",
@@ -358,12 +321,33 @@ def find_pyproject(start: Path) -> Optional[Path]:
     return None
 
 
+#: ``[tool.repro-lint]`` sub-tables whose keys map onto prefixed fields.
+_SUB_TABLES = ("flow", "pure", "cost")
+
+
+def _entries(
+    value: object, where: str, registry: bool = False
+) -> Tuple[str, ...]:
+    """One option's TOML value as the config's tuple of strings.
+
+    Every option is a list.  A COST registry (budgets, collections,
+    bounded) reads best as a TOML table instead, flattened to sorted
+    ``"key=value"`` entries so ``LintConfig`` stays hashable.
+    """
+    if isinstance(value, list):
+        return tuple(str(v) for v in value)
+    if registry and isinstance(value, dict):
+        return tuple(sorted(f"{k}={v}" for k, v in value.items()))
+    raise ValueError(f"{where} must be a list, got {type(value).__name__}")
+
+
 def load_config(start: Optional[Path] = None) -> LintConfig:
     """Defaults merged with the nearest ``[tool.repro-lint]`` table.
 
-    Unknown keys in the table are rejected loudly — a typoed option that
-    silently does nothing is exactly the class of bug this tool exists
-    to prevent.
+    Unknown keys and non-list values are rejected loudly — a typoed
+    option that silently does nothing, or a bare string the rules would
+    iterate character by character, is exactly the class of bug this
+    tool exists to prevent.
     """
     config = LintConfig()
     if start is None or tomllib is None:
@@ -374,68 +358,27 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     with open(pyproject, "rb") as handle:
         data = tomllib.load(handle)
     table = data.get("tool", {}).get("repro-lint", {})
-    if not table:
-        return config
     known = {f.name for f in fields(LintConfig)}
     overrides = {}
     for key, value in table.items():
         name = key.replace("-", "_")
-        if name == "flow" and isinstance(value, dict):
-            # [tool.repro-lint.flow]: sub-keys map onto flow_* fields
-            # and hold lists (unlike the scalar-valued units table).
+        if name in _SUB_TABLES and isinstance(value, dict):
+            # [tool.repro-lint.flow] etc.: sub-keys map onto the
+            # flow_*/pure_*/cost_* fields.
             for sub_key, sub_value in value.items():
-                sub_name = f"flow_{sub_key.replace('-', '_')}"
-                if sub_name not in known or not isinstance(sub_value, list):
-                    raise ValueError(
-                        f"unknown [tool.repro-lint.flow] option {sub_key!r} "
-                        f"in {pyproject}"
-                    )
-                overrides[sub_name] = tuple(str(v) for v in sub_value)
+                sub_name = f"{name}_{sub_key.replace('-', '_')}"
+                where = (
+                    f"[tool.repro-lint.{key}] option {sub_key!r} "
+                    f"in {pyproject}"
+                )
+                if sub_name not in known:
+                    raise ValueError(f"unknown {where}")
+                overrides[sub_name] = _entries(
+                    sub_value, where, registry=name == "cost"
+                )
             continue
-        if name == "pure" and isinstance(value, dict):
-            # [tool.repro-lint.pure]: sub-keys map onto pure_* fields
-            # and hold lists, mirroring the flow table.
-            for sub_key, sub_value in value.items():
-                sub_name = f"pure_{sub_key.replace('-', '_')}"
-                if sub_name not in known or not isinstance(sub_value, list):
-                    raise ValueError(
-                        f"unknown [tool.repro-lint.pure] option {sub_key!r} "
-                        f"in {pyproject}"
-                    )
-                overrides[sub_name] = tuple(str(v) for v in sub_value)
-            continue
-        if name == "cost" and isinstance(value, dict):
-            # [tool.repro-lint.cost]: sub-keys map onto cost_* fields.
-            # Registry-shaped sub-tables (budgets, collections, bounded)
-            # read best as TOML tables and flatten to sorted "k=v"
-            # entries like the units table; list-shaped ones
-            # (hot-entrypoints, small-names) stay lists.
-            for sub_key, sub_value in value.items():
-                sub_name = f"cost_{sub_key.replace('-', '_')}"
-                if sub_name in known and isinstance(sub_value, list):
-                    overrides[sub_name] = tuple(str(v) for v in sub_value)
-                elif sub_name in known and isinstance(sub_value, dict):
-                    overrides[sub_name] = tuple(
-                        sorted(f"{k}={v}" for k, v in sub_value.items())
-                    )
-                else:
-                    raise ValueError(
-                        f"unknown [tool.repro-lint.cost] option {sub_key!r} "
-                        f"in {pyproject}"
-                    )
-            continue
+        where = f"[tool.repro-lint] option {key!r} in {pyproject}"
         if name not in known:
-            raise ValueError(
-                f"unknown [tool.repro-lint] option {key!r} in {pyproject}"
-            )
-        if isinstance(value, list):
-            overrides[name] = tuple(str(v) for v in value)
-        elif isinstance(value, dict):
-            # Nested table ([tool.repro-lint.units]): flatten to sorted
-            # "key=value" entries so LintConfig stays hashable.
-            overrides[name] = tuple(
-                sorted(f"{k}={v}" for k, v in value.items())
-            )
-        else:
-            overrides[name] = value
+            raise ValueError(f"unknown {where}")
+        overrides[name] = _entries(value, where)
     return replace(config, **overrides)

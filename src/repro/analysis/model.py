@@ -17,7 +17,6 @@ CONTRACTS = "contracts"
 NUMERICS = "numerics"
 TELEMETRY = "telemetry"
 DATAFLOW = "dataflow"
-UNITS = "units"
 FLOW = "flow"
 PURE = "pure"
 COST = "cost"
@@ -124,7 +123,6 @@ def all_rules() -> Dict[str, Type[Rule]]:
         rules_pure,
         rules_telemetry,
         rules_threadsafety,
-        rules_units,
     )
 
     return dict(sorted(_REGISTRY.items()))

@@ -33,8 +33,7 @@ and RPL8xx families use.  Five analyses share one harvest:
   a list/dict comprehension) without an intervening ``sorted()``, in
   any function reachable from a probe entry or purity root.
 * **Registry health (RPL905)** — stale purity-registry entries that no
-  longer resolve to a project function, mirroring RPL705's discipline
-  for the units registry.
+  longer resolve to a project function.
 
 Everything is syntactic and conservative: receivers whose alias root
 cannot be proven pre-existing are treated as fresh and never flagged,

@@ -6,30 +6,26 @@ slices; Eqs. 5-6), normalized unit-cube coordinates in [0, 1] that the
 Gaussian process optimizes over, tail latencies (seconds *and*
 milliseconds), arrival/service rates, and dimensionless fractions.
 This module gives each of those families a *named* ``TypeAlias`` so the
-units are visible in every signature, and ``repro-lint``'s UNITS family
-(RPL701-705, :mod:`repro.analysis.units`) reads the alias names off
-annotations and propagates them interprocedurally: adding ``Seconds``
-to ``Millis``, feeding a raw allocation into a unit-cube API, or
-comparing a QoS target against a measurement in the wrong time domain
-becomes a static finding instead of a silently shrunken feasible
-region.
+units are visible in every signature.
 
-The aliases are intentionally plain ``float``/``int`` aliases rather
-than ``NewType`` wrappers: they cost nothing at runtime, they stay
-assignment-compatible under mypy (the hot path never boxes a float),
-and the *checker* — not the type system — carries the proof, exactly
-the way the determinism and thread-safety families work.
+The aliases are documentation, not enforcement: they are plain
+``float``/``int`` aliases rather than ``NewType`` wrappers, so they cost
+nothing at runtime and stay assignment-compatible under mypy (the hot
+path never boxes a float).  What holds the conversions in place are the
+runtime tests that pin them by value (``p95_latency_ms`` against the
+seconds-valued queueing model, the saturated-node fallback, and the
+``p95_ms`` vs ``qos_latency_ms`` comparison behind Eq. 3).
 
 Conventions:
 
 * ``*_s`` names and ``Seconds`` values are wall/simulated seconds;
   ``*_ms`` names and ``Millis`` values are milliseconds.  Convert only
   through :func:`to_seconds` / :func:`to_millis` (or an explicit
-  ``* 1000.0`` / ``/ 1000.0``, which the checker also understands).
+  ``* 1000.0`` / ``/ 1000.0``).
 * ``Cores`` / ``CacheWays`` / ``MembwUnits`` are discrete allocation
   units (Eq. 5 floors them at 1 per job).
 * ``UnitCube`` values live in [0, 1]; everything entering
-  ``from_unit_cube*`` must be provably inside the cube (RPL702).
+  ``from_unit_cube*`` must be inside the cube.
 * ``Fraction`` is a dimensionless ratio in [0, 1] (load fractions,
   shares, scores); ``Rate`` is per-second (QPS, service rates).
 """

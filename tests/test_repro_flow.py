@@ -170,8 +170,8 @@ class TestLockOrderGraph:
         assert analysis.cycles == []
 
     def test_default_entrypoints_match_repo_config(self):
-        """pyproject's flow table restates the built-in defaults, so a
-        bare ``LintConfig()`` sees the same HTTP handler entry points."""
+        """The repo's pyproject overrides nothing, so a bare
+        ``LintConfig()`` sees the same HTTP handler entry points."""
         from repro.analysis.config import load_config
 
         assert (

@@ -277,101 +277,6 @@ class TestDataflowRules:
 
 
 # ----------------------------------------------------------------------
-# Units family (abstract interpretation)
-# ----------------------------------------------------------------------
-class TestUnitsRules:
-    UNITS_IDS = ("RPL701", "RPL702", "RPL703", "RPL704", "RPL705")
-    #: Retargets RPL705 at the fixture's registered signature and brings
-    #: the fixture path into the units-modules scope.
-    OVERRIDES = dict(
-        select=UNITS_IDS,
-        units=("knee_latency.return=Millis",),
-        units_modules=("",),
-    )
-
-    def test_bad_fixture_triggers_all_five_rules(self):
-        findings = lint_fixture("units_bad.py", **self.OVERRIDES)
-        assert sorted(set(rule_ids(findings))) == sorted(self.UNITS_IDS), (
-            render_text(findings)
-        )
-
-    def test_good_fixture_is_clean(self):
-        findings = lint_fixture("units_good.py", **self.OVERRIDES)
-        assert findings == [], render_text(findings)
-
-    def test_rpl701_names_both_domains(self):
-        findings = lint_fixture(
-            "units_bad.py", **{**self.OVERRIDES, "select": ("RPL701",)}
-        )
-        assert len(findings) == 1
-        assert "Seconds" in findings[0].message
-        assert "Millis" in findings[0].message
-
-    def test_rpl704_is_not_a_generic_cross_domain_finding(self):
-        """The s-vs-ms comparison gets the dedicated time rule, not RPL701."""
-        findings = lint_fixture(
-            "units_bad.py", **{**self.OVERRIDES, "select": ("RPL704",)}
-        )
-        assert len(findings) == 1
-        assert "qos_ok" in findings[0].message or "compar" in findings[0].message
-
-    def test_rpl702_requires_finite_escape_evidence(self):
-        findings = lint_fixture(
-            "units_bad.py", **{**self.OVERRIDES, "select": ("RPL702",)}
-        )
-        assert len(findings) == 1
-        assert "[0, 1]" in findings[0].message
-
-    def test_rpl703_floor_violation_fires_by_default(self):
-        findings = lint_fixture(
-            "units_bad.py", **{**self.OVERRIDES, "select": ("RPL703",)}
-        )
-        assert len(findings) == 1  # only the zero-floor literal
-
-    def test_rpl703_capacity_sums_are_opt_in(self):
-        capacities = ("cores=10", "llc=8")
-        with_caps = lint_fixture(
-            "units_bad.py",
-            **{
-                **self.OVERRIDES,
-                "select": ("RPL703",),
-                "units_capacities": capacities,
-            },
-        )
-        # zero-floor literal + the (9, 8)-sum literal vs (10, 8) capacity
-        assert len(with_caps) == 2
-        good = lint_fixture(
-            "units_good.py",
-            **{
-                **self.OVERRIDES,
-                "select": ("RPL703",),
-                "units_capacities": capacities,
-            },
-        )
-        assert good == [], render_text(good)
-
-    def test_rpl705_skipped_outside_units_modules(self):
-        findings = lint_fixture(
-            "units_bad.py",
-            **{**self.OVERRIDES, "units_modules": ("src/repro/",)},
-        )
-        assert "RPL705" not in set(rule_ids(findings))
-
-    def test_suppression_silences_units_finding(self, tmp_path):
-        snippet = tmp_path / "suppressed_units.py"
-        snippet.write_text(
-            "from repro.core.units import Millis, Seconds\n"
-            "def f(a_s: Seconds, b_ms: Millis) -> float:\n"
-            "    # repro-lint: disable-next-line=RPL701\n"
-            "    return a_s + b_ms\n"
-        )
-        findings = run_lint(
-            [snippet], fixture_config(select=("RPL701",))
-        )
-        assert findings == [], render_text(findings)
-
-
-# ----------------------------------------------------------------------
 # Flow family (RPL8xx)
 # ----------------------------------------------------------------------
 class TestFlowRules:
@@ -516,19 +421,36 @@ class TestSuppressionsAndConfig:
         config = load_config(tmp_path / "module.py")
         assert config.flow_longlived == ("EventLog",)
 
+    @staticmethod
+    def _assert_rejected(tmp_path, cases):
+        for table, key in cases:
+            (tmp_path / "pyproject.toml").write_text(table)
+            with pytest.raises(ValueError, match=repr(key)):
+                load_config(tmp_path / "module.py")
+
     def test_unknown_flow_key_rejected(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint.flow]\nlong-lived = ["EventLog"]\n'
-        )
-        with pytest.raises(ValueError, match="long-lived"):
-            load_config(tmp_path / "module.py")
+        self._assert_rejected(tmp_path, [
+            (
+                '[tool.repro-lint.flow]\nlong-lived = ["EventLog"]\n',
+                "long-lived",
+            ),
+            # Values are lists: a string would be iterated by character.
+            ('[tool.repro-lint.flow]\nlonglived = "Node"\n', "longlived"),
+            ('[tool.repro-lint.flow.resources]\n"A" = "close"\n', "resources"),
+        ])
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro-lint]\nhot-paths = []\n"
-        )
-        with pytest.raises(ValueError, match="hot-paths"):
-            load_config(tmp_path / "module.py")
+        self._assert_rejected(tmp_path, [
+            ("[tool.repro-lint]\nhot-paths = []\n", "hot-paths"),
+            # A string hot-path would mark every path holding one of its
+            # characters hot; a string ignore would match substrings.
+            ('[tool.repro-lint]\nhot-path = "custom/"\n', "hot-path"),
+            ('[tool.repro-lint]\nignore = "RPL103"\n', "ignore"),
+            ("[tool.repro-lint]\nselect = 1\n", "select"),
+            # Only flow, pure and cost hold nested tables.
+            ('[tool.repro-lint.hot-path]\n"a" = "b"\n', "hot-path"),
+            ('[tool.repro-lint.units]\n"f.return" = "Millis"\n', "units"),
+        ])
 
 
 class TestReporters:
@@ -570,7 +492,6 @@ class TestRegistryAndRepoTree:
         "RPL401", "RPL402",
         "RPL501", "RPL502",
         "RPL601", "RPL602", "RPL603",
-        "RPL701", "RPL702", "RPL703", "RPL704", "RPL705",
         "RPL801", "RPL802", "RPL803", "RPL804", "RPL805",
         "RPL901", "RPL902", "RPL903", "RPL904", "RPL905",
         "RPL1001", "RPL1002", "RPL1003", "RPL1004", "RPL1005",
@@ -584,6 +505,12 @@ class TestRegistryAndRepoTree:
             assert rule_cls.description
             assert rule_cls.autofix_hint
             assert rule_cls.family
+
+    def test_repo_config_is_the_defaults(self):
+        """The repo's pyproject adds nothing: the built-in defaults are
+        the one copy of the config, so the bare ``LintConfig()`` gates
+        below check exactly what the CLI checks."""
+        assert load_config(PACKAGE) == LintConfig()
 
     def test_package_tree_lints_clean(self):
         """The acceptance gate: repro-lint on src/repro finds nothing."""
@@ -651,8 +578,11 @@ class TestCLI:
         assert json.loads(result.stdout)["finding_count"] == 1
 
     def test_unknown_rule_exits_two(self):
-        result = run_cli(str(PACKAGE), "--select", "RPL999")
-        assert result.returncode == 2
+        # A family name no registered rule carries is unknown too.
+        for token in ("RPL999", "UNITS"):
+            result = run_cli(str(PACKAGE), "--select", token)
+            assert result.returncode == 2, token
+            assert f"unknown rule id(s): {token}" in result.stderr
 
     def test_missing_path_exits_two(self):
         result = run_cli(str(REPO_ROOT / "no_such_file.txt"))
@@ -663,32 +593,3 @@ class TestCLI:
         assert result.returncode == 0
         for rule_id in TestRegistryAndRepoTree.EXPECTED_RULES:
             assert rule_id in result.stdout
-
-    def test_select_units_family_text(self):
-        """``--select UNITS`` expands to RPL701-705 and reports findings."""
-        result = run_cli(
-            str(FIXTURES / "units_bad.py"), "--select", "UNITS"
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "RPL701" in result.stdout
-        assert "RPL704" in result.stdout
-
-    def test_select_units_family_json(self):
-        result = run_cli(
-            str(FIXTURES / "units_bad.py"),
-            "--select", "UNITS",
-            "--format", "json",
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        payload = json.loads(result.stdout)
-        counts = payload["counts_by_rule"]
-        assert counts.get("RPL701") == 1
-        assert counts.get("RPL704") == 1
-        assert counts.get("RPL703") == 1  # the Eq. 5 floor literal
-        assert payload["finding_count"] >= 3
-
-    def test_select_units_family_clean_on_package(self):
-        """The dogfooding gate: ``--select UNITS`` is clean on src/repro."""
-        result = run_cli(str(PACKAGE), "--select", "UNITS")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "clean" in result.stdout

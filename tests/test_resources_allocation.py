@@ -112,7 +112,6 @@ class TestConfigurationSpaceBasics:
             space3.validate(bad)
 
     def test_validate_rejects_zero_units(self, space3):
-        # repro-lint: disable-next-line=RPL703
         bad = Configuration.from_matrix([[0, 4, 4], [5, 4, 3], [5, 3, 3]])
         with pytest.raises(ValueError, match=">= 1 unit"):
             space3.validate(bad)
