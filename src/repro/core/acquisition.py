@@ -62,8 +62,12 @@ class ExpectedImprovement(AcquisitionFunction):
         mean = np.asarray(mean, dtype=float)
         std = np.asarray(std, dtype=float)
         improvement = mean - best - self.zeta
-        result = np.zeros_like(mean)
         positive = std > 0
+        if positive.all():  # the common case: no mask to gather through
+            with np.errstate(over="ignore"):
+                z = improvement / std
+            return improvement * ndtr(z) + std * _pdf(z)
+        result = np.zeros_like(mean)
         with np.errstate(over="ignore"):  # z saturates ndtr/pdf anyway
             z = improvement[positive] / std[positive]
         result[positive] = improvement[positive] * ndtr(z) + std[positive] * _pdf(z)

@@ -415,11 +415,7 @@ class CLITEEngine:
                         incumbent=best_record.config,
                         dropout=dropout,
                         upper_caps=self._upper_caps(records),
-                        max_candidates=(
-                            self.config.batch_k
-                            if self.config.batch_k > 1
-                            else None
-                        ),
+                        max_candidates=self.config.batch_k,
                     )
             if first_qos_iteration is None and any(
                 r.observation.all_qos_met for r in records

@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .kernels import Kernel, Matern52, median_lengthscale
 
@@ -232,9 +233,12 @@ class GaussianProcess:
         # var = k(x,x) - ||L^-1 k*||^2: one triangular solve, and the
         # prior variance comes from the kernel's diagonal fast path
         # instead of an (m, m) Gram matrix built just for its diagonal.
-        v = solve_triangular(
-            self._chol, k_star.T, lower=True, check_finite=False
-        )
+        # The solve calls the LAPACK routine solve_triangular reaches
+        # for a C-ordered factor (L^T upper, transposed) without its
+        # wrapper's checks; k_star is not read again, so it is reused.
+        v, info = dtrtrs(self._chol.T, k_star.T, lower=0, trans=1, overwrite_b=1)
+        if info:
+            raise LinAlgError(f"triangular solve failed: info={info}")
         prior_var = self.kernel.diag(rows)
         var_z = np.maximum(prior_var - np.einsum("ij,ij->j", v, v), 0.0)
         mean = mean_z * self._y_std + self._y_mean

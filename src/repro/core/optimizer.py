@@ -9,16 +9,21 @@ starts, then projected back onto the integer lattice.  The starts run in
 lockstep: one driver steps scipy's reverse-communication SLSQP kernel
 for every start, and each round evaluates the acquisition value and
 forward-difference gradient of every start that asked for one in a
-single stacked GP predict.  Each start's iterates are bitwise those of
-its own ``scipy.optimize.minimize(method="SLSQP")`` call.  When a
-dropout-copy decision pins one job's allocation, those coordinates are
-frozen via degenerate bounds and the projection preserves the pinned
-row exactly.
+single stacked GP predict; a request for the point a start last
+evaluated is served from its cache within the same round.  Each start's
+iterates are bitwise those of its own
+``scipy.optimize.minimize(method="SLSQP")`` call.  When a dropout-copy
+decision pins one job's allocation, those coordinates are frozen via
+degenerate bounds and the projection preserves the pinned row exactly.
+:meth:`AcquisitionOptimizer.propose` returns the top-k of its ranking
+and builds configurations for those k only; the ranking, and so every
+returned candidate, is bitwise the head of the full one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, ClassVar, List, Optional, Set, Tuple
 
 import numpy as np
@@ -44,6 +49,15 @@ _FLAT_GRAD_TOL = 1e-12
 
 #: Forward-difference step for the acquisition gradient.
 _FD_EPS = 1e-6
+
+
+@lru_cache(maxsize=None)
+def _fd_steps(d: int) -> np.ndarray:
+    """The ``(d, d)`` forward-difference step matrix, built once per ``d``."""
+    steps = _FD_EPS * np.eye(d)
+    steps.flags.writeable = False
+    return steps
+
 
 #: SLSQP iteration cap and ``ftol`` for every start.
 _SLSQP_MAXITER = 40
@@ -107,9 +121,11 @@ class AcquisitionOptimizer:
         tracer: Optional :class:`repro.telemetry.Tracer`; each
             :meth:`propose` call is wrapped in an ``optimizer.propose``
             span carrying ``starts``, ``flat_starts`` (starts skipped
-            as dead-flat) and ``rounds`` (lockstep solver rounds, one
-            batched GP predict each).  Defaults to the shared no-op
-            tracer.
+            as dead-flat), ``rounds`` (lockstep solver rounds; each is
+            one batched GP predict, so cache hits served within a round
+            add none), ``ranked`` (unseen lattice points ranked) and
+            ``candidates`` (how many of those were returned).  Defaults
+            to the shared no-op tracer.
     """
 
     def __init__(
@@ -168,46 +184,6 @@ class AcquisitionOptimizer:
             )
         return lower.ravel(), upper.ravel()
 
-    def _repair_caps(
-        self,
-        config: Configuration,
-        upper_caps: Optional[np.ndarray],
-        dropout: Optional[DropoutDecision],
-    ) -> Configuration:
-        """Push units over a job's cap to jobs with headroom.
-
-        The dropout-pinned job is exempt on both sides: its row is
-        neither trimmed nor grown.
-        """
-        if upper_caps is None:
-            return config
-        matrix = config.as_array()
-        pin = dropout.job_index if dropout and dropout.job_index is not None else None
-        n_jobs = self.space.n_jobs
-        for r in range(self.space.n_resources):
-            for j in range(n_jobs):
-                if j == pin:
-                    continue
-                excess = matrix[j, r] - int(upper_caps[j, r])
-                while excess > 0:
-                    headroom = [
-                        k
-                        for k in range(n_jobs)
-                        if k != j
-                        and k != pin
-                        and matrix[k, r] < int(upper_caps[k, r])
-                    ]
-                    if not headroom:
-                        break
-                    target = max(
-                        headroom,
-                        key=lambda k: int(upper_caps[k, r]) - matrix[k, r],
-                    )
-                    matrix[j, r] -= 1
-                    matrix[target, r] += 1
-                    excess -= 1
-        return Configuration.from_matrix(matrix)
-
     def _pinned_cube_row(self, dropout: DropoutDecision) -> np.ndarray:
         row = np.asarray(dropout.allocation, dtype=float)
         cube = np.zeros(self.space.n_resources)
@@ -218,26 +194,28 @@ class AcquisitionOptimizer:
     def _project_feasible(
         self, z: np.ndarray, dropout: Optional[DropoutDecision]
     ) -> np.ndarray:
-        """Rescale each cube column so the start point satisfies Eq. 6."""
-        n_jobs, n_res = self.space.n_jobs, self.space.n_resources
-        z = z.reshape(n_jobs, n_res).copy()
+        """Rescale each cube column of each point so it satisfies Eq. 6.
+
+        ``z`` is one point ``(n_dims,)`` or a stack ``(n, n_dims)``; the
+        result has its shape.  Column sums gather each column into a
+        contiguous row, so they add in the order a 1-D sum does.
+        """
+        n_jobs = self.space.n_jobs
+        cols = np.array(z, dtype=float).reshape(-1, n_jobs, self.space.n_resources)
         pin = dropout.job_index if dropout and dropout.job_index is not None else None
         if pin is not None:
-            z[pin] = self._pinned_cube_row(dropout)
-        targets = self._column_targets()
-        for r in range(n_res):
-            if self._spans[r] <= 0:
-                z[:, r] = 0.0
-                continue
-            free = [j for j in range(n_jobs) if j != pin]
-            budget = targets[r] - (z[pin, r] if pin is not None else 0.0)
-            budget = max(budget, 0.0)
-            total = z[free, r].sum()
-            if total <= 0:
-                z[free, r] = budget / len(free)
-            else:
-                z[free, r] *= budget / total
-        return np.clip(z.reshape(-1), 0.0, 1.0)
+            cols[:, pin] = self._pinned_cube_row(dropout)
+        free = [j for j in range(n_jobs) if j != pin]
+        budget = self._column_targets() - (cols[:, pin] if pin is not None else 0.0)
+        budget = np.maximum(budget, 0.0)[..., None, :]
+        total = np.ascontiguousarray(cols[:, free].transpose(0, 2, 1)).sum(axis=2)
+        total = total[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cols[:, free] = np.where(
+                total > 0, cols[:, free] * (budget / total), budget / len(free)
+            )
+        cols[:, :, self._spans <= 0] = 0.0
+        return np.clip(cols, 0.0, 1.0).reshape(np.shape(z))
 
     def _round(
         self, z: np.ndarray, dropout: Optional[DropoutDecision]
@@ -278,12 +256,13 @@ class AcquisitionOptimizer:
         upper_caps: Optional[np.ndarray],
         dropout: Optional[DropoutDecision],
     ) -> np.ndarray:
-        """Vectorized :meth:`_repair_caps` over a (n, j, r) stack.
+        """Push units over a job's cap to jobs with headroom, per matrix.
 
-        Implements the same per-unit waterfall — each excess unit moves
-        to the not-pinned job with the most headroom, first index on
-        ties — but steps all configurations of the batch at once, so the
-        Python-level loop runs O(max excess) times instead of O(batch).
+        A per-unit waterfall over a (n, j, r) stack: each excess unit
+        moves to the not-pinned job with the most headroom, first index
+        on ties; the pinned job's row is neither trimmed nor grown.  All
+        matrices step at once, so the Python-level loop runs O(max
+        excess) times instead of O(batch).
         """
         if upper_caps is None or len(mats) == 0:
             return mats
@@ -350,19 +329,18 @@ class AcquisitionOptimizer:
         )
         best_unseen: Optional[Tuple[Configuration, float]] = None
         for _ in range(max_steps):
-            neighbors = [
-                self._repair_caps(n, upper_caps, None)
-                for n in self.space.neighbors(current)
-            ]
-            neighbors = [n for n in neighbors if n.flat() != current.flat()]
-            if not neighbors:
+            mats = self._repair_caps_batch(
+                self.space.neighbor_matrices(current), upper_caps, None
+            )
+            mats = mats[(mats != current.as_array()).any(axis=(1, 2))]
+            if not len(mats):
                 break
-            cube = np.array([self.space.to_unit_cube(n) for n in neighbors])
-            means, _ = gp.predict(cube)
+            means, _ = gp.predict(self.space.to_unit_cube_batch(mats))
             step = int(np.argmax(means))
             if means[step] <= current_mean + 1e-12:
                 break
-            current, current_mean = neighbors[step], float(means[step])
+            current = Configuration.from_matrix(mats[step])
+            current_mean = float(means[step])
             if current.flat() not in sampled and (
                 best_unseen is None or current_mean > best_unseen[1]
             ):
@@ -382,17 +360,17 @@ class AcquisitionOptimizer:
         self,
         incumbent: Optional[Configuration],
         dropout: Optional[DropoutDecision],
-    ) -> List[np.ndarray]:
-        starts = [self.space.to_unit_cube(self.space.equal_partition())]
+    ) -> np.ndarray:
+        """Feasible SLSQP starts: equal partition, incumbent, random draws."""
+        space = self.space
+        fixed = [space.equal_partition()]
         if incumbent is not None:
-            starts.append(self.space.to_unit_cube(incumbent))
-        if self.n_restarts:
-            starts.extend(
-                self.space.to_unit_cube_batch(
-                    self.space.random_batch(self.n_restarts, self._rng)
-                )
-            )
-        return [self._project_feasible(z, dropout) for z in starts]
+            fixed.append(incumbent)
+        draws = space.random_batch(self.n_restarts, self._rng)
+        starts = np.concatenate(
+            [[space.to_unit_cube(c) for c in fixed], space.to_unit_cube_batch(draws)]
+        )
+        return self._project_feasible(starts, dropout)
 
     @proposal_contract
     def propose(
@@ -420,10 +398,12 @@ class AcquisitionOptimizer:
                 individual per-job, per-resource constraints).
             acquisition: One-off acquisition override for this round
                 (the engine uses it for pure-exploitation rounds).
-            max_candidates: Keep only the top-k of the ranked unseen
-                candidates (the engine's batch mode passes its
-                ``batch_k``).  ``None`` returns the full ranking;
-                ``max_acquisition`` is unaffected either way.
+            max_candidates: Return only the top-k of the ranked unseen
+                candidates (the engine passes its ``batch_k``); only
+                those k become :class:`Configuration` objects, and they
+                are bitwise the first k of the full ranking.  ``None``
+                returns the full ranking; ``max_acquisition`` is
+                unaffected either way.
         """
         if max_candidates is not None and max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
@@ -437,15 +417,8 @@ class AcquisitionOptimizer:
                 dropout=dropout,
                 upper_caps=upper_caps,
                 acquisition=acquisition,
+                max_candidates=max_candidates,
             )
-            if (
-                max_candidates is not None
-                and len(proposal.candidates) > max_candidates
-            ):
-                proposal = Proposal(
-                    candidates=proposal.candidates[:max_candidates],
-                    max_acquisition=proposal.max_acquisition,
-                )
             span.set("candidates", len(proposal.candidates))
             span.set("max_acquisition", proposal.max_acquisition)
         return proposal
@@ -460,12 +433,12 @@ class AcquisitionOptimizer:
         dropout: Optional[DropoutDecision] = None,
         upper_caps: Optional[np.ndarray] = None,
         acquisition: Optional[AcquisitionFunction] = None,
+        max_candidates: Optional[int] = None,
     ) -> Proposal:
         acq_fn = acquisition if acquisition is not None else self.acquisition
         space = self.space
         pinned = dropout is not None and dropout.job_index is not None
         d = space.n_dims
-        eye = _FD_EPS * np.eye(d)
 
         def batch_acq(cube: np.ndarray) -> np.ndarray:
             mean, std = gp.predict(cube)
@@ -527,8 +500,9 @@ class AcquisitionOptimizer:
             top = np.empty(0, dtype=int)
 
         # Stage 2: SLSQP from informed starts plus the pool's best.
-        starts = self._start_points(incumbent, dropout)
-        starts.extend(pool_cube[i] for i in top)
+        starts = np.concatenate(
+            [self._start_points(incumbent, dropout), pool_cube[top]]
+        )
         unique: dict = {}
         for z in starts:
             unique.setdefault(np.round(z, 9).tobytes(), np.asarray(z))
@@ -539,7 +513,8 @@ class AcquisitionOptimizer:
         # collapsed everywhere) cannot move under SLSQP, so the solver
         # skips them and the start stands as its own optimum.
         probe = np.concatenate(
-            [start_cube[:, None, :], start_cube[:, None, :] + eye], axis=1
+            [start_cube[:, None, :], start_cube[:, None, :] + _fd_steps(d)],
+            axis=1,
         )
         probe_acq = batch_acq(probe.reshape(-1, d)).reshape(-1, d + 1)
         grads = (probe_acq[:, 1:] - probe_acq[:, :1]) / _FD_EPS
@@ -574,27 +549,23 @@ class AcquisitionOptimizer:
         if len(pool_acq):
             max_acq = max(max_acq, float(pool_acq.max()))
 
+        # Best value per unseen lattice point, solver optima first; the
+        # stable sort keeps that order among ties, so the top-k slice is
+        # bitwise the head of the full ranking.
         best_by_config: dict = {}
-
-        def consider(mat: np.ndarray, value: float) -> None:
-            key = tuple(v for row in mat.tolist() for v in row)
-            if key in sampled:
-                return
-            entry = best_by_config.get(key)
-            if entry is None or value > entry[1]:
-                best_by_config[key] = (mat, value)
-
-        for mat, value in zip(sol_mats, sol_values):
-            consider(mat, float(value))
-        for mat, value in zip(pool_mats, pool_acq):
-            consider(mat, float(value))
-
+        for mats, values in ((sol_mats, sol_values), (pool_mats, pool_acq)):
+            keys = map(tuple, mats.reshape(len(mats), d).tolist())
+            for mat, key, value in zip(mats, keys, values.tolist()):
+                entry = best_by_config.get(key)
+                if key not in sampled and (entry is None or value > entry[1]):
+                    best_by_config[key] = (mat, value)
         ranked = sorted(
             best_by_config.values(), key=lambda pair: pair[1], reverse=True
         )
+        span.set("ranked", len(ranked))
         candidates = tuple(
             Candidate(config=Configuration.from_matrix(m), acquisition_value=v)
-            for m, v in ranked
+            for m, v in ranked[:max_candidates]
         )
         return Proposal(candidates=candidates, max_acquisition=max_acq)
 
@@ -615,7 +586,7 @@ def _descent_objective(
     n, d = z.shape
     points = np.empty((n, d + 1, d))
     points[:, 0] = z
-    points[:, 1:] = z[:, None, :] + _FD_EPS * np.eye(d)
+    points[:, 1:] = z[:, None, :] + _fd_steps(d)
     mean, std = gp.predict(points)
     acq = acq_fn(mean.ravel(), std.ravel(), best_score)
     values = -np.reshape(acq, mean.shape)
@@ -645,7 +616,11 @@ def _lockstep_slsqp(
     ``value_and_grad`` together — an ``(m, n)`` batch of points to
     ``(m,)`` objective values and ``(m, n)`` gradients.  Each start
     keeps minimize's own caching: a value and its gradient are
-    computed together and reused until the start's ``x`` changes.
+    computed together and reused until the start's ``x`` changes.  A
+    request for the cached point is answered at once and the kernel
+    stepped again, so every round is one ``value_and_grad`` call and
+    the round count is one more than the most new points any start
+    asks for.
     """
     solutions = starts.copy()
     if not len(starts):
@@ -687,30 +662,30 @@ def _lockstep_slsqp(
     ]
 
     while runs:
-        stepping, waiting = [], []
+        stepping = []
         for run in runs:
-            _slsqp_kernel(
-                run.state, run.fx, run.g, normals, run.d, run.x, run.mult,
-                lower, upper, run.buffer, run.indices,
-            )
-            mode = run.state["mode"]
-            if abs(mode) != 1:
-                if mode == 0:
-                    solutions[run.index] = run.x
-                continue
-            if mode == 1:
-                run.d = residuals(run.x)
-            stepping.append(run)
-            if (run.x == run.seen).all():
+            while True:
+                _slsqp_kernel(
+                    run.state, run.fx, run.g, normals, run.d, run.x,
+                    run.mult, lower, upper, run.buffer, run.indices,
+                )
+                mode = run.state["mode"]
+                if abs(mode) != 1:
+                    if mode == 0:
+                        solutions[run.index] = run.x
+                    break
+                if mode == 1:
+                    run.d = residuals(run.x)
+                if not (run.x == run.seen).all():
+                    stepping.append(run)
+                    break
                 run.hand_over()
-            else:
-                waiting.append(run)
-        if waiting:
+        if stepping:
             values, grads = value_and_grad(
-                np.array([run.x for run in waiting])
+                np.array([run.x for run in stepping])
             )
             rounds += 1
-            for run, value, grad in zip(waiting, values, grads):
+            for run, value, grad in zip(stepping, values, grads):
                 run.seen, run.value, run.grad = run.x.copy(), float(value), grad
                 run.hand_over()
         runs = stepping

@@ -2,7 +2,8 @@
 acquisition-floor fix.
 
 ``_round_batch`` / ``_repair_caps_batch`` are speed rewrites of
-``_round`` / ``_repair_caps``; every batch row must match the scalar
+``_round`` and of the one-configuration cap waterfall kept below as
+``_reference_repair_caps``; every batch row must match the scalar
 result exactly (same rounding, same waterfall, same tie-breaks).  And
 ``propose`` must report a faithful ``max_acquisition`` even when the
 acquisition function goes negative — the old 0.0 seed silently floored
@@ -20,7 +21,7 @@ from repro.core import (
     Proposal,
     UpperConfidenceBound,
 )
-from repro.resources import ConfigurationSpace, Resource, ServerSpec
+from repro.resources import Configuration, ConfigurationSpace, Resource, ServerSpec
 
 
 @st.composite
@@ -45,6 +46,37 @@ def _satisfiable_caps(space, rng, extra):
         while caps[:, r].sum() < resource.units:
             caps[np.argmin(caps[:, r]), r] += 1
     return caps
+
+
+def _reference_repair_caps(space, config, upper_caps, dropout):
+    """Push units over a job's cap to jobs with headroom, one at a time.
+
+    The dropout-pinned job is exempt on both sides: its row is neither
+    trimmed nor grown.
+    """
+    matrix = config.as_array()
+    pin = dropout.job_index if dropout and dropout.job_index is not None else None
+    n_jobs = space.n_jobs
+    for r in range(space.n_resources):
+        for j in range(n_jobs):
+            if j == pin:
+                continue
+            excess = matrix[j, r] - int(upper_caps[j, r])
+            while excess > 0:
+                headroom = [
+                    k
+                    for k in range(n_jobs)
+                    if k != j and k != pin and matrix[k, r] < int(upper_caps[k, r])
+                ]
+                if not headroom:
+                    break
+                target = max(
+                    headroom, key=lambda k: int(upper_caps[k, r]) - matrix[k, r]
+                )
+                matrix[j, r] -= 1
+                matrix[target, r] += 1
+                excess -= 1
+    return Configuration.from_matrix(matrix)
 
 
 @given(data=space_opt_rng(), with_pin=st.booleans())
@@ -85,7 +117,7 @@ def test_repair_caps_batch_matches_scalar(data, cap_extra, with_pin):
     mats = np.array([c.as_array() for c in configs])
     batch = opt._repair_caps_batch(mats, caps, dropout)
     for i, config in enumerate(configs):
-        scalar = opt._repair_caps(config, caps, dropout)
+        scalar = _reference_repair_caps(space, config, caps, dropout)
         np.testing.assert_array_equal(batch[i], scalar.as_array())
 
 

@@ -77,11 +77,20 @@ def _reference_constraints(opt):
 
 
 def _per_start(fun_and_grad, starts, bounds, constraints):
-    """Solve each start on its own, falling back to it on failure."""
-    solutions, successes = [], []
+    """Solve each start on its own, falling back to it on failure.
+
+    Also returns how many points each start's ``minimize`` evaluated.
+    """
+    solutions, successes, evaluations = [], [], []
     for x0 in starts:
+        calls = []
+
+        def counted(z):
+            calls.append(None)
+            return fun_and_grad(z)
+
         result = minimize(
-            fun_and_grad,
+            counted,
             x0,
             jac=True,
             method="SLSQP",
@@ -91,7 +100,8 @@ def _per_start(fun_and_grad, starts, bounds, constraints):
         )
         solutions.append(result.x if result.success else x0)
         successes.append(bool(result.success))
-    return np.array(solutions), np.array(successes)
+        evaluations.append(len(calls))
+    return np.array(solutions), np.array(successes), evaluations
 
 
 def _acquisition_fun(gp, acq, best):
@@ -115,8 +125,7 @@ def _random_gp(rng, d, n=12):
 def _starts(opt, rng, dropout, n_random=6):
     starts = opt._start_points(opt.space.random(rng), dropout)
     cube = rng.random((n_random, opt.space.n_dims))
-    starts += [opt._project_feasible(z, dropout) for z in cube]
-    return np.array(starts)
+    return np.concatenate([starts, opt._project_feasible(cube, dropout)])
 
 
 def _caps(space, rng):
@@ -132,7 +141,7 @@ def _caps(space, rng):
 
 def _check(opt, gp, best, starts, dropout=None, upper_caps=None, acq=None):
     acq = acq if acq is not None else ExpectedImprovement()
-    want, success = _per_start(
+    want, success, evaluations = _per_start(
         _acquisition_fun(gp, acq, best),
         starts,
         _reference_bounds(opt, dropout, upper_caps),
@@ -152,6 +161,11 @@ def _check(opt, gp, best, starts, dropout=None, upper_caps=None, acq=None):
         opt._column_targets(),
     )
     assert np.array_equal(got, want)
+    if not np.array_equal(lower, upper):
+        # Each round gives a start at most one new point, so no driver
+        # needs fewer rounds than the most points any start evaluates;
+        # serving cached requests within the round reaches that floor.
+        assert rounds == max(evaluations)
     return success, rounds
 
 
@@ -232,7 +246,7 @@ def test_failing_start_falls_back_to_its_start():
     def batched(z):
         return np.sum((z - target) ** 2, axis=1), -2.0 * (z - target)
 
-    want, success = _per_start(
+    want, success, _ = _per_start(
         fun_and_grad,
         starts,
         _reference_bounds(opt, None, None),
@@ -291,3 +305,4 @@ def test_propose_span_reports_starts_and_rounds(quiet_node):
     live, flat = [s.attributes for s in tracer.finished()]
     assert live["starts"] > live["flat_starts"] and live["rounds"] > 1
     assert flat["flat_starts"] == flat["starts"] and flat["rounds"] == 0
+    assert live["ranked"] == live["candidates"] > 0

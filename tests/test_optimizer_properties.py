@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AcquisitionOptimizer, DropoutDecision
-from repro.resources import ConfigurationSpace, Resource, ServerSpec
+from repro.resources import Configuration, ConfigurationSpace, Resource, ServerSpec
 
 
 @st.composite
@@ -37,7 +37,9 @@ def test_repair_caps_yields_valid_capped_configs(data, cap_extra):
         caps[:, r] = max(fair, 1) + cap_extra
         while caps[:, r].sum() < resource.units:
             caps[np.argmin(caps[:, r]), r] += 1
-    repaired = opt._repair_caps(config, caps, None)
+    repaired = Configuration.from_matrix(
+        opt._repair_caps_batch(config.as_array()[None], caps, None)[0]
+    )
     space.validate(repaired)
     assert (repaired.as_array() <= caps + 1e-9).all()
 
