@@ -11,7 +11,7 @@ background work runs on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..resources.spec import ServerSpec, default_server
@@ -37,6 +37,9 @@ class JobRequest:
     workload: Union[LCWorkload, BGWorkload]
     load: Optional[float] = None
     name: Optional[str] = None
+    #: The node job, built once here: every probe of every node state
+    #: holding this request shares it.
+    _job: Job = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.workload, LCWorkload):
@@ -46,6 +49,13 @@ class JobRequest:
                 raise ValueError(f"load must be in (0, 1], got {self.load}")
         elif self.load is not None:
             raise ValueError("BG job requests do not take a load")
+        workload = replace(self.workload, name=self.request_name)
+        job = (
+            Job(workload, LoadSchedule.constant(self.load))
+            if self.is_lc
+            else Job(workload)
+        )
+        object.__setattr__(self, "_job", job)
 
     @property
     def is_lc(self) -> bool:
@@ -56,13 +66,9 @@ class JobRequest:
         return self.name if self.name is not None else self.workload.name
 
     def to_job(self) -> Job:
-        """Materialize as a node job (renamed copy of the workload)."""
-        from dataclasses import replace
-
-        workload = replace(self.workload, name=self.request_name)
-        if self.is_lc:
-            return Job(workload, LoadSchedule.constant(self.load))
-        return Job(workload)
+        """The node job: a renamed copy of the workload (plus, for an LC
+        job, its constant load), built when the request was."""
+        return self._job
 
 
 @dataclass

@@ -32,7 +32,7 @@ from scipy.optimize._slsqplib import slsqp as _slsqp_kernel
 from ..resources.allocation import (
     Configuration,
     ConfigurationSpace,
-    _round_columns_batch,
+    _round_resources_batch,
 )
 from ..resources.contracts import proposal_contract
 from ..telemetry.tracer import NULL_TRACER, Span, Tracer
@@ -236,18 +236,18 @@ class AcquisitionOptimizer:
         pin = dropout.job_index
         free = [j for j in range(n_jobs) if j != pin]
         out = np.empty((len(z), n_jobs, n_res), dtype=int)
+        remaining = []
         for r, resource in enumerate(self.space.spec.resources):
             pinned_units = int(dropout.allocation[r])
-            remaining = resource.units - pinned_units
-            if remaining < len(free):
+            left = resource.units - pinned_units
+            if left < len(free):
                 # The pinned row is too greedy for this column; shrink it.
                 pinned_units = resource.units - len(free)
-                remaining = len(free)
+                left = len(free)
             out[:, pin, r] = pinned_units
-            if free:
-                out[:, free, r] = _round_columns_batch(
-                    vec[:, free, r], remaining
-                )
+            remaining.append(left)
+        if free:
+            out[:, free, :] = _round_resources_batch(vec[:, free, :], remaining)
         return out
 
     def _repair_caps_batch(

@@ -10,8 +10,9 @@ unit cube the Gaussian process operates in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,16 +98,20 @@ def _round_column(weights: np.ndarray, total: int) -> np.ndarray:
     return _round_columns_batch(weights[None, :], total)[0]
 
 
-def _round_columns_batch(weights: np.ndarray, total: int) -> np.ndarray:
+def _round_columns_batch(
+    weights: np.ndarray, total: Union[int, np.ndarray]
+) -> np.ndarray:
     """Vectorized :func:`_round_column` over a batch of weight rows.
 
     Args:
         weights: Non-negative weights, shape (batch, n_jobs).
-        total: Units each output row must sum to.
+        total: Units each output row must sum to: one count for every
+            row, or a per-row ``(batch,)`` array, so the columns of
+            several resources round in one call.
 
     Returns:
         Integer array of shape (batch, n_jobs), every entry >= 1 and
-        every row summing to ``total``, with exactly the same rounding
+        row ``i`` summing to its total, with exactly the same rounding
         (largest remainder, ties broken by job index) as the scalar
         version.
     """
@@ -114,26 +119,43 @@ def _round_columns_batch(weights: np.ndarray, total: int) -> np.ndarray:
     if w.ndim != 2:
         raise ValueError("batch weights must be 2-D (batch, n_jobs)")
     n = w.shape[1]
-    if total < n:
-        raise ValueError(f"cannot give {n} jobs >=1 unit out of {total}")
-    spare = total - n
+    spare = np.asarray(total, dtype=int) - n
+    if (spare < 0).any():
+        raise ValueError(
+            f"cannot give {n} jobs >=1 unit out of {int(spare.min()) + n}"
+        )
     sums = w.sum(axis=1)
     degenerate = sums <= 0
     if degenerate.any():
         w[degenerate] = 1.0
         sums = np.where(degenerate, float(n), sums)
-    shares = w / sums[:, None] * spare
+    shares = w / sums[:, None] * spare[..., None]
     base = np.floor(shares).astype(int)
     remainder = spare - base.sum(axis=1)
     # Highest fractional parts get the leftover units; ties broken by
     # job index for determinism (stable sort on the negated fractions).
+    # Sorting the order again inverts it: each job's rank.
     order = np.argsort(-(shares - base), axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(n), order.shape), axis=1
-    )
+    ranks = order.argsort(axis=1)
     base += ranks < remainder[:, None]
     return base + 1
+
+
+def _round_resources_batch(vec: np.ndarray, totals: Sequence[int]) -> np.ndarray:
+    """Round every resource column of a ``(batch, n_jobs, n_resources)``
+    weight stack in one :func:`_round_columns_batch` call.
+
+    ``totals[r]`` is what column ``r`` must sum to.  Each (matrix,
+    resource) column becomes one contiguous weight row, so the result
+    equals rounding column by column, bit for bit.
+    """
+    batch, n_jobs, n_res = vec.shape
+    rows = np.ascontiguousarray(vec.transpose(0, 2, 1)).reshape(-1, n_jobs)
+    per_row = np.repeat(np.asarray(totals)[None, :], batch, axis=0).ravel()
+    rounded = _round_columns_batch(rows, per_row)
+    return np.ascontiguousarray(
+        rounded.reshape(batch, n_res, n_jobs).transpose(0, 2, 1)
+    )
 
 
 class ConfigurationSpace:
@@ -157,7 +179,21 @@ class ConfigurationSpace:
         self.spec = spec
         self.n_jobs = n_jobs
         self._units = np.array([r.units for r in spec.resources], dtype=int)
+        self._units.setflags(write=False)
         self._units_list = [int(r.units) for r in spec.resources]
+        self._equal = self._build_equal_partition()
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def of(spec: ServerSpec, n_jobs: int) -> "ConfigurationSpace":
+        """The shared space of ``n_jobs`` jobs on ``spec``.
+
+        A space holds nothing but what its shape implies (capacities and
+        the equal partition, both computed at construction and never
+        written again), so every node and isolation layer of one shape
+        shares one instance instead of rebuilding it per probe.
+        """
+        return ConfigurationSpace(spec, n_jobs)
 
     @property
     def n_resources(self) -> int:
@@ -226,9 +262,7 @@ class ConfigurationSpace:
     # ------------------------------------------------------------------
     # Canonical points (CLITE's bootstrap set, Sec. 4)
     # ------------------------------------------------------------------
-    @partition_contract
-    def equal_partition(self) -> Configuration:
-        """Divide every resource as equally as possible among the jobs."""
+    def _build_equal_partition(self) -> Configuration:
         matrix = np.empty((self.n_jobs, self.n_resources), dtype=int)
         for r, units in enumerate(self._units):
             base, extra = divmod(int(units), self.n_jobs)
@@ -236,6 +270,14 @@ class ConfigurationSpace:
             column[:extra] += 1
             matrix[:, r] = column
         return Configuration.from_matrix(matrix)
+
+    @partition_contract
+    def equal_partition(self) -> Configuration:
+        """Divide every resource as equally as possible among the jobs.
+
+        Computed once, when the space is built.
+        """
+        return self._equal
 
     @partition_contract
     def max_allocation(self, job: int) -> Configuration:
@@ -461,12 +503,7 @@ class ConfigurationSpace:
         vec = np.clip(
             vec.reshape(len(vec), self.n_jobs, self.n_resources), 0.0, 1.0
         )
-        out = np.empty(
-            (len(vec), self.n_jobs, self.n_resources), dtype=int
-        )
-        for r, units in enumerate(self._units):
-            out[:, :, r] = _round_columns_batch(vec[:, :, r], int(units))
-        return out
+        return _round_resources_batch(vec, self._units)
 
     def bounds(self) -> np.ndarray:
         """``(n_dims, 2)`` box bounds of the unit cube (always [0, 1])."""

@@ -50,7 +50,6 @@ class IsolationManager:
     _current: Optional[Configuration] = field(default=None, init=False)
     _log: List[ToolInvocation] = field(default_factory=list, init=False)
     _total_enforcement_s: Seconds = field(default=0.0, init=False)
-    _spaces: Dict[int, ConfigurationSpace] = field(default_factory=dict, init=False)
 
     @property
     def current(self) -> Optional[Configuration]:
@@ -80,11 +79,7 @@ class IsolationManager:
             # already passed) and no tool has to be touched.
             self._current = config
             return []
-        space = self._spaces.get(config.n_jobs)
-        if space is None:
-            space = ConfigurationSpace(self.spec, config.n_jobs)
-            self._spaces[config.n_jobs] = space
-        space.validate(config)
+        ConfigurationSpace.of(self.spec, config.n_jobs).validate(config)
         new_columns = list(zip(*config.units))
         old_columns = (
             list(zip(*current.units))

@@ -37,19 +37,22 @@ class PerformanceCounters:
     relative_std: float = 0.01
     reference_window_s: Seconds = DEFAULT_OBSERVATION_PERIOD_S
     seed: Optional[int] = None
-    _rng: np.random.Generator = field(init=False, repr=False)
+    #: Built from ``seed`` on the first noisy read, so a reader that is
+    #: never asked for noise (an admission probe's node) never seeds one.
+    _rng: Optional[np.random.Generator] = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.relative_std < 0:
             raise ValueError("relative_std must be >= 0")
         if self.reference_window_s <= 0:
             raise ValueError("reference window must be positive")
-        self._rng = np.random.default_rng(self.seed)
 
     def reseed(self, seed: Optional[int]) -> None:
         """Reset the noise stream (used by repeat-trial experiments)."""
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self._rng = None
 
     def _sigma(self, window_s: Seconds) -> float:
         if window_s <= 0:
@@ -71,6 +74,8 @@ class PerformanceCounters:
         sigma = self._sigma(window_s)
         if sigma == 0 or true_value == 0:
             return true_value
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
         # Log-normal with unit median keeps readings positive and unbiased
         # in the median, like percentile estimates from finite samples.
         return true_value * float(np.exp(self._rng.normal(0.0, sigma)))

@@ -218,7 +218,7 @@ class Node:
         self.jobs: Tuple[Job, ...] = tuple(jobs)
         self._lc_indices = tuple(i for i, j in enumerate(self.jobs) if j.is_lc)
         self._cores = spec.resource_names.index(CORES)
-        self.space = ConfigurationSpace(spec, len(self.jobs))
+        self.space = ConfigurationSpace.of(spec, len(self.jobs))
         self.counters = counters if counters is not None else PerformanceCounters()
         self.window_s = window_s
         self.isolation = IsolationManager(spec)
@@ -231,6 +231,8 @@ class Node:
             else None
         )
         self._clock_s = 0.0
+        self._loads_time: Optional[Seconds] = None
+        self._loads: Tuple[Optional[Fraction], ...] = ()
         self._history: List[Observation] = []
         # The simulator is deterministic given a partition and the LC
         # loads, so noise-free truths are memoized per lattice point.
@@ -285,15 +287,35 @@ class Node:
             for r, res in enumerate(self.spec.resources)
         }
 
+    def _loads_at(self, at_time: Seconds) -> Tuple[Optional[Fraction], ...]:
+        """Every job's load fraction at ``at_time`` (None for BG jobs).
+
+        Read once per time point and shared by :meth:`_pressures`,
+        :meth:`_lc_inputs` and :meth:`_cache_key`: the schedules are
+        fixed, so the loads depend on the time alone.
+        """
+        if at_time != self._loads_time:
+            loads: List[Optional[Fraction]] = [None] * len(self.jobs)
+            for i in self._lc_indices:
+                loads[i] = self.jobs[i].load.load_at(at_time)
+            self._loads = tuple(loads)
+            self._loads_time = at_time
+        return self._loads
+
     def _pressures(self, config: Configuration, at_time: Seconds) -> List[float]:
-        pressures = []
-        for i, job in enumerate(self.jobs):
-            if job.is_lc:
-                activity = job.load.load_at(at_time)
-            else:
-                activity = self._shares(config, i)[CORES]
-            pressures.append(exerted_pressure(job.workload, activity))
-        return pressures
+        """What each job exerts: an LC job by its load, a BG job by its
+        core share."""
+        cores = self._cores
+        core_units = self.spec.resources[cores].units
+        return [
+            exerted_pressure(
+                job.workload,
+                load if load is not None else config.get(i, cores) / core_units,
+            )
+            for i, (job, load) in enumerate(
+                zip(self.jobs, self._loads_at(at_time))
+            )
+        ]
 
     def _lc_inputs(
         self,
@@ -304,11 +326,10 @@ class Node:
     ) -> Tuple[Fraction, Rate, int, Dict[str, float], float]:
         """One LC job's physics inputs: load, qps, cores, shares and
         co-runner contention."""
-        job = self.jobs[job_index]
-        load = job.load.load_at(at_time)
+        load = self._loads_at(at_time)[job_index]
         return (
             load,
-            load * job.workload.max_qps,
+            load * self.jobs[job_index].workload.max_qps,
             config.get(job_index, self._cores),
             self._shares(config, job_index),
             co_runner_pressure(pressures, job_index),
@@ -446,10 +467,8 @@ class Node:
     ) -> tuple:
         """What the truth of one window depends on: partition + LC loads."""
         t = self._clock_s if at_time is None else at_time
-        loads = tuple(
-            job.load.load_at(t) for job in self.jobs if job.is_lc
-        )
-        return (config.flat(), loads)
+        loads = self._loads_at(t)
+        return (config.flat(), tuple(loads[i] for i in self._lc_indices))
 
     def _store_lookup(
         self, key: tuple

@@ -500,14 +500,25 @@ class WarehouseService:
     # Admission + re-verification internals
     # ------------------------------------------------------------------
     def _refreshed(self, node_state: ClusterNode, t: Seconds) -> ClusterNode:
-        """The node with every LC request's load resampled at ``t``."""
+        """The node with every LC request's load resampled at ``t``.
+
+        A request whose effective load is unchanged is kept as it is
+        (it equals the one :func:`_request_at` would build), so its
+        node job is not rebuilt.
+        """
         requests = []
         for request in node_state.requests:
             placed = self._jobs.get(request.request_name)
             if placed is not None and placed.job.is_lc:
-                requests.append(_request_at(placed.job, t))
-            else:
-                requests.append(request)
+                job = placed.job
+                load = job.load_at(t)
+                if (
+                    request.workload is not job.workload
+                    or request.load != load
+                    or request.name != job.name
+                ):
+                    request = JobRequest(job.workload, load, name=job.name)
+            requests.append(request)
         return ClusterNode(
             index=node_state.index, spec=node_state.spec, requests=requests
         )

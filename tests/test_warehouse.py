@@ -362,6 +362,113 @@ class TestQuickProbeChurnReplay:
         assert truths > checks > 0
 
 
+def _digest(value):
+    """First 16 hex digits of the sha256 of ``repr(value)``."""
+    import hashlib
+
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _heterogeneous_nodes(count, seed):
+    """Random Tailbench/PARSEC co-locations over five server shapes.
+
+    The shapes differ in resource count and capacities (all six Table 1
+    resources, a 6-unit box, core-heavy and cache-heavy variants and
+    the testbed), and each LC workload is calibrated on the spec it
+    lands on.
+    """
+    from repro.cluster.state import ClusterNode, JobRequest
+    from repro.resources import (
+        Resource,
+        ServerSpec,
+        default_server,
+        full_server,
+        small_server,
+    )
+    from repro.resources.spec import CORES, LLC_WAYS, MEMORY_BANDWIDTH
+    from repro.workloads.parsec import BG_NAMES, bg_workload
+    from repro.workloads.tailbench import LC_NAMES, lc_workload
+
+    def shape(cores, ways, bandwidth):
+        return ServerSpec(
+            resources=(
+                Resource(CORES, cores),
+                Resource(LLC_WAYS, ways),
+                Resource(MEMORY_BANDWIDTH, bandwidth),
+            )
+        )
+
+    specs = (
+        full_server(),
+        small_server(units=6, n_resources=3),
+        shape(14, 16, 8),
+        shape(8, 20, 12),
+        default_server(),
+    )
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for index in range(count):
+        spec = specs[int(rng.integers(len(specs)))]
+        requests = []
+        for slot in range(int(rng.integers(1, min(6, spec.max_jobs()) + 1))):
+            if rng.random() < 0.7:
+                name = LC_NAMES[int(rng.integers(len(LC_NAMES)))]
+                load = round(float(rng.uniform(0.05, 1.0)), 3)
+                requests.append(
+                    JobRequest(lc_workload(name, spec), load, name=f"{name}-{slot}")
+                )
+            else:
+                name = BG_NAMES[int(rng.integers(len(BG_NAMES)))]
+                requests.append(
+                    JobRequest(bg_workload(name), name=f"{name}-{slot}")
+                )
+        nodes.append(ClusterNode(index, spec, requests))
+    return nodes
+
+
+def _quick_answers(nodes):
+    """``(verdict, truths evaluated)`` of one QuickProbe per node."""
+    telemetry = Telemetry.enabled()
+    truths = telemetry.metrics.counter("warehouse.probe.truths")
+    probe = QuickProbe()
+    probe.attach(None, telemetry)
+    answers = []
+    for seed, node in enumerate(nodes):
+        before = truths.value
+        verdict = probe.check(node, seed=seed)
+        answers.append((verdict, int(truths.value - before)))
+    return answers
+
+
+class TestQuickProbePinned:
+    """Quick-probe answers pinned as digests recorded before the probe's
+    fast paths (shared configuration spaces, requests that carry their
+    job, one-pass rounding, lazily seeded counters) landed.
+
+    The equivalence tests above compare against references built through
+    the same ``build_node`` and rounding code, so a regression both paths
+    share passes them; these digests do not move with the code.
+    """
+
+    def test_tailbench_answers(self):
+        answers = _quick_answers(_seeded_tailbench_nodes(200, seed=22))
+        assert {verdict for verdict, _ in answers} == {True, False}
+        assert _digest(answers) == "a7fb7460e679bc82"
+
+    def test_heterogeneous_spec_answers(self):
+        answers = _quick_answers(_heterogeneous_nodes(120, seed=23))
+        assert {verdict for verdict, _ in answers} == {True, False}
+        assert _digest(answers) == "f9d34335973d60dc"
+
+    def test_churn_outcome(self):
+        routed, timelines, placements, status, checks, truths = _quick_churn(
+            reference=False
+        )
+        assert status["rejections"] > 0
+        assert (checks, truths) == (192, 546)
+        assert _digest((routed, timelines, placements)) == "fae15b51d999bdc2"
+
+
 class TestServiceBasics:
     def test_admit_then_status(self, mini_server):
         service = WarehouseService(4, spec=mini_server)
