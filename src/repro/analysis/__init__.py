@@ -1,13 +1,14 @@
 """repro-lint: AST-based invariant checking for the reproduction.
 
 CLITE's evaluation stands on three mechanical invariants — seed-driven
-determinism, thread-safety of whatever runs on worker or handler
-threads, and the partition contracts of Eqs. 5-6 — and this subpackage
-enforces them statically.  A rule engine walks every module's AST, a
-call-graph pass computes what is reachable from thread-pool entry
-points, and a small catalog of rules (determinism, thread-safety,
-contract presence, numerics hygiene) reports violations with stable
-IDs, autofix hints, and per-line/per-file suppression comments.
+determinism, thread-safety of whatever runs on handler threads, and
+the partition contracts of Eqs. 5-6 — and this subpackage enforces
+them statically.  A rule engine walks every module's AST, a call-graph
+pass computes what each thread entry point and event handler reaches,
+and a catalog of rules (determinism, thread-safety, contract presence,
+numerics hygiene, dataflow, lock order, cost budgets) reports
+violations with stable IDs, autofix hints, and per-line/per-file
+suppression comments.
 
 Run it as ``repro-lint src/repro`` (console script) or through
 :func:`run_lint`.

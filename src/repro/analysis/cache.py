@@ -22,10 +22,10 @@ working directory by default (``--cache-file`` overrides,
 * any input file appearing, disappearing, or changing content;
 * any configuration change (including ``--select``/``--ignore``,
   which are merged into the config before keying) — nested tables like
-  ``[tool.repro-lint.flow]`` and ``[tool.repro-lint.pure]`` are parsed
+  ``[tool.repro-lint.flow]`` and ``[tool.repro-lint.cost]`` are parsed
   into ``LintConfig`` fields before the digest is taken, so editing a
-  purity-registry or probe-entrypoint entry invalidates cached PURE
-  runs like any other config edit;
+  budget or a thread entry point invalidates cached runs like any
+  other config edit;
 * any change to ``repro.analysis`` itself (rule logic edits must not
   replay stale verdicts).
 """

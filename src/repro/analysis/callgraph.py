@@ -1,9 +1,9 @@
-"""Static call-graph construction and thread-pool reachability.
+"""Static call-graph construction and reachability.
 
-The thread-safety family needs to know which functions can execute on a
-worker thread: everything transitively callable from a function handed
-to ``Executor.submit``/``Executor.map``.  This pass builds a syntactic
-call graph with a small, deliberately conservative type inferencer —
+The whole-program families need to know what a function can reach:
+FLOW asks which locks a thread entry point takes, COST what an event
+handler costs.  This pass builds a syntactic call graph with a small,
+deliberately conservative type inferencer —
 parameter annotations (including string annotations and
 ``Optional[...]`` unwrapping), ``x = Ctor(...)`` locals with
 re-assignment, instance-attribute types harvested from class bodies and
@@ -16,10 +16,10 @@ The interprocedural dataflow pass (:mod:`.dataflow`, RPL6xx) reuses the
 same :class:`FunctionScanner` resolution machinery, so both layers see
 one consistent view of the project's types.
 
-:class:`SummaryClosure` is the one bottom-up closure the FLOW, PURE and
-COST families use to lift per-function summaries (locks acquired,
-effects, cost terms) through the call graph, strongly connected
-component by component.
+:class:`SummaryClosure` is the one bottom-up closure the FLOW and COST
+families use to lift per-function summaries (locks acquired, cost
+terms) through the call graph, strongly connected component by
+component.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ T = TypeVar("T")
 
 #: Reads a callee's closed summary while summarizing its caller.
 Closed = Callable[[str], Tuple[T, ...]]
-
-#: Executor methods whose first argument runs on a pool thread.
-_POOL_DISPATCH = {"submit", "map", "apply_async", "starmap"}
-
 
 def _annotation_class(annotation: Optional[ast.AST]) -> Optional[str]:
     """Simple class name of an annotation, unwrapping Optional/quotes."""
@@ -79,11 +75,10 @@ def _annotation_class(annotation: Optional[ast.AST]) -> Optional[str]:
 
 @dataclass
 class CallGraph:
-    """Edges between function keys plus discovered pool entry points."""
+    """Edges between function keys plus the inferred types."""
 
     project: Project
     edges: Dict[str, Set[str]] = field(default_factory=dict)
-    pool_entrypoints: Set[str] = field(default_factory=set)
     #: function key -> parameter name -> simple class name
     param_types: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: (class name, attribute) -> simple class name of the attribute
@@ -202,23 +197,9 @@ class FunctionScanner(ast.NodeVisitor):
 
     # -- call edges ------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        self._record_pool_dispatch(node)
         for key in self._resolve_call_targets(node):
             self.callees.add(key)
         self.generic_visit(node)
-
-    def _record_pool_dispatch(self, node: ast.Call) -> None:
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute) and func.attr in _POOL_DISPATCH
-        ):
-            return
-        if not node.args:
-            return
-        target = node.args[0]
-        resolved = self._resolve_callable_ref(target)
-        if resolved is not None:
-            self.graph.pool_entrypoints.add(resolved)
 
     def _resolve_callable_ref(self, node: ast.AST) -> Optional[str]:
         """A bare function reference (not a call) to a project function."""
@@ -386,9 +367,9 @@ def build_callgraph(project: Project) -> CallGraph:
     type ``self`` and annotated parameters) plus class-body field
     annotations; pass 2 scans every body once to harvest instance-
     attribute types from ``self.x = ...`` writes; pass 3 re-walks the
-    bodies collecting edges and ``Executor.submit`` targets with the
-    full attribute-type table available, so attribute-chain receivers
-    (``tel.metrics.counter(...)``) resolve regardless of scan order.
+    bodies collecting edges with the full attribute-type table
+    available, so attribute-chain receivers (``tel.metrics.counter(...)``)
+    resolve regardless of scan order.
     """
     graph = CallGraph(project=project)
     for fn in project.iter_functions():

@@ -8,7 +8,7 @@ Usage::
     repro-lint report flow src/repro     # a family's analysis report
 
 Exit status: 0 clean, 1 findings, 2 usage/configuration error.  The
-``report {flow,pure,cost}`` subcommand (see :mod:`.report`) exits 0
+``report {flow,cost}`` subcommand (see :mod:`.report`) exits 0
 whenever the analysis ran.
 """
 
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
             "determinism, thread-safety, partition contracts, numerics."
         ),
         epilog=(
-            "repro-lint report {flow,pure,cost} [paths] renders a "
+            "repro-lint report {flow,cost} [paths] renders a "
             "whole-program family's analysis (see report --help)."
         ),
     )
@@ -80,9 +80,8 @@ def build_report_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint report",
         description=(
-            "Render the FLOW (lock-order graph, escapes), PURE (purity "
-            "registry, probe/commit phases) or COST (closed costs vs "
-            "budgets) analysis behind the lint family's findings."
+            "Render the FLOW (lock-order graph, escapes) or COST (closed "
+            "costs vs budgets) analysis behind the lint family's findings."
         ),
     )
     parser.add_argument("family", choices=tuple(REPORTS))

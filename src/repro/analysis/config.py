@@ -1,10 +1,9 @@
 """Linter configuration: built-in defaults plus ``[tool.repro-lint]``.
 
 The defaults encode this repository's own invariants (hot-path modules,
-the thread-pool entry point's shared types, which constructors must
-carry partition contracts, every family's registry) and are the one
-copy: the repository's own ``pyproject.toml`` carries no
-``[tool.repro-lint]`` table.  Such a table in the nearest
+which constructors must carry partition contracts, every family's
+registry) and are the one copy: the repository's own
+``pyproject.toml`` carries no ``[tool.repro-lint]`` table.  Such a table in the nearest
 ``pyproject.toml`` overrides any field, so the fixture corpus and
 downstream users can retarget the rules without code changes.
 """
@@ -30,12 +29,6 @@ class LintConfig:
         ignore: Rule IDs to skip.
         hot_path: Module-path substrings (posix) marking the BO hot
             path; the numerics family only fires inside them.
-        shared_types: Class names whose instances are shared across the
-            thread-pool fan-out; functions reachable from a pool entry
-            point must not mutate parameters of these types.
-        entrypoints: Extra thread-pool entry points as
-            ``module.function`` dotted names (``Executor.submit`` targets
-            are also discovered automatically).
         placement_bases: Base-class names marking cluster placement
             policies; their ``place`` must carry ``@placement_contract``.
         policy_bases: Base-class names marking node partition policies;
@@ -50,8 +43,7 @@ class LintConfig:
         guarded_classes: Class names whose instances are shared across
             threads *by design* and protect themselves with an internal
             lock; RPL603 requires every attribute write in their methods
-            to hold a lock on all paths.  Distinct from ``shared_types``
-            (read-only under the pool, RPL201's domain).
+            to hold a lock on all paths.
         clock_classes: Extra class names (beyond ``Clock`` subclasses
             discovered structurally) whose instances are sanctioned time
             sources for RPL602.
@@ -61,8 +53,8 @@ class LintConfig:
             resolved through the type oracle (physics observation).
         flow_entrypoints: Extra loop/thread entry points for the FLOW
             analyses as ``module.function`` or ``module.Class.method``
-            dotted names (``Executor.submit`` and ``Thread(target=...)``
-            targets are discovered automatically).
+            dotted names (``Thread(target=...)`` targets are discovered
+            automatically).
         flow_longlived: Class names whose instances live as long as the
             service; RPL805 tracks growth of their container attributes.
         flow_bounded_containers: ``Owner.attr`` / ``module.NAME``
@@ -77,26 +69,6 @@ class LintConfig:
         flow_resources: Lifecycle registry as ``"Creator=rel1,rel2"``
             entries mapping resource constructors to their release
             methods.
-        pure_registry: Dotted names of functions declared pure for
-            RPL901 (``module.fn`` / ``module.Class.method``); their
-            whole callgraph closure must be free of mutations of
-            pre-existing state.  ``@declared_pure``-decorated functions
-            join this set automatically.
-        pure_probe_entrypoints: Dotted names of probe entry points for
-            RPL902 — the speculative, side-effect-free phase of the
-            probe-then-commit split.  Nothing reachable from them may
-            call a commit mutator or draw fresh RNG/clock state.
-        pure_commit_mutators: Dotted names of the commit-tagged
-            mutators RPL902 bans from probe paths (cluster placement,
-            the service commit/migrate surface, observation-store
-            writes).
-        pure_snapshot_methods: Method names (bare or ``Class.method``)
-            treated as snapshot accessors by RPL903; they must return
-            defensive copies, never live internal containers.
-        pure_allow_calls: Callees (bare name, ``Class.method``, or full
-            dotted path) whose effects are sanctioned-benign on pure
-            paths — the lock-guarded telemetry surface, whose lazy
-            metric registration is idempotent and replay-invariant.
         cost_budgets: Declared complexity budgets for RPL1001 as
             ``"module.Class.method=expr"`` entries; ``expr`` is a
             ``*``-product of ``const``/``small``/``n_nodes``/
@@ -121,8 +93,6 @@ class LintConfig:
     select: Tuple[str, ...] = ()
     ignore: Tuple[str, ...] = ()
     hot_path: Tuple[str, ...] = ("repro/core/",)
-    shared_types: Tuple[str, ...] = ("ClusterNode", "Cluster")
-    entrypoints: Tuple[str, ...] = ()
     placement_bases: Tuple[str, ...] = ("PlacementPolicy",)
     policy_bases: Tuple[str, ...] = ("Policy",)
     optimizer_classes: Tuple[str, ...] = ("AcquisitionOptimizer",)
@@ -195,56 +165,6 @@ class LintConfig:
         "make_server=server_close,shutdown",
         "open=close",
         "socket.socket=close",
-    )
-    pure_registry: Tuple[str, ...] = (
-        "repro.core.acquisition.ExpectedImprovement.__call__",
-        "repro.core.acquisition.ProbabilityOfImprovement.__call__",
-        "repro.core.acquisition.UpperConfidenceBound.__call__",
-        "repro.server.obstore.node_fingerprint",
-        "repro.warehouse.admission.CLITEProbe.check",
-        "repro.warehouse.admission.QuickProbe.check",
-        "repro.warehouse.service.WarehouseService.probe_admit",
-    )
-    pure_probe_entrypoints: Tuple[str, ...] = (
-        "repro.core.acquisition.ExpectedImprovement.__call__",
-        "repro.core.acquisition.ProbabilityOfImprovement.__call__",
-        "repro.core.acquisition.UpperConfidenceBound.__call__",
-        "repro.server.obstore.node_fingerprint",
-        "repro.warehouse.admission.CLITEProbe.check",
-        "repro.warehouse.admission.QuickProbe.check",
-        "repro.warehouse.service.WarehouseService.probe_admit",
-    )
-    pure_commit_mutators: Tuple[str, ...] = (
-        "repro.cluster.state.Cluster.place",
-        "repro.cluster.state.Cluster.remove_from",
-        "repro.server.obstore.ObservationStore.put",
-        "repro.server.obstore.ObservationStore.put_verdict",
-        "repro.warehouse.service.WarehouseService._migrate",
-        "repro.warehouse.service.WarehouseService._rebalance_node",
-        "repro.warehouse.service.WarehouseService.commit_admit",
-        "repro.warehouse.service.WarehouseService.reject",
-    )
-    pure_snapshot_methods: Tuple[str, ...] = (
-        "migrations",
-        "placements",
-        "routed",
-        "snapshot",
-        "stats",
-        "status",
-        "timeline",
-    )
-    pure_allow_calls: Tuple[str, ...] = (
-        # The lock-guarded telemetry surface: lazy metric registration
-        # mutates MetricRegistry._metrics, but registration is
-        # idempotent and metric values never feed back into decisions,
-        # so probe paths observing telemetry stay replay-invariant.
-        "Counter.add",
-        "Gauge.set",
-        "Histogram.observe",
-        "MetricRegistry.counter",
-        "MetricRegistry.gauge",
-        "MetricRegistry.histogram",
-        "Tracer.span",
     )
     cost_budgets: Tuple[str, ...] = (
         "repro.core.engine.CLITEEngine.optimize=small",
@@ -322,7 +242,7 @@ def find_pyproject(start: Path) -> Optional[Path]:
 
 
 #: ``[tool.repro-lint]`` sub-tables whose keys map onto prefixed fields.
-_SUB_TABLES = ("flow", "pure", "cost")
+_SUB_TABLES = ("flow", "cost")
 
 
 def _entries(
@@ -364,7 +284,7 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
         name = key.replace("-", "_")
         if name in _SUB_TABLES and isinstance(value, dict):
             # [tool.repro-lint.flow] etc.: sub-keys map onto the
-            # flow_*/pure_*/cost_* fields.
+            # flow_*/cost_* fields.
             for sub_key, sub_value in value.items():
                 sub_name = f"{name}_{sub_key.replace('-', '_')}"
                 where = (

@@ -5,8 +5,8 @@ nodes, and the paper's "low-overhead decision" claim (CLITE §V) only
 survives that scale if per-event work stays *independent of fleet
 size*.  PR 8 made "only displaced nodes are re-verified" an invariant;
 this module makes the asymptotic statement itself statically checkable,
-the way FLOW (RPL8xx) did for lock order and PURE (RPL9xx) did for
-probe purity.  Five analyses share one harvest:
+the way FLOW (RPL8xx) did for lock order.  Four analyses share one
+harvest:
 
 * **Budget check (RPL1001)** — every function registered in
   ``[tool.repro-lint.cost] budgets`` gets a *closed* symbolic cost
@@ -20,12 +20,6 @@ probe purity.  Five analyses share one harvest:
   allocation or copy reachable from a hot entry point (the engine
   round loop, the warehouse event handlers, ``ServiceGateway.publish``)
   or inside a ``hot-path`` module.
-* **Repeated recomputation (RPL1004)** — a PURE-clean, non-constant
-  project function called at least twice with textually identical
-  arguments in one dynamic scope, detected through the call graph with
-  one level of argument substitution per frame (``_loads_of`` computed
-  by ``_on_recheck`` and again via ``_mark_verified`` was the repo's
-  own instance).
 * **Registry health (RPL1005)** — stale budget/hot-entry registry
   entries, unparsable budget expressions, and hot entry points that
   carry no budget at all.
@@ -35,8 +29,8 @@ the *identity* of the iterated collection (``cluster.nodes`` /
 ``used_nodes()`` → ``n_nodes``, ``self.shards`` → ``n_shards``,
 ``self._jobs`` → ``n_jobs``), everything else — bounded slices,
 allowlisted containers, ``verified``/``displaced``/``changed`` style
-locals, unknown expressions — is ``small``.  Like PURE, the analysis
-is conservative in the quiet direction: a bound it cannot classify is
+locals, unknown expressions — is ``small``.  The analysis is
+conservative in the quiet direction: a bound it cannot classify is
 never charged as N, so every finding is a real symbolic fact about the
 source.
 """
@@ -62,7 +56,6 @@ from .project import (
     expr_text,
     project_memo,
 )
-from .pure import PureAnalysis, pure_analysis
 
 #: The N-class size variables; everything else in a term is ``small``.
 N_VARS = ("n_jobs", "n_nodes", "n_shards")
@@ -97,7 +90,6 @@ _HASHED_TYPES = {
 
 _VIA_LIMIT = 8
 _TERM_LIMIT = 32
-_REPEAT_SIG_LIMIT = 64
 
 
 # ----------------------------------------------------------------------
@@ -178,40 +170,19 @@ class AllocHit:
     entry: str            # hot entry key, or "" for hot-path modules
 
 
-@dataclass(frozen=True)
-class RepeatHit:
-    """RPL1004: a pure costly call repeated with identical arguments."""
-
-    site: Site
-    fn_key: str
-    callee: str           # callee function key
-    args: str             # the repeated argument signature, rendered
-    count: int
-
-
 # ----------------------------------------------------------------------
 # Per-function harvest
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _CostCall:
-    """One resolved call with loop context and argument size classes.
-
-    ``loops`` is the lineno stack of enclosing loops (two calls with the
-    same stack run in the same iteration); ``branch`` is the enclosing
-    conditional-arm path, where two occurrences pair for RPL1004 only if
-    no discriminator line holds them in mutually exclusive arms.
-    """
+    """One resolved call with its enclosing loop bounds (``prefix``)
+    and the size class of each argument."""
 
     prefix: Tuple[str, ...]
-    loops: Tuple[int, ...]
-    branch: Tuple[Tuple[int, int], ...]
     targets: Tuple[str, ...]
     site: Site
     arg_classes: Tuple[Optional[str], ...]
     kw_classes: Tuple[Tuple[str, Optional[str]], ...]
-    arg_texts: Tuple[str, ...]
-    kw_texts: Tuple[Tuple[str, str], ...]
-    recv_text: str
 
 
 @dataclass
@@ -478,110 +449,73 @@ class _CostScanner:
 
     # -- statement / expression walk -----------------------------------
     def scan(self) -> _FnCost:
-        self._walk_block(self.fn.node.body, ((), (), ()))
+        self._walk_block(self.fn.node.body, ())
         return self.out
 
-    @staticmethod
-    def _terminal(stmts: Sequence[ast.stmt]) -> bool:
-        """True when a block always leaves the enclosing suite."""
-        return bool(stmts) and isinstance(
-            stmts[-1], (ast.Return, ast.Raise, ast.Break, ast.Continue)
-        )
-
     def _walk_block(
-        self,
-        stmts: Sequence[ast.stmt],
-        ctx: Tuple[
-            Tuple[str, ...],
-            Tuple[int, ...],
-            Tuple[Tuple[int, int], ...],
-        ],
+        self, stmts: Sequence[ast.stmt], prefix: Tuple[str, ...]
     ) -> None:
-        prefix, loops, branch = ctx
-        for index, stmt in enumerate(stmts):
+        """Charge a suite; ``prefix`` holds the enclosing loop bounds."""
+        for stmt in stmts:
             if isinstance(stmt, (ast.For, ast.AsyncFor)):
                 bound = self._bound_of(stmt.iter)
-                self._walk_expr(stmt.iter, ctx)
+                self._walk_expr(stmt.iter, prefix)
                 self._charge(
                     prefix, bound, "loop", stmt,
                     f"for over {expr_text(stmt.iter)}",
                 )
                 inner = prefix + (bound,) if bound is not None else prefix
-                self._walk_block(
-                    stmt.body, (inner, loops + (stmt.lineno,), branch)
-                )
-                self._walk_block(stmt.orelse, ctx)
+                self._walk_block(stmt.body, inner)
+                self._walk_block(stmt.orelse, prefix)
             elif isinstance(stmt, ast.While):
-                self._walk_expr(stmt.test, ctx)
+                self._walk_expr(stmt.test, prefix)
                 self._charge(prefix, "small", "loop", stmt, "while loop")
-                self._walk_block(
-                    stmt.body,
-                    (prefix + ("small",), loops + (stmt.lineno,), branch),
-                )
-                self._walk_block(stmt.orelse, ctx)
+                self._walk_block(stmt.body, prefix + ("small",))
+                self._walk_block(stmt.orelse, prefix)
             elif isinstance(stmt, ast.If):
-                self._walk_expr(stmt.test, ctx)
-                arm = branch + ((stmt.lineno, 0),)
-                self._walk_block(stmt.body, (prefix, loops, arm))
-                other = branch + ((stmt.lineno, 1),)
-                self._walk_block(stmt.orelse, (prefix, loops, other))
-                if self._terminal(stmt.body):
-                    # `if c: return` — the rest of the suite is the
-                    # else arm for exclusivity purposes.
-                    self._walk_block(
-                        stmts[index + 1:], (prefix, loops, other)
-                    )
-                    return
+                self._walk_expr(stmt.test, prefix)
+                self._walk_block(stmt.body, prefix)
+                self._walk_block(stmt.orelse, prefix)
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
                 for item in stmt.items:
-                    self._walk_expr(item.context_expr, ctx)
-                self._walk_block(stmt.body, ctx)
+                    self._walk_expr(item.context_expr, prefix)
+                self._walk_block(stmt.body, prefix)
             elif isinstance(stmt, ast.Try):
-                self._walk_block(stmt.body, ctx)
-                for arm_id, handler in enumerate(stmt.handlers):
-                    self._walk_block(
-                        handler.body,
-                        (prefix, loops, branch + ((stmt.lineno, arm_id),)),
-                    )
-                self._walk_block(stmt.orelse, ctx)
-                self._walk_block(stmt.finalbody, ctx)
+                self._walk_block(stmt.body, prefix)
+                for handler in stmt.handlers:
+                    self._walk_block(handler.body, prefix)
+                self._walk_block(stmt.orelse, prefix)
+                self._walk_block(stmt.finalbody, prefix)
             elif isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):
                 # Nested defs execute inline when called from this frame
                 # (the callgraph makes the same approximation).
-                self._walk_block(stmt.body, ctx)
+                self._walk_block(stmt.body, prefix)
             elif isinstance(stmt, ast.ClassDef):
                 continue
             else:
                 for child in ast.iter_child_nodes(stmt):
                     if isinstance(child, ast.expr):
-                        self._walk_expr(child, ctx)
+                        self._walk_expr(child, prefix)
 
     def _walk_expr(
-        self,
-        expr: Optional[ast.AST],
-        ctx: Tuple[
-            Tuple[str, ...],
-            Tuple[int, ...],
-            Tuple[Tuple[int, int], ...],
-        ],
+        self, expr: Optional[ast.AST], prefix: Tuple[str, ...]
     ) -> None:
         if expr is None:
             return
-        prefix, loops, branch = ctx
         if isinstance(expr, ast.Call):
-            self._handle_call(expr, ctx)
+            self._handle_call(expr, prefix)
             for child in ast.iter_child_nodes(expr):
                 if isinstance(child, ast.expr):
-                    self._walk_expr(child, ctx)
+                    self._walk_expr(child, prefix)
             for kw in expr.keywords:
-                self._walk_expr(kw.value, ctx)
+                self._walk_expr(kw.value, prefix)
             return
         if isinstance(
             expr, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
         ):
-            inner = ctx
+            inner = prefix
             for gen in expr.generators:
                 bound = self._bound_of(gen.iter)
                 self._walk_expr(gen.iter, inner)
@@ -591,11 +525,11 @@ class _CostScanner:
                     else "alloc"
                 )
                 self._charge(
-                    inner[0], bound, kind, expr,
+                    inner, bound, kind, expr,
                     f"comprehension over {expr_text(gen.iter)}",
                 )
-                step = inner[0] + (bound,) if bound is not None else inner[0]
-                inner = (step, inner[1] + (expr.lineno,), inner[2])
+                if bound is not None:
+                    inner = inner + (bound,)
                 for cond in gen.ifs:
                     self._walk_expr(cond, inner)
             if isinstance(expr, ast.DictComp):
@@ -619,25 +553,16 @@ class _CostScanner:
                 left = comparator
             for child in ast.iter_child_nodes(expr):
                 if isinstance(child, ast.expr):
-                    self._walk_expr(child, ctx)
+                    self._walk_expr(child, prefix)
             return
         if isinstance(expr, ast.Lambda):
-            self._walk_expr(expr.body, ctx)
+            self._walk_expr(expr.body, prefix)
             return
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
-                self._walk_expr(child, ctx)
+                self._walk_expr(child, prefix)
 
-    def _handle_call(
-        self,
-        call: ast.Call,
-        ctx: Tuple[
-            Tuple[str, ...],
-            Tuple[int, ...],
-            Tuple[Tuple[int, int], ...],
-        ],
-    ) -> None:
-        prefix, loops, branch = ctx
+    def _handle_call(self, call: ast.Call, prefix: Tuple[str, ...]) -> None:
         func = call.func
         simple = None
         if isinstance(func, ast.Name):
@@ -690,8 +615,6 @@ class _CostScanner:
             self.out.calls.append(
                 _CostCall(
                     prefix=prefix,
-                    loops=loops,
-                    branch=branch,
                     targets=targets,
                     site=self.fn.site(call),
                     arg_classes=tuple(
@@ -702,19 +625,6 @@ class _CostScanner:
                         for kw in call.keywords
                         if kw.arg is not None
                     ),
-                    arg_texts=tuple(
-                        expr_text(arg) for arg in call.args
-                    ),
-                    kw_texts=tuple(
-                        (kw.arg, expr_text(kw.value))
-                        for kw in call.keywords
-                        if kw.arg is not None
-                    ),
-                    recv_text=(
-                        expr_text(call.func.value)
-                        if isinstance(call.func, ast.Attribute)
-                        else ""
-                    ),
                 )
             )
 
@@ -723,7 +633,7 @@ class _CostScanner:
 # The analysis
 # ----------------------------------------------------------------------
 class CostAnalysis:
-    """Shared harvest + the five COST analyses over one project."""
+    """Shared harvest + the four COST analyses over one project."""
 
     def __init__(
         self, project: Project, graph: CallGraph, config: LintConfig
@@ -750,7 +660,6 @@ class CostAnalysis:
         self.budget_hits: List[BudgetHit] = []
         self.quads: List[QuadHit] = []
         self.allocs: List[AllocHit] = []
-        self.repeats: List[RepeatHit] = []
         self.registry: List[RegistryHit] = []
 
         self._harvests: Dict[str, _FnCost] = {}
@@ -760,12 +669,6 @@ class CostAnalysis:
             self._terms,
             _prune_terms,
         )
-        self._repeat_maps: Dict[
-            str, Dict[Tuple[str, Tuple[str, ...]], Tuple[int, Site]]
-        ] = {}
-        self._repeat_reported: Set[Tuple[str, Tuple[str, ...]]] = set()
-        self._repeat_candidates: Dict[str, bool] = {}
-        self._pure: Optional[PureAnalysis] = None
 
     # ------------------------------------------------------------------
     # Registry resolution
@@ -859,144 +762,6 @@ class CostAnalysis:
         return out
 
     # ------------------------------------------------------------------
-    # RPL1004: repeated identical calls to pure costly functions
-    # ------------------------------------------------------------------
-    def _is_repeat_candidate(self, key: str) -> bool:
-        verdict = self._repeat_candidates.get(key)
-        if verdict is None:
-            verdict = (
-                self._pure is not None
-                and not self._pure._effect_closure(key)
-                and bool(self._cost_closure(key))
-            )
-            self._repeat_candidates[key] = verdict
-        return verdict
-
-    @staticmethod
-    def _call_sig_args(call: _CostCall) -> Tuple[str, ...]:
-        args = call.arg_texts + tuple(
-            f"{name}={text}" for name, text in sorted(call.kw_texts)
-        )
-        if call.recv_text:
-            # The receiver is part of the call's identity: two probes of
-            # different spaces are not a recomputation.
-            args = (f"@{call.recv_text}",) + args
-        return args
-
-    def _substitute_args(
-        self,
-        args: Tuple[str, ...],
-        call: _CostCall,
-        callee: FunctionInfo,
-    ) -> Tuple[str, ...]:
-        """Rewrite a child-frame argument signature into this frame."""
-        mapping = callee.bind(call.arg_texts, call.kw_texts)
-        out: List[str] = []
-        for arg in args:
-            recv = arg.startswith("@")
-            text = arg[1:] if recv else arg
-            head, dot, rest = text.partition(".")
-            if text in mapping:
-                text = mapping[text]
-            elif head == "self" and callee.bound_method and call.recv_text:
-                # Rebase the child frame's instance onto this call's
-                # receiver (`self._loads_of` via `self._mark_verified`
-                # keeps `self`; via `shard.check` it becomes `shard.`).
-                text = call.recv_text + (dot + rest if dot else "")
-            elif dot and head in mapping:
-                text = mapping[head] + dot + rest
-            else:
-                text = f"{callee.simple_name}::{text}"
-            out.append(f"@{text}" if recv else text)
-        return tuple(out)
-
-    @staticmethod
-    def _compatible(
-        a: Tuple[Tuple[int, int], ...], b: Tuple[Tuple[int, int], ...]
-    ) -> bool:
-        """False iff some conditional holds ``a``/``b`` in opposite arms."""
-        arms = dict(a)
-        return all(arms.get(line, arm) == arm for line, arm in b)
-
-    def _repeat_map(
-        self, key: str
-    ) -> Dict[Tuple[str, Tuple[str, ...]], Tuple[int, Site]]:
-        cached = self._repeat_maps.get(key)
-        if cached is not None:
-            return cached
-        self._repeat_maps[key] = {}  # cycle guard
-        harvest = self._harvests.get(key)
-        if harvest is None:
-            return {}
-        # Group occurrences by (loop stack, callee, argument signature):
-        # two calls in the same loop body repeat within one iteration,
-        # calls under different loops never pair.
-        groups: Dict[
-            Tuple[Tuple[int, ...], str, Tuple[str, ...]],
-            List[Tuple[Tuple[Tuple[int, int], ...], Site, int]],
-        ] = {}
-        for call in harvest.calls:
-            if len(call.targets) != 1:
-                continue
-            target = call.targets[0]
-            callee = self.project.functions.get(target)
-            if callee is None:
-                continue
-            if self._is_repeat_candidate(target):
-                sig_args = self._call_sig_args(call)
-                groups.setdefault((call.loops, target, sig_args), []).append(
-                    (call.branch, call.site, 1)
-                )
-            child = self._repeat_map(target)
-            for (c_target, c_args), (c_count, _) in child.items():
-                sub = self._substitute_args(c_args, call, callee)
-                if any("::" in a for a in sub):
-                    continue  # unbindable child-frame state: no merge
-                groups.setdefault((call.loops, c_target, sub), []).append(
-                    (call.branch, call.site, c_count)
-                )
-        propagated: Dict[Tuple[str, Tuple[str, ...]], Tuple[int, Site]] = {}
-        for group_key in sorted(groups):
-            loops, target, args = group_key
-            occurrences = groups[group_key]
-            # Max recomputations on any one execution path: occurrences
-            # in mutually exclusive branch arms never run together.
-            count = max(
-                sum(
-                    n
-                    for other, _, n in occurrences
-                    if self._compatible(branch, other)
-                )
-                for branch, _, _ in occurrences
-            )
-            site = min(
-                (s for _, s, _ in occurrences),
-                key=lambda s: (s.line, s.col),
-            )
-            sig = (target, args)
-            if count >= 2 and sig not in self._repeat_reported:
-                self._repeat_reported.add(sig)
-                self.repeats.append(
-                    RepeatHit(
-                        site=site,
-                        fn_key=key,
-                        callee=target,
-                        args=", ".join(args),
-                        count=count,
-                    )
-                )
-            if not loops:
-                # A repeat already reported here propagates as a single
-                # computation; callers pair it with their own calls.
-                propagated[sig] = (1 if count >= 2 else count, site)
-        if len(propagated) > _REPEAT_SIG_LIMIT:
-            propagated = dict(
-                sorted(propagated.items())[:_REPEAT_SIG_LIMIT]
-            )
-        self._repeat_maps[key] = propagated
-        return propagated
-
-    # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
     def _hot_module_keys(self) -> Set[str]:
@@ -1010,7 +775,6 @@ class CostAnalysis:
 
     def run(self) -> "CostAnalysis":
         self._resolve_tables()
-        self._pure = pure_analysis(self.project, self.config)
         for fn in self.project.iter_functions():
             module = self.project.modules[fn.module]
             scanner = FunctionScanner(self.graph, fn, module)
@@ -1063,21 +827,6 @@ class CostAnalysis:
                     )
                 )
 
-        # RPL1004: repeated pure recomputation, reported at the frame
-        # where the repetition first becomes provable, gated to the
-        # budget registry — the functions whose per-event cost is a
-        # declared invariant are the ones where recomputing a pure
-        # answer is a reportable defect.
-        for fn_key in sorted(self._harvests):
-            self._repeat_map(fn_key)
-        report_scope = set(self.budgets)
-        self.repeats = [
-            hit
-            for hit in self.repeats
-            if hit.fn_key in report_scope
-            and not self.project.suppressed("RPL1004", hit.site)
-        ]
-
         self.registry = [
             hit
             for hit in self.registry
@@ -1096,9 +845,6 @@ class CostAnalysis:
         self.allocs.sort(
             key=lambda a: (a.site.module, a.site.line, a.what)
         )
-        self.repeats.sort(
-            key=lambda r: (r.site.module, r.site.line, r.callee, r.args)
-        )
         self.registry.sort(key=lambda r: (r.table, r.entry, r.detail))
         return self
 
@@ -1108,7 +854,6 @@ class CostAnalysis:
             len(self.budget_hits)
             + len(self.quads)
             + len(self.allocs)
-            + len(self.repeats)
             + len(self.registry)
         )
 

@@ -2,8 +2,8 @@
 
 The per-file RPL1xx/RPL2xx rules pattern-match single call sites; they
 cannot prove that the generator reaching ``AcquisitionOptimizer.propose``
-was derived from the engine's seed, or that a write reached from
-``Executor.submit`` holds a lock.  This module closes that gap with
+was derived from the engine's seed, or that a write to a lock-guarded
+object holds its lock on every path.  This module closes that gap with
 three whole-program analyses over the parsed :class:`~.project.Project`
 and the :class:`~.callgraph.CallGraph`:
 
@@ -21,7 +21,7 @@ and the :class:`~.callgraph.CallGraph`:
 * **Lockset analysis** — per-statement sets of locks *definitely* held
   (the intersection over all paths, tracking ``with lock:`` blocks and
   explicit ``acquire``/``release`` calls through branches), powering
-  RPL603 and making RPL201 lock-aware.
+  RPL603 and FLOW's held-lock facts.
 
 Everything here is syntactic and conservative: unknown provenance is
 never reported, so the analyses only flag flows they can actually
@@ -796,15 +796,3 @@ def analyze(project: Project, config: LintConfig) -> DataflowAnalysis:
     """Run (or reuse) the dataflow analysis for one project + config."""
     return DataflowAnalysis(project, shared_callgraph(project), config).run()
 
-
-def pool_entry_keys(
-    project: Project, graph: CallGraph, config: LintConfig
-) -> Set[str]:
-    """Thread-pool entry points: discovered + configured."""
-    entries: Set[str] = set(graph.pool_entrypoints)
-    for dotted in config.entrypoints:
-        module_name, _, func = dotted.rpartition(".")
-        module = project.modules.get(module_name)
-        if module is not None and func in module.functions:
-            entries.add(module.functions[func].key)
-    return entries

@@ -2,11 +2,11 @@
 
 The RPL6xx dataflow pass proves per-statement facts (locksets, taint);
 this module composes them into the *interactions* a long-lived service
-dies from: lock-order cycles between the worker pools' guarded objects,
-blocking work performed while a lock is held, mutable values escaping
-into pool threads unregistered, resources whose release is not
-exception-safe, and containers that only ever grow.  Five analyses run
-over one shared harvest of the project:
+dies from: lock-order cycles between guarded objects, blocking work
+performed while a lock is held, mutable values escaping into threads
+unregistered, resources whose release is not exception-safe, and
+containers that only ever grow.  Five analyses run over one shared
+harvest of the project:
 
 * **Lock-order graph (RPL801)** — every lock acquisition is qualified
   to a project-wide identity (``Class.attr``, ``module.NAME``, or
@@ -21,9 +21,9 @@ over one shared harvest of the project:
   physics observation, ``Future.result``) matched inside held-lock
   regions, both directly and through calls whose callees block.
 * **Thread-escape (RPL803)** — arguments and closure captures flowing
-  into ``Executor.submit`` / ``Thread(target=...)`` whose inferred
-  class is a project type that is neither frozen, guarded, registered
-  via ``register_shared`` in its constructor, nor allowlisted.
+  into ``Thread(target=...)`` whose inferred class is a project type
+  that is neither frozen, guarded, registered via ``register_shared``
+  in its constructor, nor allowlisted.
 * **Lifecycle discipline (RPL804)** — locally-created resources
   (``open``, pools, servers, stores) must be released on *all* paths:
   used as a context manager, released in a ``finally``, or ownership
@@ -47,7 +47,6 @@ from typing import (
 )
 
 from .callgraph import (
-    _POOL_DISPATCH,
     CallGraph,
     FunctionScanner,
     SummaryClosure,
@@ -56,7 +55,7 @@ from .callgraph import (
     strongly_connected,
 )
 from .config import LintConfig
-from .dataflow import _LOCK_TYPE_NAMES, LocksetAnalysis, pool_entry_keys
+from .dataflow import _LOCK_TYPE_NAMES, LocksetAnalysis
 from .project import FunctionInfo, ModuleInfo, Project, Site, project_memo
 
 #: Summary items of the union-shaped FLOW closures.
@@ -516,7 +515,7 @@ class FlowAnalysis:
                     (frozenset(held), targets, site)
                 )
 
-        # Pool dispatch / thread construction: escapes + entry points.
+        # Thread construction: escapes + entry points.
         self._scan_escape(fn, scanner, local_names, node, site)
 
         # Container growth/shrink through method calls.
@@ -533,32 +532,20 @@ class FlowAnalysis:
         node: ast.Call,
         site: Site,
     ) -> None:
-        func = node.func
+        if not self._is_thread_ctor(scanner, node):
+            return
         escaping: List[ast.AST] = []
         callable_ref: Optional[ast.AST] = None
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _POOL_DISPATCH
-            and node.args
-        ):
-            callable_ref = node.args[0]
-            escaping.extend(node.args[1:])
-            escaping.extend(
-                kw.value for kw in node.keywords if kw.arg is not None
-            )
-        elif self._is_thread_ctor(scanner, node):
-            for kw in node.keywords:
-                if kw.arg == "target":
-                    callable_ref = kw.value
-                    resolved = scanner._resolve_callable_ref(kw.value)
-                    if resolved is not None:
-                        self._thread_targets.add(resolved)
-                elif kw.arg == "args" and isinstance(
-                    kw.value, (ast.Tuple, ast.List)
-                ):
-                    escaping.extend(kw.value.elts)
-        else:
-            return
+        for kw in node.keywords:
+            if kw.arg == "target":
+                callable_ref = kw.value
+                resolved = scanner._resolve_callable_ref(kw.value)
+                if resolved is not None:
+                    self._thread_targets.add(resolved)
+            elif kw.arg == "args" and isinstance(
+                kw.value, (ast.Tuple, ast.List)
+            ):
+                escaping.extend(kw.value.elts)
 
         if isinstance(callable_ref, ast.Attribute):
             # Bound method: the receiver rides into the worker thread.
@@ -584,7 +571,7 @@ class FlowAnalysis:
         scanner: FunctionScanner,
         callable_ref: Optional[ast.AST],
     ) -> List[ast.AST]:
-        """Free variables of a lambda / nested-def submit target."""
+        """Free variables of a lambda / nested-def thread target."""
         target: Optional[ast.AST] = None
         if isinstance(callable_ref, ast.Lambda):
             target = callable_ref.body
@@ -640,8 +627,6 @@ class FlowAnalysis:
         if cls is None or cls not in self.project.classes_by_name:
             return  # unknown or non-project type: conservative silence
         if cls in self.config.guarded_classes:
-            return
-        if cls in self.config.shared_types:
             return
         if cls in self.config.flow_shared_ok:
             return
@@ -1068,8 +1053,7 @@ class FlowAnalysis:
     # Entry points
     # ------------------------------------------------------------------
     def _compute_entries(self) -> None:
-        entries = set(pool_entry_keys(self.project, self.graph, self.config))
-        entries |= self._thread_targets
+        entries = set(self._thread_targets)
         for dotted in self.config.flow_entrypoints:
             key = self.project.resolve_dotted(dotted)
             if key is not None:

@@ -18,7 +18,6 @@ NUMERICS = "numerics"
 TELEMETRY = "telemetry"
 DATAFLOW = "dataflow"
 FLOW = "flow"
-PURE = "pure"
 COST = "cost"
 
 
@@ -120,7 +119,6 @@ def all_rules() -> Dict[str, Type[Rule]]:
         rules_determinism,
         rules_flow,
         rules_numerics,
-        rules_pure,
         rules_telemetry,
         rules_threadsafety,
     )

@@ -1,12 +1,11 @@
-"""``repro-lint report``: the FLOW, PURE and COST analyses, rendered.
+"""``repro-lint report``: the FLOW and COST analyses, rendered.
 
 Each whole-program family keeps working state worth reading beyond its
-findings — the lock-order graph, the purity registry verdicts, the
-closed cost of every budgeted function.  ``repro-lint report FAMILY``
-renders that state as text or JSON::
+findings — the lock-order graph, the closed cost of every budgeted
+function.  ``repro-lint report FAMILY`` renders that state as text or
+JSON::
 
     repro-lint report flow src/repro    # lock-order graph + escapes
-    repro-lint report pure src/repro    # registry, phase, snapshots
     repro-lint report cost src/repro --format json   # budget table
 
 The report always exits 0 once the analysis ran; the gate is the
@@ -17,16 +16,11 @@ reports list.
   kind), every order edge with one establishing site, the reentrant
   (RLock) self-edges, per-entry-point lock coverage, cycles, thread
   escapes and blocking-under-lock hits.
-* **pure** — the declared-pure registry (each root with its effect
-  closure verdict), the probe/commit phase separation (entry points,
-  reachable-function counts, violations with their call paths),
-  snapshot alias escapes, set-iteration order hazards, and registry
-  health.
 * **cost** — the budget registry (each registered function with its
   declared budget, closed symbolic cost and verdict), budget
   violations with their dominant charge and call chain, same-family
-  quadratic products, hot-path N-sized allocations, repeated pure
-  recomputations, and registry health.
+  quadratic products, hot-path N-sized allocations, and registry
+  health.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from .config import LintConfig
 from .cost import CostAnalysis, cost_analysis, render_terms
 from .flow import FlowAnalysis, flow_analysis
 from .project import Project
-from .pure import PureAnalysis, pure_analysis
 
 
 def _heading(title: str) -> List[str]:
@@ -76,7 +69,7 @@ def flow_text(analysis: FlowAnalysis) -> str:
     lines.append("")
     lines.append("entry-point lock coverage")
     if not analysis.entry_locks:
-        lines.append("  (no thread-pool entry points discovered)")
+        lines.append("  (no thread entry points discovered)")
     for key, locks in sorted(analysis.entry_locks.items()):
         shown = ", ".join(locks) if locks else "(none)"
         lines.append(f"  {label(key)}: {shown}")
@@ -162,146 +155,6 @@ def flow_json(analysis: FlowAnalysis) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def pure_text(analysis: PureAnalysis) -> str:
-    label = analysis.project.label
-    lines: List[str] = []
-    lines += _heading("declared-pure registry")
-    if not analysis.pure_roots:
-        lines.append("  (no pure roots registered or marked)")
-    mutations_by_root: Dict[str, int] = {}
-    for hit in analysis.mutations:
-        mutations_by_root[hit.root_key] = (
-            mutations_by_root.get(hit.root_key, 0) + 1
-        )
-    for key in sorted(analysis.pure_roots):
-        count = mutations_by_root.get(key, 0)
-        verdict = "ok" if count == 0 else f"{count} mutation(s)"
-        origin = analysis.pure_roots[key]
-        lines.append(f"  {label(key)}  [{origin}]  {verdict}")
-    if analysis.mutations:
-        lines.append("")
-        lines.append("mutations of pre-existing state")
-        for hit in analysis.mutations:
-            effect = hit.effect
-            via = " via " + " -> ".join(effect.chain) if effect.chain else ""
-            lines.append(
-                f"  {effect.site.module}:{effect.site.line}  "
-                f"root={effect.root}  {effect.op} on {effect.target}"
-                f"{via}  (pure root {label(hit.root_key)})"
-            )
-    lines += ["", *_heading("probe/commit phase separation")]
-    if not analysis.probe_entries:
-        lines.append("  (no probe entry points registered)")
-    for key in sorted(analysis.probe_entries):
-        lines.append(f"  probe entry {label(key)}")
-    lines.append(f"  reachable functions: {len(analysis.reachable)}")
-    lines.append(f"  commit mutators registered: {len(analysis.mutator_keys)}")
-    if analysis.phase:
-        lines.append("")
-        lines.append(f"PHASE VIOLATIONS: {len(analysis.phase)}")
-        for hit in analysis.phase:
-            path = " -> ".join(
-                analysis.project.qualname(step) for step in hit.path
-            )
-            lines.append(
-                f"  {hit.site.module}:{hit.site.line}  [{hit.kind}] "
-                f"{hit.what}  (path {path})"
-            )
-    else:
-        lines.append("  violations: none")
-    lines += ["", *_heading("snapshot boundaries")]
-    if not analysis.snapshots:
-        lines.append("  (no live containers escape snapshot accessors)")
-    for snap in analysis.snapshots:
-        lines.append(
-            f"  {snap.site.module}:{snap.site.line}  {snap.method} "
-            f"returns live {snap.ctype} {snap.container}"
-        )
-    lines += ["", *_heading("iteration-order hazards")]
-    if not analysis.order:
-        lines.append("  (no set iteration feeds an ordered decision)")
-    for hazard in analysis.order:
-        lines.append(
-            f"  {hazard.site.module}:{hazard.site.line}  "
-            f"{hazard.iterable!r} -> {hazard.consumer}  "
-            f"(reachable from {label(hazard.entry)})"
-        )
-    lines += ["", *_heading("registry health")]
-    if not analysis.registry:
-        lines.append("  (every registry entry resolves)")
-    for stale in analysis.registry:
-        lines.append(
-            f"  stale [{stale.table}] entry {stale.entry!r} "
-            f"(module {stale.module})"
-        )
-    return "\n".join(lines)
-
-
-def pure_json(analysis: PureAnalysis) -> str:
-    label = analysis.project.label
-    payload = {
-        "pure_roots": {
-            label(key): origin
-            for key, origin in sorted(analysis.pure_roots.items())
-        },
-        "mutations": [
-            {
-                "root": label(hit.root_key),
-                "module": hit.effect.site.module,
-                "line": hit.effect.site.line,
-                "effect_root": hit.effect.root,
-                "op": hit.effect.op,
-                "target": hit.effect.target,
-                "via": list(hit.effect.chain),
-            }
-            for hit in analysis.mutations
-        ],
-        "probe_entries": sorted(
-            label(key) for key in analysis.probe_entries
-        ),
-        "reachable_count": len(analysis.reachable),
-        "phase_violations": [
-            {
-                "module": hit.site.module,
-                "line": hit.site.line,
-                "kind": hit.kind,
-                "what": hit.what,
-                "entry": label(hit.entry),
-                "path": [
-                    label(step) for step in hit.path
-                ],
-            }
-            for hit in analysis.phase
-        ],
-        "snapshot_escapes": [
-            {
-                "module": snap.site.module,
-                "line": snap.site.line,
-                "method": snap.method,
-                "container": snap.container,
-                "type": snap.ctype,
-            }
-            for snap in analysis.snapshots
-        ],
-        "order_hazards": [
-            {
-                "module": hazard.site.module,
-                "line": hazard.site.line,
-                "iterable": hazard.iterable,
-                "consumer": hazard.consumer,
-                "entry": label(hazard.entry),
-            }
-            for hazard in analysis.order
-        ],
-        "stale_registry": [
-            {"entry": stale.entry, "table": stale.table}
-            for stale in analysis.registry
-        ],
-        "violations": analysis.violation_count,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def cost_text(analysis: CostAnalysis) -> str:
     label = analysis.project.label
     lines: List[str] = []
@@ -361,16 +214,6 @@ def cost_text(analysis: CostAnalysis) -> str:
             f"  {alloc.site.module}:{alloc.site.line}  "
             f"{label(alloc.fn_key)}  [{alloc.bound}] "
             f"{alloc.what}  ({origin})"
-        )
-    lines += ["", *_heading("repeated recomputation")]
-    if not analysis.repeats:
-        lines.append("  (no pure costly call repeats with fixed args)")
-    for repeat in analysis.repeats:
-        lines.append(
-            f"  {repeat.site.module}:{repeat.site.line}  "
-            f"{label(repeat.fn_key)}  computes "
-            f"{label(repeat.callee)}({repeat.args}) "
-            f"{repeat.count}x"
         )
     lines += ["", *_heading("registry health")]
     if not analysis.registry:
@@ -436,17 +279,6 @@ def cost_json(analysis: CostAnalysis) -> str:
             }
             for alloc in analysis.allocs
         ],
-        "repeats": [
-            {
-                "module": repeat.site.module,
-                "line": repeat.site.line,
-                "function": label(repeat.fn_key),
-                "callee": label(repeat.callee),
-                "args": repeat.args,
-                "count": repeat.count,
-            }
-            for repeat in analysis.repeats
-        ],
         "stale_registry": [
             {
                 "entry": stale.entry,
@@ -470,6 +302,5 @@ REPORTS: Dict[
     ],
 ] = {
     "flow": (flow_analysis, flow_text, flow_json),
-    "pure": (pure_analysis, pure_text, pure_json),
     "cost": (cost_analysis, cost_text, cost_json),
 }

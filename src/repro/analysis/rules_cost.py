@@ -3,8 +3,8 @@
 These rules consume the shared :class:`~.cost.CostAnalysis` harvest:
 one pass over the project yields every function's symbolic cost
 closure, the local quadratic products, the hot-path allocation sites,
-the repeated-recomputation merges, and the registry health report;
-each rule renders its slice as findings.  The same analysis backs
+and the registry health report; each rule renders its slice as
+findings.  The same analysis backs
 ``repro-lint report cost``, so every finding here can be inspected in
 context (per-entry-point cost table, closures, hot scope) with
 ``repro-lint report cost src/repro``.
@@ -136,44 +136,6 @@ class HotPathAllocation(Rule):
                     f"{hit.bound}-sized allocation in "
                     f"{project.qualname(hit.fn_key)!r} ({origin}): "
                     f"{hit.what}"
-                ),
-            )
-
-
-@register
-class RepeatedRecomputation(Rule):
-    """RPL1004: a pure costly call repeated with unchanged arguments."""
-
-    rule_id = "RPL1004"
-    name = "repeated-recomputation"
-    family = COST
-    description = (
-        "A project function with an empty PURE effect closure and a "
-        "non-constant cost, called two or more times with textually "
-        "identical arguments (receiver included) in one dynamic scope "
-        "— same loop iteration, branch-compatible, merged through the "
-        "callgraph with per-frame argument substitution — recomputes "
-        "the same answer; compute once and thread the value through. "
-        "Reported only inside budget-registered functions, where "
-        "per-event cost is a declared invariant.  The repo's own "
-        "instance was _loads_of, computed by _on_recheck and again "
-        "via _mark_verified for the same node and tick."
-    )
-    autofix_hint = (
-        "Compute the value once, pass it down as a parameter "
-        "(loads=... threading), or memoize per tick; calls under a "
-        "loop or with differing arguments are not flagged."
-    )
-
-    def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
-        analysis = cost_analysis(project, config)
-        for hit in analysis.repeats:
-            yield self.finding_at(
-                project, hit.site,
-                (
-                    f"{project.qualname(hit.fn_key)!r} computes pure "
-                    f"{project.qualname(hit.callee)!r}({hit.args}) "
-                    f"{hit.count}x with unchanged arguments"
                 ),
             )
 

@@ -12,7 +12,7 @@ path did.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionScanner, shared_callgraph
 from .config import LintConfig
@@ -23,7 +23,6 @@ from .dataflow import (
     LocksetAnalysis,
     analyze,
     compute_locksets,
-    pool_entry_keys,
 )
 from .model import DATAFLOW, Finding, Rule, register
 from .project import FunctionInfo, Project
@@ -39,7 +38,7 @@ _UNSHARED_METHODS = {
     "__reduce__",
 }
 
-#: Mutating container methods (mirrors the RPL201 set).
+#: Mutating container methods.
 _MUTATORS = {
     "append", "extend", "insert", "remove", "pop", "popitem", "clear",
     "add", "discard", "update", "setdefault", "sort", "reverse",
@@ -133,19 +132,18 @@ class ClockProvenance(Rule):
 
 @register
 class LocksetDiscipline(Rule):
-    """RPL603: pool-shared attribute writes must hold a lock on all
+    """RPL603: writes in a lock-guarded class must hold a lock on all
     paths."""
 
     rule_id = "RPL603"
     name = "lockset-discipline"
     family = DATAFLOW
     description = (
-        "Attribute writes on lock-guarded shared objects (guarded_classes "
-        "methods, and writes to guarded instances inside functions "
-        "reachable from the thread-pool entry points) must happen while "
-        "a lock is definitely held — computed by per-path lockset "
-        "intersection, so a lock acquired on only one branch does not "
-        "count."
+        "Attribute writes on lock-guarded shared objects (in the methods "
+        "of guarded_classes, to self or to another guarded instance) "
+        "must happen while a lock is definitely held — computed by "
+        "per-path lockset intersection, so a lock acquired on only one "
+        "branch does not count."
     )
     autofix_hint = (
         "Wrap the write in `with self._lock:` (or acquire the guarding "
@@ -155,36 +153,16 @@ class LocksetDiscipline(Rule):
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         graph = shared_callgraph(project)
         guarded = set(config.guarded_classes)
-        checked: Set[str] = set()
-        findings: List[Finding] = []
-
-        # (a) Methods of self-guarding classes: every self.* write needs
-        # the instance lock.
+        # Methods of self-guarding classes: every write to self or to
+        # another guarded instance needs a lock.
         for cls_name in sorted(guarded):
             for info in project.classes_by_name.get(cls_name, ()):
                 for method in info.methods.values():
                     if method.simple_name in _UNSHARED_METHODS:
                         continue
-                    checked.add(method.key)
-                    findings.extend(
-                        self._check_function(
-                            project, graph, method, guarded, self_guarded=True
-                        )
+                    yield from self._check_function(
+                        project, graph, method, guarded
                     )
-
-        # (b) Functions running on pool threads: writes to guarded-typed
-        # objects (parameters, locals, attribute chains) need a lock.
-        entries = pool_entry_keys(project, graph, config)
-        for key in sorted(graph.reachable_from(entries)):
-            fn = project.functions.get(key)
-            if fn is None or fn.key in checked:
-                continue
-            findings.extend(
-                self._check_function(
-                    project, graph, fn, guarded, self_guarded=False
-                )
-            )
-        yield from findings
 
     def _check_function(
         self,
@@ -192,7 +170,6 @@ class LocksetDiscipline(Rule):
         graph: CallGraph,
         fn: FunctionInfo,
         guarded: Set[str],
-        self_guarded: bool,
     ) -> Iterator[Finding]:
         locksets = compute_locksets(graph, fn)
         scanner = locksets.scanner
@@ -201,9 +178,7 @@ class LocksetDiscipline(Rule):
             if write is None:
                 continue
             target, verb = write
-            receiver = self._guarded_receiver(
-                scanner, fn, target, guarded, self_guarded
-            )
+            receiver = self._guarded_receiver(scanner, fn, target, guarded)
             if receiver is None:
                 continue
             if locksets.held_at(node):
@@ -262,17 +237,10 @@ class LocksetDiscipline(Rule):
         fn: FunctionInfo,
         target: ast.AST,
         guarded: Set[str],
-        self_guarded: bool,
     ) -> Optional[str]:
         """Guarded class name the written object belongs to, if any."""
         if isinstance(target, ast.Name) and target.id == "self":
-            if fn.simple_name in _UNSHARED_METHODS:
-                # The object under construction (or deserialization) is
-                # not shared yet, even when the constructor itself runs
-                # on a pool thread.
-                return None
-            if self_guarded:
-                return fn.class_name
+            return fn.class_name
         inferred = scanner._value_type(target)
         if inferred in guarded:
             return inferred

@@ -91,9 +91,9 @@ class ThreadEscape(Rule):
     name = "thread-escape"
     family = FLOW
     description = (
-        "Arguments and closure captures flowing into Executor.submit / "
+        "Arguments and closure captures flowing into "
         "Thread(target=...) whose inferred class is a mutable project "
-        "type that is neither frozen, a guarded/shared class, "
+        "type that is neither frozen, a guarded class, "
         "register_shared in its constructor, nor allowlisted — the gap "
         "RPL603 only covers for already-known shared objects."
     )

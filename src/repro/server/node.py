@@ -486,9 +486,8 @@ class Node:
         # this write through verify_node -> Node.observe, but the stored
         # truth is a deterministic function of (fingerprint, config,
         # loads, seed), so publishing it is replay-invariant — any replay
-        # recomputes the identical value on a miss.  RPL902 bans every
-        # *other* ObservationStore.put on probe paths.
-        # repro-lint: disable-next-line=RPL902
+        # recomputes the identical value on a miss.  No other
+        # ObservationStore.put runs on a probe path.
         self.store.put(self._fingerprint, flat, loads, truth.jobs)
 
     def stored_verdict(self, key: str) -> Optional[Verdict]:
@@ -506,7 +505,6 @@ class Node:
         # the verdict is a deterministic function of its key (physics
         # fingerprint, LC loads, seed, engine settings), so any replay
         # recomputes the identical value on a miss.
-        # repro-lint: disable-next-line=RPL902
         self.store.put_verdict(key, verdict)
 
     def _cached_truth(self, config: Configuration) -> Observation:

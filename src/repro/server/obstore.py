@@ -27,7 +27,10 @@ Design points:
 * **Versioned, corruption-tolerant loads.**  The first line is a schema
   header; a missing or incompatible header discards the file, and any
   individually unparsable line is counted and skipped rather than
-  poisoning the load.
+  poisoning the load.  A discarded file's content is never read, and
+  the store's first write truncates it and starts a fresh file under a
+  current header, so records written after a discard survive a reopen.
+  Opening a store without writing to it leaves the file as it was.
 * **Thread-safe.**  A store is long-lived and its owner may share it
   across services or threads; all state transitions happen under the
   instance lock, and the store registers itself (and its entry maps)
@@ -179,7 +182,8 @@ class ObservationStore:
 
     Args:
         path: Backing file (created, along with parent directories, on
-            first use).
+            first use).  A file with a missing or incompatible header
+            is not read; the first write truncates it.
         max_entries: LRU capacity of each record kind; the
             least-recently-used truth (or verdict) is evicted when a
             ``put`` (or ``put_verdict``) would exceed it.
@@ -212,6 +216,8 @@ class ObservationStore:
         )
         self._verdicts: "OrderedDict[str, Verdict]" = OrderedDict()
         self._fh: Optional[IO[str]] = None
+        #: The file on disk was discarded at load: truncate on first write.
+        self._discarded = False
         self._file_lines = 0
         self._hits = 0
         self._misses = 0
@@ -252,6 +258,7 @@ class ObservationStore:
                 # Not (a compatible version of) an observation store:
                 # start fresh rather than misread someone else's file.
                 self._corrupt += 1
+                self._discarded = True
                 return
             self._file_lines = len(lines)
             for line in lines[1:]:
@@ -302,6 +309,7 @@ class ObservationStore:
                     and isinstance(qos_met, bool)
                     and (bg_perf is None or isinstance(bg_perf, float))
                     and isinstance(samples, int)
+                    and not isinstance(samples, bool)
                 ):
                     return None
                 return self._verdicts, vkey, Verdict(qos_met, bg_perf, samples)
@@ -339,18 +347,26 @@ class ObservationStore:
         return json.dumps({"schema": SCHEMA_KIND, "version": SCHEMA_VERSION})
 
     def _writer(self) -> IO[str]:
-        """The append handle, opening (and headering) the file lazily."""
+        """The append handle, opening (and headering) the file lazily.
+
+        A file discarded at load is truncated here, so the records
+        appended after the fresh header are not lost behind the old one.
+        """
         with self._lock:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 fresh = (
-                    not self.path.exists() or self.path.stat().st_size == 0
+                    self._discarded
+                    or not self.path.exists()
+                    or self.path.stat().st_size == 0
                 )
+                mode = "w" if self._discarded else "a"
+                self._discarded = False
                 # Durability by design: the append handle must open under
                 # the lock so concurrent first-appends cannot double-write
                 # the header.
                 # repro-lint: disable-next-line=RPL802
-                self._fh = open(self.path, "a", encoding="utf-8")
+                self._fh = open(self.path, mode, encoding="utf-8")
                 if fresh:
                     self._fh.write(self._header_line() + "\n")
                     self._file_lines = 1

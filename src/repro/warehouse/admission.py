@@ -23,12 +23,12 @@ flavors trade fidelity for wall-clock:
 
 Both flavors are pure functions of ``(node state, seed)``: probing
 commits nothing and perturbs nothing, so a federation can probe shards
-that end up rejecting without disturbing the event timeline.
-Both ``check`` methods are declared in ``[tool.repro-lint.pure]`` and
-the promise is enforced statically — ``repro-lint`` (RPL901,
-:mod:`repro.analysis.pure`) fails CI on any write to pre-existing
-state anywhere in their call closure, and ``repro-lint report pure``
-shows each root's verdict.
+that end up rejecting without disturbing the event timeline.  The only
+trace a probe may leave is in the observation store, whose truths and
+verdicts are replay-invariant.  ``tests/test_warehouse.py::
+TestProbeLeavesNoTrace`` checks the promise by behaviour: it snapshots
+the probe, the service and every node around each ``check`` and
+``probe_admit`` call and requires them unchanged.
 """
 
 from __future__ import annotations

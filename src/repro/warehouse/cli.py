@@ -230,7 +230,8 @@ def _run_check(args: argparse.Namespace) -> int:
     again warm over one store shared by both shards: the warm pass must
     decide exactly as the cold one with no engine run (every probe
     replays a stored verdict) and no new store miss — a guarantee that
-    rests on the probe/commit split ``repro-lint``'s PURE family proves.
+    rests on the probe/commit split: a probe that does not commit leaves
+    no trace but replay-invariant store records.
     """
     config = ScenarioConfig(
         n_jobs=30, duration_s=300.0, lc_fraction=0.5, seed=args.seed

@@ -22,11 +22,10 @@ Shard admission probes are side-effect-free (see
 one at a time in preference order and commits on the first that admits,
 so a rejected probe leaves every shard exactly as it found it and a
 same-seed replay reproduces the timeline bit for bit.  The side-effect-
-free half of that bargain is *proven statically*: ``repro-lint``'s PURE
-family (RPL9xx, :mod:`repro.analysis.pure`) closes the probe entry
-points over the call graph and fails CI on any mutation of
-pre-existing state, fresh RNG/clock draw, or commit-mutator call in a
-probe closure.
+free half of that bargain is checked by behaviour:
+``tests/test_warehouse_federation.py::TestProbeLeavesNoTrace`` snapshots
+every shard around an arrival whose first shard rejects and requires
+the rejecting shard unchanged.
 """
 
 from __future__ import annotations

@@ -607,8 +607,8 @@ class WarehouseService:
         ``sorted(candidates, key=(-n_jobs, index))`` without ever
         materializing an n_nodes-sized candidate set — the COST family
         budgets this at O(small), and the deterministic bucket order
-        keeps the probe sequence a pure function of cluster state (the
-        property the PURE family's RPL904 used to pin via sorted()).
+        keeps the probe sequence a pure function of cluster state
+        (``TestIndexEquivalence`` compares it against a full scan).
         """
         request = _request_at(job, t)
         verified: List[int] = []

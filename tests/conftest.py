@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.resources import (
@@ -133,3 +135,22 @@ def make_node(
 def quiet_node(mini_server):
     """2 LC + 1 BG on the mini server, noise-free."""
     return make_node(mini_server, lc_loads=(0.4, 0.3), n_bg=1, noise=0.0)
+
+
+def service_trace(service) -> tuple:
+    """Everything of a warehouse service that a probe must not change.
+
+    The timeline, ``placements()``, ``status()``, the job and density
+    books, the verification memo, and each node's identity and
+    requests, all copied so a later in-place change still shows.
+    """
+    return (
+        service.timeline,
+        service.placements(),
+        service.status(),
+        {name: copy.copy(placed) for name, placed in service._jobs.items()},
+        [list(bucket) for bucket in service._by_density],
+        list(service._density_of),
+        dict(service._last_verified),
+        [(id(node), tuple(node.requests)) for node in service.cluster.nodes],
+    )

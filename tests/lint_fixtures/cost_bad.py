@@ -3,11 +3,10 @@
 A scheduler-shaped service whose event handlers carry declared budgets
 (wired up by the test config) and then blow through them: a
 fleet-sized scan under an O(small) budget — directly and through a
-two-deep callee chain — a same-family quadratic, an n_nodes-sized
-materialization on a hot path, and a pure costly helper recomputed
-with unchanged arguments.  The config also registers one stale budget
-entry, one unparseable budget expression, and one unbudgeted hot entry
-point, so the registry-health rule has something to report.
+two-deep callee chain — a same-family quadratic, and an n_nodes-sized
+materialization on a hot path.  The config also registers one stale
+budget entry, one unparseable budget expression, and one unbudgeted hot
+entry point, so the registry-health rule has something to report.
 """
 
 from typing import Dict, List, Tuple
@@ -57,19 +56,6 @@ class BadService:
     def hot_alloc(self, t: float) -> List[int]:
         """Budgeted O(n_nodes) but hot: the sorted() copy is the hit."""
         return sorted(self.fleet.nodes)
-
-    def recheck(self, t: float) -> bool:
-        """Budgeted: recomputes a pure fleet-sized answer twice."""
-        first = self.loads_of(3, t)
-        second = self.loads_of(3, t)
-        return first == second
-
-    def loads_of(self, index: int, t: float) -> Tuple[float, ...]:
-        """Pure and non-constant: one pass over the fleet."""
-        loads = []
-        for node in self.fleet.nodes:
-            loads.append(node + t + index)
-        return tuple(loads)
 
     def unbudgeted_hot(self, t: float) -> int:
         """Registered hot but missing from the budgets table."""

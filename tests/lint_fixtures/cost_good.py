@@ -61,7 +61,8 @@ class GoodService:
         return best
 
     def recheck(self, t: float) -> bool:
-        """Budgeted: computes the pure answer once, threads it down."""
+        """Budgeted O(n_nodes): computes the loads once, threads them
+        down."""
         loads = self.loads_of(3, t)
         return self._verify(loads)
 
@@ -69,7 +70,7 @@ class GoodService:
         return all(load >= 0 for load in loads)
 
     def loads_of(self, index: int, t: float) -> Tuple[float, ...]:
-        """Pure and non-constant: one pass over the fleet."""
+        """One pass over the fleet."""
         loads = []
         for node in self.fleet.nodes:
             loads.append(node + t + index)

@@ -4,13 +4,10 @@ Every generator reaching a ``Generator``-typed parameter is
 seed-derived (explicit seed, ``resolve_rng``, or ``spawn``); only clock
 instances reach ``Clock``-typed parameters; and every attribute write
 on the guarded cache holds its lock on all paths — including the
-branchy method, which acquires on *both* arms.  The pool worker's
-locked write is also the RPL201 regression case: deliberate
-synchronization must not be flagged as shared-state mutation.
+branchy method, which acquires on *both* arms.
 """
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.random import Generator
@@ -88,19 +85,3 @@ class GuardedCache:
         self.hits += 1  # lock held on all paths
         self._lock.release()
 
-
-class SharedState:
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.count = 0
-
-
-def worker(state: SharedState) -> None:
-    with state.lock:
-        state.count += 1  # locked: RPL603's domain, not an RPL201 finding
-
-
-def fan_out(state: SharedState, items) -> None:
-    with ThreadPoolExecutor() as pool:
-        for _ in items:
-            pool.submit(worker, state)

@@ -4,7 +4,7 @@ The two ``Order*`` classes take each other's locks in opposite orders —
 the textbook ABBA deadlock RPL801 exists to catch.  ``Chatty`` blocks
 under its lock both directly and through a callee (the interprocedural
 ``via`` form).  ``fan_out`` hands an unregistered mutable object to a
-pool worker; the lifecycle functions leak an ``open`` handle on every
+worker thread; the lifecycle functions leak an ``open`` handle on every
 path or only on exception paths; and the growth cases append to a
 module global and a long-lived object's list from thread targets with
 no eviction anywhere.
@@ -12,7 +12,6 @@ no eviction anywhere.
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 EVENTS = []  # module-level, only ever appended to
 
@@ -67,9 +66,11 @@ def process(state: RequestState) -> None:
 
 def fan_out() -> None:
     state = RequestState()
-    pool = ThreadPoolExecutor(max_workers=2)
-    pool.submit(process, state)  # RPL803: state escapes unregistered
-    pool.shutdown()
+    worker = threading.Thread(
+        target=process, args=(state,)  # RPL803: state escapes unregistered
+    )
+    worker.start()
+    worker.join()
 
 
 def leak(path: str) -> str:

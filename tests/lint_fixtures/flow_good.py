@@ -2,7 +2,7 @@
 
 Mirror of ``flow_bad.py``: the same shapes done right.  Locks are taken
 in one global order everywhere; the RLock helper re-enters legally;
-blocking work happens after the lock is released; pool arguments are
+blocking work happens after the lock is released; thread arguments are
 frozen or self-registering; resources use ``with`` / ``finally`` /
 ownership transfer; and every growing container has an eviction path,
 a ``len()`` bound guard, or a ``deque(maxlen=...)`` bound.
@@ -11,7 +11,6 @@ a ``len()`` bound guard, or a ``deque(maxlen=...)`` bound.
 import collections
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.sanitizer import register_shared
@@ -94,11 +93,10 @@ def consume(snap: Snapshot, buf: SharedBuf) -> None:
 def fan_out() -> None:
     snap = Snapshot(value=1)
     buf = SharedBuf()
-    pool = ThreadPoolExecutor(max_workers=2)
-    try:
-        pool.submit(consume, snap, buf)  # frozen + registered: fine
-    finally:
-        pool.shutdown()
+    # frozen + registered: fine
+    worker = threading.Thread(target=consume, args=(snap, buf))
+    worker.start()
+    worker.join()
 
 
 def read_with(path: str) -> str:

@@ -1,41 +1,9 @@
-"""Fixture: RPL201 (reachable shared-state mutation) and RPL203 fire.
+"""Fixture: RPL203 fires on the frozen-dataclass back door.
 
-``fan_out`` hands ``worker`` to a thread pool; ``worker`` mutates its
-``SharedState`` parameter directly and via the transitively called
-``helper``, and ``bump_global`` rebinds a module global.
+``thaw`` writes through ``object.__setattr__`` outside
+``__post_init__``, silently defeating the immutability other threads
+rely on.
 """
-
-from concurrent.futures import ThreadPoolExecutor
-
-_TOTAL = 0
-
-
-class SharedState:
-    def __init__(self):
-        self.results = {}
-        self.count = 0
-
-
-def helper(state: SharedState):
-    state.results.clear()  # RPL201: in-place mutator on shared param
-
-
-def bump_global():
-    global _TOTAL
-    _TOTAL = _TOTAL + 1  # RPL201: module-global write
-
-
-def worker(state: SharedState, item):
-    state.count += 1  # RPL201: attribute write on shared param
-    state.results[item] = True  # RPL201: item write on shared param
-    helper(state)
-    bump_global()
-
-
-def fan_out(state: SharedState, items):
-    with ThreadPoolExecutor() as pool:
-        for item in items:
-            pool.submit(worker, state, item)
 
 
 class FrozenThing:

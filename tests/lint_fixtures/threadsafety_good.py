@@ -1,27 +1,4 @@
-"""Fixture: pool workers that build private state lint clean."""
-
-from concurrent.futures import ThreadPoolExecutor
-
-
-class SharedState:
-    def __init__(self):
-        self.results = {}
-
-
-def worker(state: SharedState, item):
-    # Reads shared state, mutates only worker-private containers.
-    local = dict(state.results)
-    local[item] = True
-    return local
-
-
-def fan_out(state: SharedState, items):
-    with ThreadPoolExecutor() as pool:
-        futures = [pool.submit(worker, state, item) for item in items]
-    merged = {}
-    for future in futures:  # serial merge after the pool joins
-        merged.update(future.result())
-    return merged
+"""Fixture: the frozen-dataclass back door used only where sanctioned."""
 
 
 class FrozenThing:

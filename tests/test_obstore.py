@@ -197,6 +197,41 @@ class TestCorruptionTolerance:
         store_path.write_text("\n".join(lines) + "\n")
         assert len(ObservationStore(store_path)) == 0
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"schema": SCHEMA_KIND, "version": SCHEMA_VERSION - 1},
+            {"schema": "something-else", "version": SCHEMA_VERSION},
+        ],
+        ids=["old-version", "foreign"],
+    )
+    def test_records_written_after_a_discard_survive_a_reopen(
+        self, mini_server, store_path, header
+    ):
+        self._write_valid_store(mini_server, store_path)
+        lines = store_path.read_text().splitlines()
+        lines[0] = json.dumps(header)
+        store_path.write_text("\n".join(lines) + "\n")
+        with ObservationStore(store_path) as store:
+            assert len(store) == 0 and store.stats().corrupt == 1
+            for i in range(5):
+                store.put_verdict(f"k{i}", Verdict(True, None, i))
+        reopened = ObservationStore(store_path)
+        assert reopened.stats().loaded == 5
+        assert reopened.stats().corrupt == 0
+        assert reopened.get_verdict("k4") == Verdict(True, None, 4)
+        # The first write replaced the discarded content wholesale.
+        assert len(store_path.read_text().splitlines()) == 6
+
+    def test_discarded_file_is_untouched_until_written(
+        self, mini_server, store_path
+    ):
+        self._write_valid_store(mini_server, store_path)
+        foreign = json.dumps({"schema": "something-else"}) + "\n"
+        store_path.write_text(foreign)
+        ObservationStore(store_path).close()
+        assert store_path.read_text() == foreign
+
     def test_missing_file_is_empty_store(self, store_path):
         store = ObservationStore(store_path)
         assert len(store) == 0
@@ -366,12 +401,16 @@ class TestVerdictMemo:
         lines[2] = lines[2][: len(lines[2]) // 2]
         lines.append(json.dumps({"verdict": "k9", "qos_met": "yes",
                                  "bg_perf": None, "samples": 1}))
+        # bool is an int subclass; a true sample count is still no count.
+        lines.append(json.dumps({"verdict": "k8", "qos_met": True,
+                                 "bg_perf": None, "samples": True}))
         store_path.write_text("\n".join(lines) + "\n")
         reopened = ObservationStore(store_path)
-        assert reopened.stats().corrupt == 2
+        assert reopened.stats().corrupt == 3
         assert reopened.stats().verdicts == 2
         assert reopened.get_verdict("k0") == Verdict(True, 0.5, 10)
         assert reopened.get_verdict("k1") is None
+        assert reopened.get_verdict("k8") is None
 
     def test_version_1_file_is_discarded(self, mini_server, store_path):
         with ObservationStore(store_path) as store:

@@ -1,8 +1,7 @@
 """COST-family (RPL10xx) rule behavior on the cost fixtures,
-interprocedural cost closures with call chains, RPL1004 repeat
-semantics, the ``repro-lint report cost`` output, cache coverage of the
-nested cost table, and the meta-tests pinning the repo's own per-event
-budgets."""
+interprocedural cost closures with call chains, the ``repro-lint report
+cost`` output, cache coverage of the nested cost table, and the
+meta-tests pinning the repo's own per-event budgets."""
 
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = REPO_ROOT / "src" / "repro"
 
-COST_IDS = ("RPL1001", "RPL1002", "RPL1003", "RPL1004", "RPL1005")
+COST_IDS = ("RPL1001", "RPL1002", "RPL1003", "RPL1005")
 BAD = "lint_fixtures.cost_bad"
 GOOD = "lint_fixtures.cost_good"
 
@@ -34,7 +33,6 @@ def bad_config(**overrides) -> LintConfig:
         cost_budgets=(
             f"{BAD}.BadService.handle=small",
             f"{BAD}.BadService.deep=small",
-            f"{BAD}.BadService.recheck=small",
             f"{BAD}.BadService.hot_alloc=n_nodes",
             f"{BAD}.BadService.gone=small",      # stale: no such function
             f"{BAD}.BadService.quad=bogus",      # malformed expression
@@ -167,13 +165,6 @@ class TestCostFixtures:
         assert alloc.bound == "n_nodes"
         assert "sorted" in alloc.what
 
-    def test_rpl1004_counts_the_repeated_pure_call(self):
-        analysis = analyse_fixture("cost_bad.py", bad_config())
-        assert len(analysis.repeats) == 1
-        repeat = analysis.repeats[0]
-        assert "loads_of" in repeat.callee
-        assert repeat.count == 2
-
     def test_rpl1005_reports_all_three_registry_defects(self):
         analysis = analyse_fixture("cost_bad.py", bad_config())
         details = {(hit.table, hit.detail) for hit in analysis.registry}
@@ -217,105 +208,6 @@ class TestBudgetGrammar:
         assert parse_budget("bogus") is None
         assert parse_budget("n_nodes*") is None
         assert parse_budget("n_nodes^2") is None
-
-
-# ----------------------------------------------------------------------
-# RPL1004 repeat semantics on focused snippets
-# ----------------------------------------------------------------------
-def repeat_source(body: str) -> str:
-    return (
-        "class Store:\n"
-        "    def __init__(self):\n"
-        "        self.items = []\n"
-        "\n"
-        "    def total(self, t):\n"
-        "        acc = 0.0\n"
-        "        for item in self.items:\n"
-        "            acc += item + t\n"
-        "        return acc\n"
-        "\n"
-        "\n"
-        "class Svc:\n"
-        "    def __init__(self):\n"
-        "        self.store = Store()\n"
-        "        self.mirror = Store()\n"
-        "\n"
-        "    def tick(self, t):\n" + body
-    )
-
-
-REPEAT_CONFIG = dict(
-    select=COST_IDS,
-    cost_budgets=("mod.Svc.tick=n_jobs",),
-    cost_hot_entrypoints=(),
-    cost_collections=("Store.items=n_jobs",),
-    cost_bounded=(),
-    cost_small_names=(),
-)
-
-
-class TestRepeatSemantics:
-    def _repeats(self, tmp_path, body: str):
-        analysis = analyse_source(
-            tmp_path, repeat_source(body), LintConfig(**REPEAT_CONFIG)
-        )
-        return analysis.repeats
-
-    def test_straight_line_repeat_is_flagged(self, tmp_path):
-        body = (
-            "        a = self.store.total(t)\n"
-            "        b = self.store.total(t)\n"
-            "        return a + b\n"
-        )
-        repeats = self._repeats(tmp_path, body)
-        assert len(repeats) == 1
-        assert repeats[0].count == 2
-
-    def test_same_loop_iteration_repeat_is_flagged(self, tmp_path):
-        body = (
-            "        out = []\n"
-            "        for step in (1, 2, 3):\n"
-            "            out.append(self.store.total(t) "
-            "+ self.store.total(t))\n"
-            "        return out\n"
-        )
-        assert len(self._repeats(tmp_path, body)) == 1
-
-    def test_exclusive_branch_arms_do_not_pair(self, tmp_path):
-        body = (
-            "        if t > 0:\n"
-            "            return self.store.total(t)\n"
-            "        return self.store.total(t)\n"
-        )
-        assert self._repeats(tmp_path, body) == []
-
-    def test_different_arguments_do_not_pair(self, tmp_path):
-        body = (
-            "        return self.store.total(t) "
-            "+ self.store.total(t + 1.0)\n"
-        )
-        assert self._repeats(tmp_path, body) == []
-
-    def test_different_receivers_do_not_pair(self, tmp_path):
-        body = (
-            "        return self.store.total(t) "
-            "+ self.mirror.total(t)\n"
-        )
-        assert self._repeats(tmp_path, body) == []
-
-    def test_unbudgeted_frames_are_out_of_scope(self, tmp_path):
-        """The same repetition without a budget on tick stays silent:
-        RPL1004 is gated to the declared-budget registry."""
-        body = (
-            "        a = self.store.total(t)\n"
-            "        b = self.store.total(t)\n"
-            "        return a + b\n"
-        )
-        config = dict(REPEAT_CONFIG, cost_budgets=())
-        analysis = analyse_source(
-            tmp_path, repeat_source(body), LintConfig(**config)
-        )
-        assert analysis.repeats == []
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +270,6 @@ class TestCostCLI:
             "hot_reachable_count",
             "quadratics",
             "hot_allocations",
-            "repeats",
             "stale_registry",
             "violations",
         }

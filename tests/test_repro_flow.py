@@ -119,22 +119,19 @@ class TestLockOrderGraph:
         assert len(analysis.cycles) == 1
         assert set(analysis.cycles[0].tokens) == {"A._lock", "B._lock"}
 
-    def test_pool_entry_only_lock_lands_in_coverage(self, tmp_path):
-        """A lock touched solely by a pool-dispatched worker must still
-        appear in that entry point's lock coverage."""
+    def test_thread_entry_only_lock_lands_in_coverage(self, tmp_path):
+        """A lock touched solely by a thread target must still appear in
+        that entry point's lock coverage."""
         source = (
             "import threading\n"
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "_pool_lock = threading.Lock()\n"
-            "def work(x):\n"
-            "    with _pool_lock:\n"
-            "        return x\n"
+            "_work_lock = threading.Lock()\n"
+            "def work():\n"
+            "    with _work_lock:\n"
+            "        pass\n"
             "def dispatch():\n"
-            "    pool = ThreadPoolExecutor(max_workers=2)\n"
-            "    try:\n"
-            "        return pool.submit(work, 1)\n"
-            "    finally:\n"
-            "        pool.shutdown()\n"
+            "    worker = threading.Thread(target=work)\n"
+            "    worker.start()\n"
+            "    worker.join()\n"
         )
         analysis = analyse(tmp_path, source)
         entry_locks = {
@@ -143,7 +140,7 @@ class TestLockOrderGraph:
         }
         assert "work" in entry_locks
         assert any(
-            token.endswith("._pool_lock") for token in entry_locks["work"]
+            token.endswith("._work_lock") for token in entry_locks["work"]
         )
 
     def test_repo_graph_covers_http_handlers(self):
@@ -251,8 +248,9 @@ class TestFlowCLI:
         assert "repro-lint report: no paths given" in result.stderr
 
     def test_unknown_family_is_usage_error(self, tmp_path):
-        result = run_lint_cli("report", "units", cwd=tmp_path)
-        assert result.returncode == 2
+        for family in ("units", "pure"):
+            result = run_lint_cli("report", family, cwd=tmp_path)
+            assert result.returncode == 2, family
 
 
 # ----------------------------------------------------------------------

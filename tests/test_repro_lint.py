@@ -30,7 +30,6 @@ def fixture_config(**overrides) -> LintConfig:
     """A config retargeted at the fixture corpus' class names."""
     base = dict(
         hot_path=("",),  # numerics rules apply everywhere
-        shared_types=("SharedState",),
         placement_bases=("PlacementPolicy",),
         policy_bases=("Policy",),
         optimizer_classes=("AcquisitionOptimizer",),
@@ -88,18 +87,6 @@ class TestDeterminismRules:
 # Thread-safety family
 # ----------------------------------------------------------------------
 class TestThreadSafetyRules:
-    def test_bad_fixture_flags_shared_mutation(self):
-        findings = [
-            f for f in lint_fixture("threadsafety_bad.py")
-            if f.rule_id == "RPL201"
-        ]
-        messages = "\n".join(f.message for f in findings)
-        # direct attribute + item writes, the transitive helper, the global
-        assert len(findings) >= 4
-        assert "reachable from thread-pool entry point 'worker'" in messages
-        assert "'helper'" in messages  # call-path rendering
-        assert "module global" in messages
-
     def test_bad_fixture_flags_setattr_backdoor(self):
         findings = [
             f for f in lint_fixture("threadsafety_bad.py")
@@ -261,12 +248,6 @@ class TestDataflowRules:
         findings = lint_fixture(
             "dataflow_good.py", select=("RPL603",), **self.GUARDED
         )
-        assert findings == [], render_text(findings)
-
-    def test_rpl201_skips_lock_guarded_shared_writes(self):
-        """Lock-guarded mutation of a shared-typed parameter is RPL603's
-        domain; RPL201 must no longer flag it."""
-        findings = lint_fixture("dataflow_good.py", select=("RPL201",))
         assert findings == [], render_text(findings)
 
     def test_rpl603_disabled_outside_guarded_classes(self):
@@ -447,9 +428,10 @@ class TestSuppressionsAndConfig:
             ('[tool.repro-lint]\nhot-path = "custom/"\n', "hot-path"),
             ('[tool.repro-lint]\nignore = "RPL103"\n', "ignore"),
             ("[tool.repro-lint]\nselect = 1\n", "select"),
-            # Only flow, pure and cost hold nested tables.
+            # Only flow and cost hold nested tables.
             ('[tool.repro-lint.hot-path]\n"a" = "b"\n', "hot-path"),
             ('[tool.repro-lint.units]\n"f.return" = "Millis"\n', "units"),
+            ('[tool.repro-lint.pure]\nregistry = ["m.f"]\n', "pure"),
         ])
 
 
@@ -487,14 +469,13 @@ class TestReporters:
 class TestRegistryAndRepoTree:
     EXPECTED_RULES = {
         "RPL101", "RPL102", "RPL103", "RPL104",
-        "RPL201", "RPL202", "RPL203",
+        "RPL202", "RPL203",
         "RPL301", "RPL302", "RPL303", "RPL304",
         "RPL401", "RPL402",
         "RPL501", "RPL502",
         "RPL601", "RPL602", "RPL603",
         "RPL801", "RPL802", "RPL803", "RPL804", "RPL805",
-        "RPL901", "RPL902", "RPL903", "RPL904", "RPL905",
-        "RPL1001", "RPL1002", "RPL1003", "RPL1004", "RPL1005",
+        "RPL1001", "RPL1002", "RPL1003", "RPL1005",
     }
 
     def test_registry_is_complete(self):
@@ -576,8 +557,10 @@ class TestCLI:
         assert json.loads(result.stdout)["finding_count"] == 1
 
     def test_unknown_rule_exits_two(self):
-        # A family name no registered rule carries is unknown too.
-        for token in ("RPL999", "UNITS"):
+        # A family name no registered rule carries is unknown too, and
+        # so is the id of a retired rule.
+        retired = ("UNITS", "PURE", "RPL901", "RPL1004", "RPL201")
+        for token in ("RPL999", *retired):
             result = run_cli(str(PACKAGE), "--select", token)
             assert result.returncode == 2, token
             assert f"unknown rule id(s): {token}" in result.stderr

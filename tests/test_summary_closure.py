@@ -1,6 +1,6 @@
-"""The SCC-ordered summary closure behind FLOW, PURE and COST.
+"""The SCC-ordered summary closure behind FLOW and COST.
 
-Per-function summaries (locks acquired, effects, cost terms) are
+Per-function summaries (locks acquired, cost terms) are
 closed over the call graph one strongly connected component at a time,
 and a recursive component is iterated to a fixpoint — so what a
 function's summary says never depends on which member of a cycle was
@@ -23,7 +23,6 @@ from repro.analysis.config import load_config
 from repro.analysis.cost import cost_analysis, render_terms
 from repro.analysis.engine import LintEngine
 from repro.analysis.flow import flow_analysis
-from repro.analysis.pure import pure_analysis
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
@@ -86,34 +85,6 @@ class TestSummaryClosure:
 # ----------------------------------------------------------------------
 # Query order must not change a family's verdict
 # ----------------------------------------------------------------------
-PURE_CYCLE = (
-    "class S:\n"
-    "    def a(self):\n"
-    "        self.x = 1\n"
-    "        self.b()\n"
-    "    def b(self):\n"
-    "        self.a()\n"
-)
-
-
-@pytest.mark.parametrize(
-    "registry", [("m.S.b",), ("m.S.a", "m.S.b")], ids=["b-only", "a-first"]
-)
-def test_pure_cycle_flags_both_roots_in_any_order(tmp_path, registry):
-    config = LintConfig(
-        select=("RPL901",),
-        pure_registry=registry,
-        pure_probe_entrypoints=(),
-        pure_commit_mutators=(),
-    )
-    analysis = pure_analysis(build(tmp_path, PURE_CYCLE, config), config)
-    flagged = {hit.root_key for hit in analysis.mutations}
-    assert "m:S.b" in flagged
-    hit = next(h for h in analysis.mutations if h.root_key == "m:S.b")
-    assert (hit.effect.root, hit.effect.target) == ("self", "self.x")
-    assert hit.effect.chain == ("S.a",)
-
-
 FLOW_CYCLE = (
     "import threading\n"
     "class Inner:\n"
@@ -230,8 +201,6 @@ def _report_violation(family: str, path: Path) -> bool:
     project = LintEngine(config).build_project([path])
     if family == "FLOW":
         return bool(flow_analysis(project, config).cycles)
-    if family == "PURE":
-        return bool(pure_analysis(project, config).violation_count)
     return bool(cost_analysis(project, config).violation_count)
 
 
@@ -240,12 +209,9 @@ def _report_violation(family: str, path: Path) -> bool:
     [
         ("FLOW", "flow_good.py"),
         ("FLOW", "flow_bad.py"),
-        ("PURE", "effect_good.py"),
-        ("PURE", "effect_bad.py"),
         ("COST", "cost_good.py"),
         ("COST", "cost_bad.py"),
         ("FLOW", "."),
-        ("PURE", "."),
         ("COST", "."),
     ],
 )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_bg, make_lc
+from conftest import make_bg, make_lc, service_trace
 from repro.core import CLITEConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.clock import SimulatedClock
@@ -13,6 +13,7 @@ from repro.telemetry.serve import parse_series
 from repro.server import ObservationStore
 from repro.warehouse import (
     Arrival,
+    CLITEProbe,
     Departure,
     EventLoop,
     EventQueue,
@@ -467,6 +468,87 @@ class TestQuickProbePinned:
         assert status["rejections"] > 0
         assert (checks, truths) == (192, 546)
         assert _digest((routed, timelines, placements)) == "fae15b51d999bdc2"
+
+
+class TestProbeLeavesNoTrace:
+    """A probe that does not commit leaves no trace.
+
+    Around each probe call the probe object's attributes, the service
+    (see :func:`conftest.service_trace`) and every node's requests must
+    read the same before and after.  The observation store is the one
+    sanctioned exception: it may gain truths and verdicts, but only
+    replay-invariant ones, so a repeat of the call adds nothing and a
+    fresh store replaying it gains the same records.
+    """
+
+    def _service(self, mini_server, probe="quick", store=None):
+        """One node hosting ``w0`` at full load, QoS 6 ms: ``x`` at
+        load 0.3 fits beside it, at 0.85 it does not."""
+        service = WarehouseService(
+            1,
+            spec=mini_server,
+            probe=probe,
+            engine_config=FAST_ENGINE,
+            max_jobs_per_node=3,
+            store=store,
+        )
+        service.submit(lc_job("w0", 1.0, qos_latency_ms=6.0), at=1.0)
+        service.run_until(1.0)
+        assert service.placements() == {"w0": 0}
+        return service
+
+    @staticmethod
+    def _tentative(service, load):
+        from repro.cluster.state import JobRequest
+
+        request = JobRequest(make_lc("x", qos_latency_ms=6.0), load, name="x")
+        return service.cluster.nodes[0].with_request(request)
+
+    @staticmethod
+    def _trace(service):
+        return dict(vars(service.probe)), service_trace(service)
+
+    @staticmethod
+    def _records(store):
+        return dict(store._entries), dict(store._verdicts)
+
+    @pytest.mark.parametrize("load,admits", [(0.3, True), (0.85, False)])
+    def test_quick_check(self, mini_server, load, admits):
+        service = self._service(mini_server)
+        tentative = self._tentative(service, load)
+        before = self._trace(service)
+        assert service.probe.check(tentative, service.seed) is admits
+        assert self._trace(service) == before
+
+    def test_clite_check_with_a_store(self, mini_server, tmp_path):
+        with ObservationStore(tmp_path / "obs.jsonl") as store:
+            service = self._service(mini_server, probe="clite", store=store)
+            tentative = self._tentative(service, 0.3)
+            before = self._trace(service)
+            answer = service.probe.check(tentative, service.seed)
+            assert self._trace(service) == before
+            records = self._records(store)
+            assert records[1]  # the verdict was memoised
+            # Replay-invariant: a repeat answers alike and adds nothing.
+            assert service.probe.check(tentative, service.seed) == answer
+            assert self._trace(service) == before
+            assert self._records(store) == records
+        with ObservationStore(tmp_path / "fresh.jsonl") as fresh:
+            replay = CLITEProbe(FAST_ENGINE)
+            replay.attach(fresh, None)
+            assert replay.check(tentative, service.seed) == answer
+            assert self._records(fresh) == records
+
+    @pytest.mark.parametrize("load,target", [(0.3, 0), (0.85, None)])
+    def test_probe_admit(self, mini_server, load, target):
+        service = self._service(mini_server)
+        before = self._trace(service)
+        found, tentative, verified = service.probe_admit(
+            lc_job("x", load, qos_latency_ms=6.0), 1.0
+        )
+        assert (found, verified) == (target, (0,))
+        assert (tentative is None) == (target is None)
+        assert self._trace(service) == before
 
 
 class TestServiceBasics:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_bg, make_lc
+from conftest import make_bg, make_lc, service_trace
 from repro.core import CLITEConfig
 from repro.server import ObservationStore
+from repro.telemetry import Telemetry
+from repro.telemetry.serve import parse_series
 from repro.warehouse import (
     ScenarioConfig,
     WarehouseFederation,
@@ -119,6 +121,48 @@ class TestRouting:
             departs = [e for e in fed.routed if e.kind == "depart"]
         assert departs[0].job == "a" and departs[0].shard >= 0
         assert departs[1].job == "ghost" and departs[1].detail == "unknown"
+
+
+class TestProbeLeavesNoTrace:
+    def test_rejecting_first_shard_is_left_as_it_was(self, mini_server):
+        """An arrival whose home shard probes and rejects lands on the
+        next shard, and leaves the home shard's probe, service state
+        and nodes exactly as they were."""
+        telemetry = Telemetry.enabled()
+
+        def probes():
+            return sum(
+                value
+                for series, value in telemetry.snapshot().counters.items()
+                if parse_series(series)[0] == "warehouse.verify.nodes"
+            )
+
+        def job(name, load):
+            return WarehouseJob.lc(
+                make_lc(name, qos_latency_ms=6.0), load, name
+            )
+
+        assert home_shard("w0", 2) == home_shard("w1", 2) == 0
+        with WarehouseFederation(
+            2,
+            1,
+            routing="rejection-retry",
+            spec=mini_server,
+            max_jobs_per_node=3,
+            telemetry=telemetry,
+        ) as fed:
+            fed.submit(job("w0", 1.0), at=1.0)
+            fed.run_until(2.0)
+            home = fed.shards[0]
+            before = dict(vars(home.probe)), service_trace(home)
+            probed = probes()
+            # Scheduled at the current time, so the clock stays put and
+            # status()'s time_s compares equal.
+            fed.submit(job("w1", 0.85), at=2.0)
+            fed.run_until(2.0)
+            assert probes() == probed + 1  # the home shard did probe
+            assert fed.placements() == {"w0": (0, 0), "w1": (1, 0)}
+            assert (dict(vars(home.probe)), service_trace(home)) == before
 
 
 class TestWarehouseScale:
