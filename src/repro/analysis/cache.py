@@ -1,7 +1,7 @@
 """Incremental lint cache: replay a clean run when nothing changed.
 
 Most of the rule families are *whole-program* analyses (call graph,
-taint fixpoint, lock-order graph), so per-file result reuse would be
+lock-order graph, cost closure), so per-file result reuse would be
 unsound: editing one file can create findings in another (a new lock
 acquisition in a callee changes its callers' order edges).  The cache
 is therefore all-or-nothing at invocation granularity — the stored

@@ -12,9 +12,10 @@ follow chains like ``node_state.build_node(...)`` →
 ``CLITEEngine(node, cfg).optimize()`` or
 ``tel.metrics.counter(...).add(...)``.
 
-The interprocedural dataflow pass (:mod:`.dataflow`, RPL6xx) reuses the
-same :class:`FunctionScanner` resolution machinery, so both layers see
-one consistent view of the project's types.
+The FLOW and COST scanners and RPL603's lockset analysis
+(:mod:`.dataflow`) reuse the same :class:`FunctionScanner` resolution
+machinery, so every layer sees one consistent view of the project's
+types.
 
 :class:`SummaryClosure` is the one bottom-up closure the FLOW and COST
 families use to lift per-function summaries (locks acquired, cost
@@ -122,17 +123,15 @@ class CallGraph:
 class FunctionScanner(ast.NodeVisitor):
     """Collects call edges and local types inside one function body.
 
-    Also the project's shared expression-type oracle: the dataflow pass
-    (:mod:`.dataflow`) instantiates one per function to resolve call
+    Also the project's shared expression-type oracle: the FLOW, COST
+    and lockset passes instantiate one per function to resolve call
     targets and receiver types with the same rules the call graph uses.
-    ``fn`` may be ``None`` for module-level code (no parameters, no
-    ``self``).
     """
 
     def __init__(
         self,
         graph: CallGraph,
-        fn: Optional[FunctionInfo],
+        fn: FunctionInfo,
         module: ModuleInfo,
     ) -> None:
         self.graph = graph
@@ -140,17 +139,13 @@ class FunctionScanner(ast.NodeVisitor):
         self.fn = fn
         self.module = module
         self.local_types: Dict[str, str] = dict(
-            graph.param_types.get(fn.key, {}) if fn is not None else {}
+            graph.param_types.get(fn.key, {})
         )
         self.callees: Set[str] = set()
 
     # -- type bookkeeping ------------------------------------------------
     def _record_self_attr(self, attr: str, inferred: Optional[str]) -> None:
-        if (
-            inferred is not None
-            and self.fn is not None
-            and self.fn.class_name is not None
-        ):
+        if inferred is not None and self.fn.class_name is not None:
             self.graph.attr_types.setdefault(
                 (self.fn.class_name, attr), inferred
             )
@@ -287,7 +282,7 @@ class FunctionScanner(ast.NodeVisitor):
         ``MetricRegistry``).
         """
         if isinstance(node, ast.Name):
-            if node.id == "self" and self.fn is not None and self.fn.class_name:
+            if node.id == "self" and self.fn.class_name:
                 return self.local_types.get(node.id, self.fn.class_name)
             return self.local_types.get(node.id)
         if isinstance(node, ast.Call):
@@ -340,11 +335,7 @@ class FunctionScanner(ast.NodeVisitor):
         # self.method() / var.method() with an inferred receiver type.
         receiver = self._value_type(func.value)
         if receiver is None and isinstance(func.value, ast.Name):
-            if (
-                func.value.id == "self"
-                and self.fn is not None
-                and self.fn.class_name is not None
-            ):
+            if func.value.id == "self" and self.fn.class_name is not None:
                 receiver = self.fn.class_name
         if receiver is not None:
             method = self.project.lookup_method(receiver, func.attr)

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help=(
             "Comma-separated rule IDs or family names (e.g. FLOW, "
-            "dataflow) to run exclusively."
+            "determinism) to run exclusively."
         ),
     )
     parser.add_argument(

@@ -44,9 +44,6 @@ class LintConfig:
             threads *by design* and protect themselves with an internal
             lock; RPL603 requires every attribute write in their methods
             to hold a lock on all paths.
-        clock_classes: Extra class names (beyond ``Clock`` subclasses
-            discovered structurally) whose instances are sanctioned time
-            sources for RPL602.
         flow_blocking_calls: The RPL802 blocking-call registry:
             ``"mod.fn"`` dotted names, ``".method"`` receiver-blind
             method names (``.result``), or ``"Class.method"`` entries
@@ -118,7 +115,6 @@ class LintConfig:
         "Tracer",
         "ObservationStore",
     )
-    clock_classes: Tuple[str, ...] = ()
     flow_blocking_calls: Tuple[str, ...] = (
         ".result",
         ".serve_forever",

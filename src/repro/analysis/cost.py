@@ -539,7 +539,6 @@ class _CostScanner:
                 self._walk_expr(expr.elt, inner)
             return
         if isinstance(expr, ast.Compare):
-            left = expr.left
             for op, comparator in zip(expr.ops, expr.comparators):
                 if isinstance(op, (ast.In, ast.NotIn)):
                     bound = self._bound_of(comparator)
@@ -550,7 +549,6 @@ class _CostScanner:
                             prefix, bound, "membership", expr,
                             f"'in' scan of {expr_text(comparator)}",
                         )
-                left = comparator
             for child in ast.iter_child_nodes(expr):
                 if isinstance(child, ast.expr):
                     self._walk_expr(child, prefix)

@@ -1,7 +1,8 @@
 """Whole-program concurrency and resource-lifecycle analysis (FLOW).
 
-The RPL6xx dataflow pass proves per-statement facts (locksets, taint);
-this module composes them into the *interactions* a long-lived service
+The lockset analysis behind RPL603 (:mod:`.dataflow`) proves which
+locks are definitely held at each statement; this module composes those
+facts into the *interactions* a long-lived service
 dies from: lock-order cycles between guarded objects, blocking work
 performed while a lock is held, mutable values escaping into threads
 unregistered, resources whose release is not exception-safe, and

@@ -1,12 +1,8 @@
-"""DATAFLOW family (RPL6xx): interprocedural provenance + locksets.
+"""DATAFLOW family (RPL6xx): per-path lockset discipline.
 
-These rules consume the whole-program analyses in :mod:`.dataflow`.
-Unlike the per-file RPL1xx/RPL2xx families they follow values across
-modules: an unseeded generator laundered through a local, a dataclass
-field, or a dict payload is still flagged when it finally reaches a
-``Generator``-typed parameter — and a lock-guarded write is recognised
-as guarded no matter which branch acquired the lock, as long as *every*
-path did.
+RPL603 reads the lockset analysis in :mod:`.dataflow`: a write on a
+lock-guarded class is recognised as guarded no matter which branch
+acquired the lock, as long as *every* path did.
 """
 
 from __future__ import annotations
@@ -16,14 +12,7 @@ from typing import Iterator, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionScanner, shared_callgraph
 from .config import LintConfig
-from .dataflow import (
-    CLOCK,
-    RNG,
-    DataflowAnalysis,
-    LocksetAnalysis,
-    analyze,
-    compute_locksets,
-)
+from .dataflow import compute_locksets
 from .model import DATAFLOW, Finding, Rule, register
 from .project import FunctionInfo, Project
 
@@ -44,90 +33,6 @@ _MUTATORS = {
     "add", "discard", "update", "setdefault", "sort", "reverse",
     "appendleft", "popleft",
 }
-
-
-def _display_origin(analysis: DataflowAnalysis, module: str) -> str:
-    info = analysis.project.modules.get(module)
-    return info.display_path if info is not None else module
-
-
-@register
-class RngProvenance(Rule):
-    """RPL601: values reaching Generator-typed parameters must be
-    seed-derived."""
-
-    rule_id = "RPL601"
-    name = "rng-provenance"
-    family = DATAFLOW
-    description = (
-        "Every value flowing into a Generator/RNGLike-typed parameter "
-        "must originate from resolve_rng, Generator.spawn, or an "
-        "explicit seed — traced interprocedurally through locals, "
-        "dataclass fields, dict payloads, and module globals."
-    )
-    autofix_hint = (
-        "Derive the generator from the run seed (resolve_rng(seed, "
-        "owner=...) or parent.spawn(n)) instead of drawing OS entropy."
-    )
-
-    def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
-        analysis = analyze(project, config)
-        for hit in sorted(
-            analysis.sink_hits, key=lambda h: (h.module, h.line, h.col)
-        ):
-            if hit.domain != RNG:
-                continue
-            yield Finding(
-                rule_id=self.rule_id,
-                path=_display_origin(analysis, hit.module),
-                line=hit.line,
-                col=hit.col,
-                message=(
-                    f"value from {hit.taint.origin} (line {hit.taint.line}) "
-                    f"flows into seed-requiring parameter "
-                    f"{hit.param!r} of {hit.callee}()"
-                ),
-                hint=self.autofix_hint,
-            )
-
-
-@register
-class ClockProvenance(Rule):
-    """RPL602: only sanctioned clock instances may reach Clock sinks."""
-
-    rule_id = "RPL602"
-    name = "clock-provenance"
-    family = DATAFLOW
-    description = (
-        "Only telemetry.clock instances (Clock subclasses or configured "
-        "clock_classes) may flow into Clock-typed parameters; arbitrary "
-        "project objects reaching a duration-consuming sink indicate a "
-        "miswired time source."
-    )
-    autofix_hint = (
-        "Pass a telemetry Clock (SimulatedClock for reproducible runs, "
-        "WallClock only at the sanctioned boundary)."
-    )
-
-    def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
-        analysis = analyze(project, config)
-        for hit in sorted(
-            analysis.sink_hits, key=lambda h: (h.module, h.line, h.col)
-        ):
-            if hit.domain != CLOCK:
-                continue
-            yield Finding(
-                rule_id=self.rule_id,
-                path=_display_origin(analysis, hit.module),
-                line=hit.line,
-                col=hit.col,
-                message=(
-                    f"{hit.taint.origin} (line {hit.taint.line}) is not a "
-                    f"Clock but flows into Clock-typed parameter "
-                    f"{hit.param!r} of {hit.callee}()"
-                ),
-                hint=self.autofix_hint,
-            )
 
 
 @register

@@ -33,6 +33,14 @@ _LEGACY_NP_RANDOM = {
     "weibull", "zipf", "RandomState",
 }
 
+#: numpy.random constructors that draw fresh OS entropy when called
+#: with no arguments: ``default_rng``, ``Generator``, ``SeedSequence``
+#: and the bit generators.
+_ENTROPY_CONSTRUCTORS = {
+    "default_rng", "Generator", "SeedSequence",
+    "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
+}
+
 _WALL_CLOCK = {
     "time.time",
     "time.time_ns",
@@ -55,13 +63,15 @@ def _iter_calls(project: Project):
 
 
 @register
-class UnseededDefaultRng(Rule):
+class UnseededRng(Rule):
     rule_id = "RPL101"
-    name = "unseeded-default-rng"
+    name = "unseeded-rng"
     family = DETERMINISM
     description = (
-        "np.random.default_rng() called without a seed: the resulting "
-        "generator draws fresh OS entropy, so two identical runs diverge."
+        "np.random.default_rng(), Generator(), SeedSequence() or a bit "
+        "generator (PCG64, PCG64DXSM, MT19937, Philox, SFC64) constructed "
+        "without a seed: it draws fresh OS entropy, so two identical runs "
+        "diverge wherever the value later flows."
     )
     autofix_hint = (
         "Thread a seeded np.random.Generator (or an explicit integer "
@@ -72,18 +82,21 @@ class UnseededDefaultRng(Rule):
 
     def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         for module, call in _iter_calls(project):
-            dotted = module.resolve(call.func)
-            if dotted is None or not dotted.endswith("default_rng"):
-                continue
-            if dotted not in ("numpy.random.default_rng", "default_rng"):
-                continue
             if call.args or call.keywords:
+                continue
+            dotted = module.resolve(call.func)
+            if dotted is None:
+                continue
+            prefix, _, name = dotted.rpartition(".")
+            if name not in _ENTROPY_CONSTRUCTORS:
+                continue
+            if prefix not in ("numpy.random", ""):
                 continue
             yield self.finding(
                 project,
                 module.name,
                 call,
-                "np.random.default_rng() without a seed makes this "
+                f"np.random.{name}() without a seed makes this "
                 "component non-reproducible",
             )
 

@@ -90,6 +90,11 @@ SCHEMA_KIND = "repro-obstore"
 StoreKey = Tuple[str, Tuple[int, ...], Tuple[float, ...]]
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer that is not a bool (``true`` loads as ``True``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Verdict(NamedTuple):
     """One memoised CLITE verification of a node state.
 
@@ -308,16 +313,22 @@ class ObservationStore:
                     isinstance(vkey, str)
                     and isinstance(qos_met, bool)
                     and (bg_perf is None or isinstance(bg_perf, float))
-                    and isinstance(samples, int)
-                    and not isinstance(samples, bool)
+                    and _is_int(samples)
                 ):
                     return None
                 return self._verdicts, vkey, Verdict(qos_met, bg_perf, samples)
-            key: StoreKey = (
-                str(raw["fp"]),
-                tuple(int(u) for u in raw["cfg"]),
-                tuple(float(l) for l in raw["loads"]),
-            )
+            fp, cfg, loads = raw["fp"], raw["cfg"], raw["loads"]
+            # Exactly what _encode_entry writes: int config units and
+            # int-or-float loads, never bools (json's true is an int).
+            if not (
+                isinstance(fp, str)
+                and isinstance(cfg, list)
+                and all(_is_int(u) for u in cfg)
+                and isinstance(loads, list)
+                and all(_is_int(l) or isinstance(l, float) for l in loads)
+            ):
+                return None
+            key: StoreKey = (fp, tuple(cfg), tuple(float(l) for l in loads))
             jobs = tuple(JobObservation(**fields) for fields in raw["jobs"])
         except (ValueError, TypeError, KeyError):
             return None

@@ -1,60 +1,6 @@
-"""Fixture: every DATAFLOW (RPL6xx) rule fires.
-
-The RPL601 cases launder a fresh (OS-entropy) generator through the
-exact channels the per-file RPL10x rules cannot see: an intermediate
-local, a dataclass field, and a constant-keyed dict payload.  The
-``Generator(PCG64())`` form is the RPL10x blind spot regression case —
-``default_rng`` never appears, so RPL101/RPL102 stay silent while the
-taint analysis still flags the flow.
-"""
+"""Fixture: the DATAFLOW rule (RPL603) fires on both write shapes."""
 
 import threading
-
-import numpy as np
-from numpy.random import Generator
-
-
-def consume(rng: Generator) -> float:
-    return float(rng.random())
-
-
-def fresh_through_local() -> float:
-    gen = np.random.Generator(np.random.PCG64())  # fresh OS entropy
-    return consume(gen)  # RPL601
-
-
-class RngHolder:
-    def __init__(self, rng: Generator) -> None:
-        self.rng = rng
-
-
-def fresh_through_field() -> float:
-    holder = RngHolder(np.random.Generator(np.random.PCG64DXSM()))
-    return consume(holder.rng)  # RPL601
-
-
-def fresh_through_payload() -> float:
-    payload = {"rng": np.random.Generator(np.random.MT19937()), "tag": "x"}
-    return consume(payload["rng"])  # RPL601
-
-
-class Clock:
-    def now_s(self) -> float:
-        return 0.0
-
-
-class StubTimer:
-    def now_s(self) -> float:
-        return 42.0
-
-
-def measure(clock: Clock) -> float:
-    return clock.now_s()
-
-
-def wrong_timer() -> float:
-    timer = StubTimer()  # not a Clock subclass
-    return measure(timer)  # RPL602
 
 
 class GuardedCache:

@@ -1,9 +1,9 @@
 """Type-inferencer edge cases in analysis/callgraph.py.
 
-RPL601/603 resolve sinks and receivers through this inferencer, so the
-inputs it must not fumble — string annotations, ``Optional`` and
-``Union[..., None]`` unwrapping, attribute-chain receivers, re-assigned
-locals — each get a direct regression test here.
+RPL603, FLOW and COST resolve call targets and receivers through this
+inferencer, so the inputs it must not fumble — string annotations,
+``Optional`` and ``Union[..., None]`` unwrapping, attribute-chain
+receivers, re-assigned locals — each get a direct regression test here.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class TestAnnotationClass:
         assert _annotation_class(node) == "ClusterNode"
 
     def test_string_optional_annotation(self):
-        """The RPL601 regression: a quoted Optional must unwrap to the
-        inner class, not report 'Optional'."""
+        """A quoted Optional must unwrap to the inner class, not report
+        'Optional'."""
         node = ast.Constant(value="Optional[Generator]")
         assert _annotation_class(node) == "Generator"
 

@@ -2,7 +2,7 @@
 
 import json
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -172,12 +172,28 @@ class TestCorruptionTolerance:
 
     def test_garbage_lines_skipped(self, mini_server, store_path):
         self._write_valid_store(mini_server, store_path)
+        valid = json.loads(store_path.read_text().splitlines()[-1])
+        cfg, loads = valid["cfg"], valid["loads"]
         with open(store_path, "a") as fh:
             fh.write("not json at all\n")
             fh.write(json.dumps({"fp": "x"}) + "\n")  # missing fields
+            # Keys _encode_entry never writes: a float or bool config
+            # unit (int() would file them under a valid record's key),
+            # a bool or string load.
+            for bad in (
+                {"cfg": [cfg[0] + 0.9, *cfg[1:]]},
+                {"cfg": [True, *cfg[1:]]},
+                {"loads": [True] * len(loads)},
+                {"loads": [str(l) for l in loads]},
+            ):
+                fh.write(json.dumps({**valid, **bad}) + "\n")
         store = ObservationStore(store_path)
-        assert store.stats().corrupt == 2
+        assert store.stats().corrupt == 6
         assert store.stats().loaded == 6
+        # The valid record a truncating parse would have replaced.
+        jobs = store.get(valid["fp"], tuple(cfg), tuple(loads))
+        assert jobs is not None
+        assert [asdict(job) for job in jobs] == valid["jobs"]
 
     def test_wrong_header_discards_file(self, mini_server, store_path):
         self._write_valid_store(mini_server, store_path)
