@@ -333,10 +333,11 @@ def bench_warehouse(n_jobs=120, probe_jobs=24, seed=31):
 
 class IndexFreeService(WarehouseService):
     """The pre-index read paths: full-fleet candidate scans for
-    admission and the recheck walking every used node — the code
-    the COST family's RPL1001 findings evicted.  Only the two scan-shaped
-    readers are restored; commits still maintain the (unused) indices,
-    so the comparison isolates exactly what the buckets buy."""
+    admission and the recheck walking every used node — the code the
+    density buckets and the dirty-set recheck replaced.  Only the two
+    scan-shaped readers are restored; commits still maintain the
+    (unused) indices, so the comparison isolates exactly what the
+    buckets buy."""
 
     def _find_target(self, job, t, exclude=frozenset()):
         from repro.warehouse.service import _request_at

@@ -6,8 +6,8 @@ the partition contracts of Eqs. 5-6 — and this subpackage enforces
 them statically.  A rule engine walks every module's AST, a call-graph
 pass computes what each thread entry point and event handler reaches,
 and a catalog of rules (determinism, thread-safety, contract presence,
-numerics hygiene, telemetry naming, lockset discipline, lock order,
-cost budgets) reports violations with stable IDs, autofix hints, and
+numerics hygiene, telemetry naming, lockset discipline, lock order)
+reports violations with stable IDs, autofix hints, and
 per-line/per-file suppression comments.
 
 Run it as ``repro-lint src/repro`` (console script) or through

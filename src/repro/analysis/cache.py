@@ -1,7 +1,7 @@
 """Incremental lint cache: replay a clean run when nothing changed.
 
 Most of the rule families are *whole-program* analyses (call graph,
-lock-order graph, cost closure), so per-file result reuse would be
+lock-order graph, lock sets), so per-file result reuse would be
 unsound: editing one file can create findings in another (a new lock
 acquisition in a callee changes its callers' order edges).  The cache
 is therefore all-or-nothing at invocation granularity — the stored
@@ -21,11 +21,10 @@ working directory by default (``--cache-file`` overrides,
 
 * any input file appearing, disappearing, or changing content;
 * any configuration change (including ``--select``/``--ignore``,
-  which are merged into the config before keying) — nested tables like
-  ``[tool.repro-lint.flow]`` and ``[tool.repro-lint.cost]`` are parsed
-  into ``LintConfig`` fields before the digest is taken, so editing a
-  budget or a thread entry point invalidates cached runs like any
-  other config edit;
+  which are merged into the config before keying) — the nested
+  ``[tool.repro-lint.flow]`` table is parsed into ``LintConfig`` fields
+  before the digest is taken, so editing a thread entry point
+  invalidates cached runs like any other config edit;
 * any change to ``repro.analysis`` itself (rule logic edits must not
   replay stale verdicts).
 """

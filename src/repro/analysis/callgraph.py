@@ -1,8 +1,7 @@
 """Static call-graph construction and reachability.
 
 The whole-program families need to know what a function can reach:
-FLOW asks which locks a thread entry point takes, COST what an event
-handler costs.  This pass builds a syntactic call graph with a small,
+FLOW asks which locks a thread entry point takes.  This pass builds a syntactic call graph with a small,
 deliberately conservative type inferencer —
 parameter annotations (including string annotations and
 ``Optional[...]`` unwrapping), ``x = Ctor(...)`` locals with
@@ -12,15 +11,14 @@ follow chains like ``node_state.build_node(...)`` →
 ``CLITEEngine(node, cfg).optimize()`` or
 ``tel.metrics.counter(...).add(...)``.
 
-The FLOW and COST scanners and RPL603's lockset analysis
+The FLOW scanners and RPL603's lockset analysis
 (:mod:`.dataflow`) reuse the same :class:`FunctionScanner` resolution
 machinery, so every layer sees one consistent view of the project's
 types.
 
-:class:`SummaryClosure` is the one bottom-up closure the FLOW and COST
-families use to lift per-function summaries (locks acquired, cost
-terms) through the call graph, strongly connected component by
-component.
+:class:`SummaryClosure` is the bottom-up closure FLOW uses to lift
+per-function summaries (locks acquired) through the call graph,
+strongly connected component by component.
 """
 
 from __future__ import annotations
@@ -123,8 +121,8 @@ class CallGraph:
 class FunctionScanner(ast.NodeVisitor):
     """Collects call edges and local types inside one function body.
 
-    Also the project's shared expression-type oracle: the FLOW, COST
-    and lockset passes instantiate one per function to resolve call
+    Also the project's shared expression-type oracle: the FLOW and
+    lockset passes instantiate one per function to resolve call
     targets and receiver types with the same rules the call graph uses.
     """
 
@@ -472,8 +470,9 @@ class SummaryClosure(Generic[T]):
     component starts from empty summaries and is re-summarized, members
     in sorted order and earlier items kept, until no summary changes —
     a fixpoint that depends on the component alone, never on which
-    member was asked for first.  ``prune`` must bound the items (the
-    families cap call chains and term counts) so the iteration ends.
+    member was asked for first.  ``prune`` must bound the items (FLOW's
+    sorted-set dedup over the project's finite locks does) so the
+    iteration ends.
     """
 
     def __init__(

@@ -8,8 +8,8 @@ Usage::
     repro-lint report flow src/repro     # a family's analysis report
 
 Exit status: 0 clean, 1 findings, 2 usage/configuration error.  The
-``report {flow,cost}`` subcommand (see :mod:`.report`) exits 0
-whenever the analysis ran.
+``report flow`` subcommand (see :mod:`.report`) exits 0 whenever the
+analysis ran.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
             "determinism, thread-safety, partition contracts, numerics."
         ),
         epilog=(
-            "repro-lint report {flow,cost} [paths] renders a "
-            "whole-program family's analysis (see report --help)."
+            "repro-lint report flow [paths] renders the lock-order "
+            "analysis behind the FLOW findings (see report --help)."
         ),
     )
     _add_common_arguments(parser)
@@ -80,8 +80,8 @@ def build_report_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint report",
         description=(
-            "Render the FLOW (lock-order graph, escapes) or COST (closed "
-            "costs vs budgets) analysis behind the lint family's findings."
+            "Render the FLOW analysis (lock-order graph, escapes) behind "
+            "the lint family's findings."
         ),
     )
     parser.add_argument("family", choices=tuple(REPORTS))

@@ -66,25 +66,6 @@ class LintConfig:
         flow_resources: Lifecycle registry as ``"Creator=rel1,rel2"``
             entries mapping resource constructors to their release
             methods.
-        cost_budgets: Declared complexity budgets for RPL1001 as
-            ``"module.Class.method=expr"`` entries; ``expr`` is a
-            ``*``-product of ``const``/``small``/``n_nodes``/
-            ``n_jobs``/``n_shards`` factors and caps the N-degree of
-            the function's closed symbolic cost.
-        cost_hot_entrypoints: Dotted names of the per-event hot entry
-            points (engine round loop, warehouse event handlers,
-            gateway publish); everything reachable from them is RPL1003
-            scope, and each must carry a ``cost_budgets`` entry
-            (RPL1005).  The ``hot_path`` module set extends this scope.
-        cost_collections: ``Owner.attr=n_var`` size facts seeding the
-            bound inference: iterating/materializing these collections
-            charges the named N variable (``Cluster.nodes=n_nodes``).
-        cost_bounded: ``Owner.attr=reason`` allowlist of containers
-            that are small by construction (documented reason), so
-            scanning them never charges an N variable.
-        cost_small_names: Local/parameter names always classed small
-            (``verified``, ``displaced``, ``changed``, ``dirty``) —
-            the incremental-work vocabulary.
     """
 
     select: Tuple[str, ...] = ()
@@ -162,62 +143,6 @@ class LintConfig:
         "open=close",
         "socket.socket=close",
     )
-    cost_budgets: Tuple[str, ...] = (
-        "repro.core.engine.CLITEEngine.optimize=small",
-        "repro.warehouse.api.ServiceGateway.publish=small",
-        "repro.warehouse.federation.WarehouseFederation._handle=n_shards",
-        "repro.warehouse.federation.WarehouseFederation._route_arrival"
-        "=n_shards",
-        "repro.warehouse.federation.WarehouseFederation._route_departure"
-        "=n_shards",
-        "repro.warehouse.federation.WarehouseFederation.status"
-        "=n_shards*n_jobs",
-        "repro.warehouse.service.WarehouseService._find_target=small",
-        "repro.warehouse.service.WarehouseService._migrate=small",
-        "repro.warehouse.service.WarehouseService._on_arrival=small",
-        "repro.warehouse.service.WarehouseService._on_departure=small",
-        "repro.warehouse.service.WarehouseService._on_recheck=small",
-        "repro.warehouse.service.WarehouseService._rebalance_node=small",
-        "repro.warehouse.service.WarehouseService.commit_admit=small",
-        "repro.warehouse.service.WarehouseService.handle_event=small",
-        "repro.warehouse.service.WarehouseService.probe_admit=small",
-        "repro.warehouse.service.WarehouseService.status=n_jobs",
-    )
-    cost_hot_entrypoints: Tuple[str, ...] = (
-        "repro.core.engine.CLITEEngine.optimize",
-        "repro.warehouse.api.ServiceGateway.publish",
-        "repro.warehouse.federation.WarehouseFederation._handle",
-        "repro.warehouse.service.WarehouseService.handle_event",
-        "repro.warehouse.service.WarehouseService.probe_admit",
-    )
-    cost_collections: Tuple[str, ...] = (
-        "Cluster.nodes=n_nodes",
-        "Cluster.placements=n_jobs",
-        "Cluster.used_nodes=n_nodes",
-        "WarehouseFederation.shards=n_shards",
-        "WarehouseService._jobs=n_jobs",
-        "WarehouseService._last_verified=n_nodes",
-    )
-    cost_bounded: Tuple[str, ...] = (
-        # Per-node job lists are capped by max_jobs_per_node.
-        "ClusterNode.job_names=per-node, capped by max_jobs_per_node",
-        "ClusterNode.requests=per-node, capped by max_jobs_per_node",
-        # The probe walk exits after max_probe_nodes passing candidates.
-        "WarehouseService._by_density=probe loop exits after "
-        "max_probe_nodes candidates",
-        # Drained every recheck tick; holds only nodes touched since.
-        "WarehouseService._recheck_dirty=drained every tick, holds only "
-        "nodes touched since the last recheck",
-        # Load-shifted subset of the incremental-recheck contract.
-        "WarehouseService._volatile_nodes=load-shifted subset of the "
-        "incremental recheck contract",
-    )
-    cost_small_names: Tuple[str, ...] = (
-        "changed",
-        "dirty",
-        "displaced",
-        "verified",
-    )
 
     def rule_enabled(self, rule_id: str) -> bool:
         if rule_id in self.ignore:
@@ -237,23 +162,10 @@ def find_pyproject(start: Path) -> Optional[Path]:
     return None
 
 
-#: ``[tool.repro-lint]`` sub-tables whose keys map onto prefixed fields.
-_SUB_TABLES = ("flow", "cost")
-
-
-def _entries(
-    value: object, where: str, registry: bool = False
-) -> Tuple[str, ...]:
-    """One option's TOML value as the config's tuple of strings.
-
-    Every option is a list.  A COST registry (budgets, collections,
-    bounded) reads best as a TOML table instead, flattened to sorted
-    ``"key=value"`` entries so ``LintConfig`` stays hashable.
-    """
+def _entries(value: object, where: str) -> Tuple[str, ...]:
+    """One option's TOML value (always a list) as a tuple of strings."""
     if isinstance(value, list):
         return tuple(str(v) for v in value)
-    if registry and isinstance(value, dict):
-        return tuple(sorted(f"{k}={v}" for k, v in value.items()))
     raise ValueError(f"{where} must be a list, got {type(value).__name__}")
 
 
@@ -278,9 +190,9 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     overrides = {}
     for key, value in table.items():
         name = key.replace("-", "_")
-        if name in _SUB_TABLES and isinstance(value, dict):
-            # [tool.repro-lint.flow] etc.: sub-keys map onto the
-            # flow_*/cost_* fields.
+        if name == "flow" and isinstance(value, dict):
+            # [tool.repro-lint.flow]: sub-keys map onto the flow_*
+            # fields.
             for sub_key, sub_value in value.items():
                 sub_name = f"{name}_{sub_key.replace('-', '_')}"
                 where = (
@@ -289,9 +201,7 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
                 )
                 if sub_name not in known:
                     raise ValueError(f"unknown {where}")
-                overrides[sub_name] = _entries(
-                    sub_value, where, registry=name == "cost"
-                )
+                overrides[sub_name] = _entries(sub_value, where)
             continue
         where = f"[tool.repro-lint] option {key!r} in {pyproject}"
         if name not in known:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -18,7 +18,6 @@ NUMERICS = "numerics"
 TELEMETRY = "telemetry"
 DATAFLOW = "dataflow"
 FLOW = "flow"
-COST = "cost"
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ def all_rules() -> Dict[str, Type[Rule]]:
     # registry is complete no matter which module was imported first.
     from . import (  # noqa: F401
         rules_contracts,
-        rules_cost,
         rules_dataflow,
         rules_determinism,
         rules_flow,

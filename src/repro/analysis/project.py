@@ -15,14 +15,13 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-    TypeVar, Union,
+    Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar,
+    Union,
 )
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 R = TypeVar("R")
-V = TypeVar("V")
 
 #: ``# repro-lint: disable=RPL101,RPL202`` (line) /
 #: ``disable-next-line=...`` / ``disable-file=...`` (whole file).
@@ -30,15 +29,6 @@ _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable|disable-next-line|disable-file)\s*=\s*"
     r"([A-Za-z0-9_*,\s]+)"
 )
-
-
-def expr_text(node: ast.AST, limit: int = 60) -> str:
-    """Source text of an expression, cut to ``limit`` characters."""
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = type(node).__name__
-    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 @dataclass(frozen=True)
@@ -49,17 +39,6 @@ class Site:
     line: int
     col: int
     fn_key: str   # "module:qualname" of the enclosing function
-
-
-@dataclass(frozen=True)
-class RegistryHit:
-    """A config registry entry into this project that is stale or bad."""
-
-    entry: str            # the dotted entry as configured
-    table: str            # "registry" | "budgets" | "hot-entrypoints" | ...
-    module: str           # the project module the entry points into
-    site: Site
-    detail: str = "no such function"
 
 
 @dataclass
@@ -82,32 +61,6 @@ class FunctionInfo:
 
     def decorator_names(self) -> List[str]:
         return [_last_component(d) for d in self.node.decorator_list]
-
-    def param_names(self) -> List[str]:
-        args = self.node.args
-        params = (*args.posonlyargs, *args.args, *args.kwonlyargs)
-        return [a.arg for a in params]
-
-    @property
-    def bound_method(self) -> bool:
-        """Whether the first parameter is ``self``/``cls``."""
-        return self.param_names()[:1] in (["self"], ["cls"])
-
-    def bind(
-        self,
-        args: Sequence[V],
-        keywords: Iterable[Tuple[Optional[str], V]],
-    ) -> Dict[str, V]:
-        """Parameter name -> what a call site passes for it.
-
-        Keywords bind by name and positionals in order past a leading
-        ``self``/``cls``; a defaulted parameter stays unbound.
-        """
-        params = self.param_names()[1 if self.bound_method else 0:]
-        bound = {name: value for name, value in keywords if name is not None}
-        for name, value in zip(params, args):
-            bound.setdefault(name, value)
-        return bound
 
     def site(self, node: ast.AST) -> Site:
         """The :class:`Site` of ``node`` inside this function."""
@@ -231,26 +184,6 @@ class Project:
                 if method is not None:
                     return method.key
         return None
-
-    def owning_module(self, dotted: str) -> Optional[str]:
-        """Longest project module name the dotted entry points into."""
-        best = None
-        for module_name in self.modules:
-            if dotted.startswith(module_name + "."):
-                if best is None or len(module_name) > len(best):
-                    best = module_name
-        return best
-
-    def registry_hit(
-        self, entry: str, table: str, detail: str = "no such function"
-    ) -> Optional[RegistryHit]:
-        """A bad registry entry, or ``None`` when the entry targets a
-        module outside this run (partial-tree runs stay quiet)."""
-        module = self.owning_module(entry)
-        if module is None:
-            return None
-        site = Site(module=module, line=1, col=0, fn_key="")
-        return RegistryHit(entry, table, module, site, detail)
 
     def suppressed(self, rule_id: str, site: Site) -> bool:
         module = self.modules.get(site.module)

@@ -1,26 +1,18 @@
-"""``repro-lint report``: the FLOW and COST analyses, rendered.
+"""``repro-lint report``: the FLOW analysis, rendered.
 
-Each whole-program family keeps working state worth reading beyond its
-findings — the lock-order graph, the closed cost of every budgeted
-function.  ``repro-lint report FAMILY`` renders that state as text or
-JSON::
+The whole-program FLOW family keeps working state worth reading beyond
+its findings — the lock-order graph, the entry-point lock coverage.
+``repro-lint report flow`` renders that state as text or JSON::
 
-    repro-lint report flow src/repro    # lock-order graph + escapes
-    repro-lint report cost src/repro --format json   # budget table
+    repro-lint report flow src/repro                 # lock-order graph
+    repro-lint report flow src/repro --format json   # the same, as JSON
 
 The report always exits 0 once the analysis ran; the gate is the
 plain ``repro-lint`` run, whose findings cover every violation the
-reports list.
-
-* **flow** — every lock the analysis qualified (with its threading
-  kind), every order edge with one establishing site, the reentrant
-  (RLock) self-edges, per-entry-point lock coverage, cycles, thread
-  escapes and blocking-under-lock hits.
-* **cost** — the budget registry (each registered function with its
-  declared budget, closed symbolic cost and verdict), budget
-  violations with their dominant charge and call chain, same-family
-  quadratic products, hot-path N-sized allocations, and registry
-  health.
+report lists.  The report lists every lock the analysis qualified
+(with its threading kind), every order edge with one establishing
+site, the reentrant (RLock) self-edges, per-entry-point lock coverage,
+cycles, thread escapes and blocking-under-lock hits.
 """
 
 from __future__ import annotations
@@ -29,7 +21,6 @@ import json
 from typing import Any, Callable, Dict, List, Tuple
 
 from .config import LintConfig
-from .cost import CostAnalysis, cost_analysis, render_terms
 from .flow import FlowAnalysis, flow_analysis
 from .project import Project
 
@@ -155,143 +146,6 @@ def flow_json(analysis: FlowAnalysis) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def cost_text(analysis: CostAnalysis) -> str:
-    label = analysis.project.label
-    lines: List[str] = []
-    lines += _heading("cost budgets")
-    if not analysis.budgets:
-        lines.append("  (no budgets registered)")
-    over = {hit.budget.key for hit in analysis.budget_hits}
-    for key in sorted(
-        analysis.budgets, key=lambda k: analysis.budgets[k].entry
-    ):
-        budget = analysis.budgets[key]
-        closed = render_terms(analysis._cost_closure(key))
-        verdict = "OVER" if key in over else "ok"
-        hot = "  [hot]" if key in analysis.hot_entries else ""
-        lines.append(
-            f"  {budget.entry}  budget O({budget.expr})  "
-            f"closed {closed}  {verdict}{hot}"
-        )
-    if analysis.budget_hits:
-        lines.append("")
-        lines.append(f"BUDGET VIOLATIONS: {len(analysis.budget_hits)}")
-        for hit in analysis.budget_hits:
-            term = hit.term
-            via = " via " + " -> ".join(term.chain) if term.chain else ""
-            lines.append(
-                f"  {term.site.module}:{term.site.line}  "
-                f"{hit.budget.entry}  {render_terms([term])} > "
-                f"O({hit.budget.expr})  [{term.kind}] {term.what}{via}"
-            )
-    lines += ["", *_heading("hot scope")]
-    if not analysis.hot_entries:
-        lines.append("  (no hot entry points registered)")
-    for key in sorted(
-        analysis.hot_entries, key=lambda k: analysis.hot_entries[k]
-    ):
-        lines.append(f"  hot entry {analysis.hot_entries[key]}")
-    lines.append(f"  reachable functions: {len(analysis.hot_scope)}")
-    lines += ["", *_heading("quadratic products")]
-    if not analysis.quads:
-        lines.append("  (no same-family quadratic is provable)")
-    for quad in analysis.quads:
-        lines.append(
-            f"  {quad.site.module}:{quad.site.line}  "
-            f"{label(quad.fn_key)}  "
-            f"{'*'.join(quad.vars)}  {quad.what}"
-        )
-    lines += ["", *_heading("hot-path allocations")]
-    if not analysis.allocs:
-        lines.append("  (no N-sized allocation on a hot path)")
-    for alloc in analysis.allocs:
-        origin = (
-            f"from {label(alloc.entry)}"
-            if alloc.entry
-            else "hot-path module"
-        )
-        lines.append(
-            f"  {alloc.site.module}:{alloc.site.line}  "
-            f"{label(alloc.fn_key)}  [{alloc.bound}] "
-            f"{alloc.what}  ({origin})"
-        )
-    lines += ["", *_heading("registry health")]
-    if not analysis.registry:
-        lines.append("  (every registry entry resolves and is budgeted)")
-    for stale in analysis.registry:
-        lines.append(
-            f"  [{stale.table}] entry {stale.entry!r}: {stale.detail}"
-        )
-    return "\n".join(lines)
-
-
-def cost_json(analysis: CostAnalysis) -> str:
-    label = analysis.project.label
-    over = {hit.budget.key for hit in analysis.budget_hits}
-    payload = {
-        "budgets": [
-            {
-                "entry": budget.entry,
-                "budget": budget.expr,
-                "closed": render_terms(analysis._cost_closure(key)),
-                "ok": key not in over,
-                "hot": key in analysis.hot_entries,
-            }
-            for key, budget in sorted(
-                analysis.budgets.items(), key=lambda kv: kv[1].entry
-            )
-        ],
-        "budget_violations": [
-            {
-                "entry": hit.budget.entry,
-                "budget": hit.budget.expr,
-                "cost": render_terms([hit.term]),
-                "module": hit.term.site.module,
-                "line": hit.term.site.line,
-                "kind": hit.term.kind,
-                "what": hit.term.what,
-                "via": list(hit.term.chain),
-            }
-            for hit in analysis.budget_hits
-        ],
-        "hot_entries": sorted(analysis.hot_entries.values()),
-        "hot_reachable_count": len(analysis.hot_scope),
-        "quadratics": [
-            {
-                "module": quad.site.module,
-                "line": quad.site.line,
-                "function": label(quad.fn_key),
-                "vars": list(quad.vars),
-                "what": quad.what,
-            }
-            for quad in analysis.quads
-        ],
-        "hot_allocations": [
-            {
-                "module": alloc.site.module,
-                "line": alloc.site.line,
-                "function": label(alloc.fn_key),
-                "bound": alloc.bound,
-                "what": alloc.what,
-                "entry": (
-                    label(alloc.entry) if alloc.entry else None
-                ),
-            }
-            for alloc in analysis.allocs
-        ],
-        "stale_registry": [
-            {
-                "entry": stale.entry,
-                "table": stale.table,
-                "detail": stale.detail,
-            }
-            for stale in analysis.registry
-        ],
-        "violations": analysis.violation_count,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 #: family -> (analysis, text renderer, JSON renderer)
 REPORTS: Dict[
     str,
@@ -302,5 +156,4 @@ REPORTS: Dict[
     ],
 ] = {
     "flow": (flow_analysis, flow_text, flow_json),
-    "cost": (cost_analysis, cost_text, cost_json),
 }

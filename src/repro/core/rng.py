@@ -29,7 +29,8 @@ def resolve_rng(rng: Optional[RNGLike], *, owner: str) -> np.random.Generator:
         ValueError: if ``rng`` is ``None`` — randomness must be threaded
             from the engine's seed (``CLITEConfig.seed``), never
             defaulted from fresh entropy.
-        TypeError: if ``rng`` is neither a generator nor an integer.
+        TypeError: if ``rng`` is neither a generator nor an integer,
+            or is a bool (``True`` would silently be seed 1).
     """
     if rng is None:
         raise ValueError(
@@ -39,7 +40,7 @@ def resolve_rng(rng: Optional[RNGLike], *, owner: str) -> np.random.Generator:
         )
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return np.random.default_rng(int(rng))
     raise TypeError(
         f"{owner}: rng must be a np.random.Generator or int seed, "

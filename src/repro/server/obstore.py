@@ -95,6 +95,11 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value: Any) -> bool:
+    """A JSON number: a non-bool integer or a float."""
+    return _is_int(value) or isinstance(value, float)
+
+
 class Verdict(NamedTuple):
     """One memoised CLITE verification of a node state.
 
@@ -302,7 +307,7 @@ class ObservationStore:
     ) -> Optional[Tuple["OrderedDict[Any, Any]", Any, Any]]:
         """One truth (``fp``/``cfg``/``loads``/``jobs``) or verdict line,
         as ``(the map it belongs in, key, value)``."""
-        from .node import JobObservation
+        from .node import BG_ROLE, LC_ROLE, JobObservation
 
         try:
             raw = json.loads(line)
@@ -318,18 +323,33 @@ class ObservationStore:
                     return None
                 return self._verdicts, vkey, Verdict(qos_met, bg_perf, samples)
             fp, cfg, loads = raw["fp"], raw["cfg"], raw["loads"]
-            # Exactly what _encode_entry writes: int config units and
-            # int-or-float loads, never bools (json's true is an int).
+            stored_jobs = raw["jobs"]
+            # Exactly what _encode_entry writes: int config units,
+            # int-or-float loads, never bools (json's true is an int);
+            # per job a str name, a known role and None-or-number
+            # readings (missing or extra fields fail the constructor).
             if not (
                 isinstance(fp, str)
                 and isinstance(cfg, list)
                 and all(_is_int(u) for u in cfg)
                 and isinstance(loads, list)
-                and all(_is_int(l) or isinstance(l, float) for l in loads)
+                and all(_is_real(l) for l in loads)
+                and isinstance(stored_jobs, list)
+                and all(
+                    isinstance(fields, dict)
+                    and isinstance(fields.get("name"), str)
+                    and fields.get("role") in (LC_ROLE, BG_ROLE)
+                    and all(
+                        value is None or _is_real(value)
+                        for field, value in fields.items()
+                        if field not in ("name", "role")
+                    )
+                    for fields in stored_jobs
+                )
             ):
                 return None
             key: StoreKey = (fp, tuple(cfg), tuple(float(l) for l in loads))
-            jobs = tuple(JobObservation(**fields) for fields in raw["jobs"])
+            jobs = tuple(JobObservation(**fields) for fields in stored_jobs)
         except (ValueError, TypeError, KeyError):
             return None
         return self._entries, key, jobs

@@ -537,8 +537,9 @@ class WarehouseService:
         """Record the load vector a node was just verified at.
 
         Callers compute ``loads`` exactly once per decision and thread
-        it here (the repo's own RPL1004 finding was this method silently
-        recomputing ``_loads_of`` a second time per re-check).
+        it here rather than this method recomputing ``_loads_of`` a
+        second time per re-check (``TestIncrementalRecheck`` counts the
+        computations).
         """
         self._last_verified[index] = loads
 
@@ -605,9 +606,10 @@ class WarehouseService:
         descend from the densest co-location level, each kept sorted by
         node index, so the visit order equals the historical full-fleet
         ``sorted(candidates, key=(-n_jobs, index))`` without ever
-        materializing an n_nodes-sized candidate set — the COST family
-        budgets this at O(small), and the deterministic bucket order
-        keeps the probe sequence a pure function of cluster state
+        materializing an n_nodes-sized candidate set
+        (``TestFleetSizeIndependence`` counts the lines an event runs
+        on fleets 20x apart), and the deterministic bucket order keeps
+        the probe sequence a pure function of cluster state
         (``TestIndexEquivalence`` compares it against a full scan).
         """
         request = _request_at(job, t)

@@ -1,6 +1,6 @@
 """Type-inferencer edge cases in analysis/callgraph.py.
 
-RPL603, FLOW and COST resolve call targets and receivers through this
+RPL603 and FLOW resolve call targets and receivers through this
 inferencer, so the inputs it must not fumble — string annotations,
 ``Optional`` and ``Union[..., None]`` unwrapping, attribute-chain
 receivers, re-assigned locals — each get a direct regression test here.

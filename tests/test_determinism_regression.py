@@ -29,16 +29,25 @@ class TestResolveRng:
         assert resolve_rng(gen, owner="t") is gen
 
     def test_int_seed_builds_equivalent_generator(self):
-        a = resolve_rng(7, owner="t").random(5)
-        b = np.random.default_rng(7).random(5)
-        assert (a == b).all()
+        for seed in (0, 7, 2**40 + 3, np.int64(7), np.uint32(123), np.int8(5)):
+            ours = resolve_rng(seed, owner="t")
+            reference = np.random.default_rng(seed)
+            for draw in (
+                lambda g: g.random(4),
+                lambda g: g.integers(0, 1000, size=4),
+                lambda g: g.normal(size=4),
+                lambda g: g.permutation(6),
+            ):
+                np.testing.assert_array_equal(draw(ours), draw(reference))
 
     def test_numpy_integer_seed_accepted(self):
         resolve_rng(np.int64(7), owner="t")
 
     def test_wrong_type_rejected(self):
-        with pytest.raises(TypeError, match="Generator or int"):
-            resolve_rng("seed", owner="t")
+        # A bool is an int to isinstance, but True is no seed.
+        for wrong in ("seed", True, False, np.bool_(True)):
+            with pytest.raises(TypeError, match="Generator or int"):
+                resolve_rng(wrong, owner="t")
 
 
 class TestComponentsRequireRng:

@@ -16,6 +16,7 @@ from repro.core.acquisition import ExpectedImprovement
 from repro.core.kernels import Matern52
 from repro.resources import Resource, ServerSpec
 from repro.server import ObservationStore, node_fingerprint
+from repro.server.node import LC_ROLE
 from repro.server.obstore import SCHEMA_KIND, SCHEMA_VERSION, Verdict
 from repro.telemetry import Telemetry
 
@@ -174,21 +175,28 @@ class TestCorruptionTolerance:
         self._write_valid_store(mini_server, store_path)
         valid = json.loads(store_path.read_text().splitlines()[-1])
         cfg, loads = valid["cfg"], valid["loads"]
+        lc_job, *other_jobs = valid["jobs"]
+        assert lc_job["role"] == LC_ROLE
         with open(store_path, "a") as fh:
             fh.write("not json at all\n")
             fh.write(json.dumps({"fp": "x"}) + "\n")  # missing fields
             # Keys _encode_entry never writes: a float or bool config
             # unit (int() would file them under a valid record's key),
-            # a bool or string load.
+            # a bool or string load.  Then job readings it never
+            # writes: a string p95 (qos_met would raise) and a role
+            # that is neither LC_ROLE nor BG_ROLE (an LC job read as
+            # BG, so qos_met would be silently True).
             for bad in (
                 {"cfg": [cfg[0] + 0.9, *cfg[1:]]},
                 {"cfg": [True, *cfg[1:]]},
                 {"loads": [True] * len(loads)},
                 {"loads": [str(l) for l in loads]},
+                {"jobs": [{**lc_job, "p95_ms": "fast"}, *other_jobs]},
+                {"jobs": [{**lc_job, "role": "lc"}, *other_jobs]},
             ):
                 fh.write(json.dumps({**valid, **bad}) + "\n")
         store = ObservationStore(store_path)
-        assert store.stats().corrupt == 6
+        assert store.stats().corrupt == 8
         assert store.stats().loaded == 6
         # The valid record a truncating parse would have replaced.
         jobs = store.get(valid["fp"], tuple(cfg), tuple(loads))

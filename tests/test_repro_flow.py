@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import LintConfig
 from repro.analysis.cache import LintCache, cache_key
 from repro.analysis.cli import main as lint_main
@@ -247,10 +249,15 @@ class TestFlowCLI:
         assert result.returncode == 2
         assert "repro-lint report: no paths given" in result.stderr
 
-    def test_unknown_family_is_usage_error(self, tmp_path):
-        for family in ("units", "pure"):
-            result = run_lint_cli("report", family, cwd=tmp_path)
-            assert result.returncode == 2, family
+    def test_unknown_family_is_usage_error(self, tmp_path, capsys):
+        result = run_lint_cli("report", "units", cwd=tmp_path)
+        assert result.returncode == 2
+        # Retired families take the same argparse exit, in-process.
+        for family in ("pure", "cost"):
+            with pytest.raises(SystemExit) as exit_info:
+                lint_main(["report", family])
+            assert exit_info.value.code == 2, family
+            assert f"invalid choice: '{family}'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

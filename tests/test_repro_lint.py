@@ -420,10 +420,12 @@ class TestSuppressionsAndConfig:
             ('[tool.repro-lint]\nhot-path = "custom/"\n', "hot-path"),
             ('[tool.repro-lint]\nignore = "RPL103"\n', "ignore"),
             ("[tool.repro-lint]\nselect = 1\n", "select"),
-            # Only flow and cost hold nested tables.
+            # Only flow holds a nested table.
             ('[tool.repro-lint.hot-path]\n"a" = "b"\n', "hot-path"),
             ('[tool.repro-lint.units]\n"f.return" = "Millis"\n', "units"),
             ('[tool.repro-lint.pure]\nregistry = ["m.f"]\n', "pure"),
+            ('[tool.repro-lint.cost]\nbudgets = ["m.f=small"]\n', "cost"),
+            ('[tool.repro-lint.cost.budgets]\n"m.f" = "small"\n', "cost"),
             # Retired with RPL602.
             ('[tool.repro-lint]\nclock-classes = ["T"]\n', "clock-classes"),
         ])
@@ -469,7 +471,6 @@ class TestRegistryAndRepoTree:
         "RPL501", "RPL502",
         "RPL603",
         "RPL801", "RPL802", "RPL803", "RPL804", "RPL805",
-        "RPL1001", "RPL1002", "RPL1003", "RPL1005",
     }
 
     def test_registry_is_complete(self):
@@ -560,7 +561,7 @@ class TestCLI:
         # so they run in-process rather than one subprocess each.
         retired = (
             "UNITS", "PURE", "RPL901", "RPL1004", "RPL201",
-            "RPL601", "RPL602",
+            "RPL601", "RPL602", "COST", "RPL1001", "RPL1005",
         )
         for token in retired:
             assert cli_main([str(PACKAGE), "--select", token]) == 2, token

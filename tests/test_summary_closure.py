@@ -1,13 +1,13 @@
-"""The SCC-ordered summary closure behind FLOW and COST.
+"""The SCC-ordered summary closure behind FLOW.
 
-Per-function summaries (locks acquired, cost terms) are
-closed over the call graph one strongly connected component at a time,
-and a recursive component is iterated to a fixpoint — so what a
-function's summary says never depends on which member of a cycle was
-asked for first.  The family tests below pin that through the public
-analyses; the gate-equivalence tests pin that a plain
-``repro-lint --select FAMILY`` run fails exactly when the family's
-report shows a violation.
+Per-function summaries (locks acquired) are closed over the call graph
+one strongly connected component at a time, and a recursive component
+is iterated to a fixpoint — so what a function's summary says never
+depends on which member of a cycle was asked for first.  The unit
+tests pin that on the routine itself and the FLOW test through the
+public analysis; the gate-equivalence tests pin that a plain
+``repro-lint --select FLOW`` run fails exactly when the report shows a
+lock-order cycle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.analysis import LintConfig
 from repro.analysis.callgraph import SummaryClosure, strongly_connected
 from repro.analysis.cli import main as lint_main
 from repro.analysis.config import load_config
-from repro.analysis.cost import cost_analysis, render_terms
 from repro.analysis.engine import LintEngine
 from repro.analysis.flow import flow_analysis
 
@@ -81,6 +80,27 @@ class TestSummaryClosure:
         # One pass to reach the fixpoint, one to see it is stable.
         assert calls == ["d", "d"]
 
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_growing_cycle_stops_at_the_prune_bound(self, order):
+        # Each pass prefixes the callee's call chains with the caller,
+        # so around the a <-> b cycle they would grow forever; prune
+        # keeps chains of at most four calls, which ends the iteration
+        # at the same fixpoint whichever member is asked for first.
+        def summarize(key, closed):
+            items = [key]
+            for callee in EDGES[key]:
+                items.extend(key + chain for chain in closed(callee))
+            return items
+
+        closure = SummaryClosure(
+            EDGES.__getitem__,
+            summarize,
+            lambda items: tuple(sorted({i for i in items if len(i) <= 4})),
+        )
+        results = {key: closure(key) for key in order}
+        assert results["a"] == ("a", "ab", "aba", "abab", "abc")
+        assert results["b"] == ("b", "ba", "bab", "baba", "babc", "bc")
+
 
 # ----------------------------------------------------------------------
 # Query order must not change a family's verdict
@@ -131,77 +151,13 @@ def test_flow_cycle_gives_every_edge_in_any_order(
     }
 
 
-COST_CYCLE = (
-    "class Fleet:\n"
-    "    def __init__(self):\n"
-    "        self.nodes = []\n"
-    "class Svc:\n"
-    "    def __init__(self, fleet: Fleet):\n"
-    "        self.fleet = fleet\n"
-    "    def a(self, depth):\n"
-    "        for node in self.fleet.nodes:\n"
-    "            pass\n"
-    "        self.b(depth)\n"
-    "    def b(self, depth):\n"
-    "        if depth:\n"
-    "            self.a(depth - 1)\n"
-)
-
-
-@pytest.mark.parametrize(
-    "budgets",
-    [("m.Svc.b=small",), ("m.Svc.a=small", "m.Svc.b=small")],
-    ids=["b-only", "a-first"],
-)
-def test_cost_cycle_closes_the_same_in_any_order(tmp_path, budgets):
-    config = LintConfig(
-        select=("RPL1001",),
-        cost_budgets=budgets,
-        cost_hot_entrypoints=(),
-        cost_collections=("Fleet.nodes=n_nodes",),
-        cost_bounded=(),
-        cost_small_names=(),
-    )
-    analysis = cost_analysis(build(tmp_path, COST_CYCLE, config), config)
-    assert render_terms(analysis._cost_closure("m:Svc.b")) == "O(n_nodes)"
-    over = {hit.budget.entry for hit in analysis.budget_hits}
-    assert "m.Svc.b" in over
-
-
-def test_cost_loop_prefixes_stop_growing_around_a_cycle(tmp_path):
-    """A recursive call inside an N-loop compounds the loop prefix
-    only while the term's call chain has room, so the closure ends."""
-    source = COST_CYCLE.replace(
-        "        for node in self.fleet.nodes:\n"
-        "            pass\n"
-        "        self.b(depth)\n",
-        "        for node in self.fleet.nodes:\n"
-        "            self.b(depth)\n",
-    )
-    config = LintConfig(
-        cost_budgets=("m.Svc.a=small",),
-        cost_hot_entrypoints=(),
-        cost_collections=("Fleet.nodes=n_nodes",),
-        cost_bounded=(),
-        cost_small_names=(),
-    )
-    analysis = cost_analysis(build(tmp_path, source, config), config)
-    terms = analysis._cost_closure("m:Svc.a")
-    # The local loop, then one more n_nodes factor per a -> b -> a
-    # round trip until the chain holds _VIA_LIMIT (8) calls.
-    assert [term.degree for term in terms] == [1, 2, 3, 4, 5]
-    assert max(len(term.chain) for term in terms) == 8
-
-
 # ----------------------------------------------------------------------
-# Gate equivalence: --select FAMILY fails exactly when the report does
+# Gate equivalence: --select FLOW fails exactly when the report does
 # ----------------------------------------------------------------------
-def _report_violation(family: str, path: Path) -> bool:
+def _report_violation(path: Path) -> bool:
     config = load_config(path)
     project = LintEngine(config).build_project([path])
-    if family == "FLOW":
-        return bool(flow_analysis(project, config).cycles)
-    return bool(cost_analysis(project, config).violation_count)
+    return bool(flow_analysis(project, config).cycles)
 
 
 @pytest.mark.parametrize(
@@ -209,14 +165,11 @@ def _report_violation(family: str, path: Path) -> bool:
     [
         ("FLOW", "flow_good.py"),
         ("FLOW", "flow_bad.py"),
-        ("COST", "cost_good.py"),
-        ("COST", "cost_bad.py"),
         ("FLOW", "."),
-        ("COST", "."),
     ],
 )
 def test_select_gate_matches_report_violations(capsys, family, fixture):
     path = (FIXTURES / fixture).resolve()
     code = lint_main([str(path), "--select", family, "--no-cache"])
     capsys.readouterr()
-    assert code == (1 if _report_violation(family, path) else 0)
+    assert code == (1 if _report_violation(path) else 0)

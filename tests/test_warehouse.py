@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -878,7 +881,7 @@ class TestIncrementalRecheck:
         service.run_until(20.5)
         # t=20: the phase shifted to 0.35, so the node is re-verified —
         # and the rebalance reuses the vector already in hand instead of
-        # recomputing it (the repo's own RPL1004 finding).
+        # recomputing it.
         assert service.loads_calls - before == 1
         rechecks = [e for e in service.timeline if e.kind == "recheck"]
         assert rechecks[-1].detail == "checked=1 failed=0"
@@ -916,7 +919,7 @@ class TestTimelineCursor:
 
 class IndexFreeService(WarehouseService):
     """The pre-index reference implementation: full-fleet candidate
-    scans for admission and recheck (the code RPL1001 flagged),
+    scans for admission and recheck,
     adapted only to the threaded-loads ``_rebalance_node`` signature.
     The density-bucket service must stay bit-identical to it."""
 
@@ -1013,3 +1016,97 @@ class TestIndexEquivalence:
         assert runs[0] == runs[1]
         status = runs[0][3]
         assert status["admitted"] > 0 and status["rechecks"] > 0
+
+
+#: Path fragments of the scheduler's own code: event loop, admission,
+#: migration, federation routing and the cluster books.  Node physics
+#: and the BO core sit below them and cost the same per probe at any
+#: fleet size.
+_SCHEDULER_CODE = (
+    os.path.join("repro", "warehouse", ""),
+    os.path.join("repro", "cluster", ""),
+)
+
+
+def _scheduler_lines(run):
+    """``run()``'s result and how many Python lines it executed in
+    ``_SCHEDULER_CODE`` files, counted with ``sys.settrace``."""
+    lines = 0
+    watched = {}
+
+    def count(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count
+
+    def enter(frame, event, arg):
+        code = frame.f_code
+        hit = watched.get(code)
+        if hit is None:
+            hit = watched[code] = any(
+                part in code.co_filename for part in _SCHEDULER_CODE
+            )
+        return count if hit else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, lines
+
+
+class TestFleetSizeIndependence:
+    """Per-event scheduler work must not grow with the fleet.
+
+    One churn stream (LC and BG jobs, phased loads, departures, recheck
+    ticks, quick probes) played on fleets 20x apart must take the same
+    decisions and run the same number of scheduler source lines.  A
+    whole-fleet scan anywhere under an event handler or ``status()``
+    adds lines per extra node, whatever shape the scan takes."""
+
+    N_NODES = (100, 2000)
+
+    def _play(self, kind, n_nodes, events):
+        if kind == "service":
+            target = WarehouseService(n_nodes, recheck_period_s=30.0, seed=7)
+        else:
+            target = WarehouseFederation(
+                2, n_nodes // 2, recheck_period_s=30.0, seed=7
+            )
+        load_into(target, events)
+        horizon = max(event.time_s for event in events)
+
+        def run():
+            target.run_until(horizon)
+            return target.status()
+
+        status, lines = _scheduler_lines(run)
+        if kind == "service":
+            decisions = (target.timeline, target.placements())
+        else:
+            decisions = (
+                target.routed,
+                [shard.timeline for shard in target.shards],
+                target.placements(),
+            )
+        return decisions, lines, status
+
+    @pytest.mark.parametrize("kind", ["service", "federation"])
+    def test_fleets_20x_apart_run_the_same_lines(self, kind):
+        events = synthesize(
+            ScenarioConfig(n_jobs=120, duration_s=300.0, seed=7)
+        )
+        (small, small_lines, status), (large, large_lines, _) = (
+            self._play(kind, n_nodes, events) for n_nodes in self.N_NODES
+        )
+        assert small == large
+        assert small_lines == large_lines > 0
+        # The stream reaches every path a scan could hide in.
+        assert status["arrivals"] == 120
+        assert status["departures"] > 0 and status["migrations"] > 0
+        shards = status["shards"] if kind == "federation" else [status]
+        assert sum(shard["rechecks"] for shard in shards) > 0
+        assert sum(shard["qos_checks"] for shard in shards) > 0
