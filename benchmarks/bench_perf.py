@@ -24,7 +24,9 @@ Usage::
 seconds and skips the JSON write — it exists to prove the harness runs,
 not to produce stable numbers.  ``--check`` runs the same quick
 workloads after one untimed warm-up, repeats every gated section
-``CHECK_REPEATS`` times, and gates the medians.
+``CHECK_REPEATS`` times, and gates the medians; the telemetry overhead
+is gated as the median ratio of ``TELEMETRY_PAIRS`` interleaved
+disabled/enabled pairs.
 """
 
 from __future__ import annotations
@@ -127,6 +129,27 @@ def bench_end_to_end(seeds=(0, 1), budget_units=80, enable_telemetry=False):
         samples += len(result.trace)
     dt = CLOCK.now() - t0
     return {"samples": samples, "seconds": dt, "iterations_per_sec": samples / dt}
+
+
+def bench_telemetry_pairs(pairs, **kwargs):
+    """Telemetry overhead as back-to-back disabled/enabled
+    :func:`bench_end_to_end` pairs: the per-pair enabled/disabled rate
+    ratios and their median.
+
+    Even pairs run the disabled half first, odd pairs the enabled one,
+    so neither half always inherits the other's warm caches; each pair
+    shares the host's load of the moment, and the median drops the
+    pairs a burst of load hit.
+    """
+    ratios = []
+    for i in range(pairs):
+        rates = {}
+        for enabled in (False, True) if i % 2 == 0 else (True, False):
+            rates[enabled] = bench_end_to_end(
+                enable_telemetry=enabled, **kwargs
+            )["iterations_per_sec"]
+        ratios.append(rates[True] / rates[False])
+    return {"ratios": ratios, "enabled_ratio": statistics.median(ratios)}
 
 
 def bench_propose(n=20, warmup_iterations=12):
@@ -483,6 +506,14 @@ CHECK_THRESHOLD = 0.70
 #: or counters drags only the enabled rate down.
 ENABLED_BUDGET = 0.90
 
+#: Interleaved disabled/enabled pairs behind the measured ratio (see
+#: :func:`bench_telemetry_pairs`).  On a 2-vCPU host single pairs read
+#: x0.59-1.37 with nothing regressed, and the old ratio of the two
+#: halves' medians failed the x0.87 floor in 3 of 5 runs; the median
+#: of 9 pairs read x0.97-1.01 over 7 runs and x0.81-0.86 with a 0.3 ms
+#: sleep injected into every span.
+TELEMETRY_PAIRS = 9
+
 #: ``--check`` budgets the store and batch ratios the same way: the
 #: quick-mode ratio must stay within this fraction of the tracked
 #: full-run ratio.  Ratios (both halves timed in the same run) stay
@@ -521,7 +552,6 @@ CHECK_REPEATS = 3
 #: The sections ``check_regression`` gates; the others run once.
 CHECK_GATED = (
     "end_to_end",
-    "end_to_end_enabled",
     "obstore",
     "batch",
     "warehouse",
@@ -577,14 +607,14 @@ def check_regression(current) -> int:
             tracked_enabled["iterations_per_sec"]
             / tracked["current"]["end_to_end"]["iterations_per_sec"]
         )
-        measured_overhead = (
-            current["end_to_end_enabled"]["iterations_per_sec"]
-            / current["end_to_end"]["iterations_per_sec"]
-        )
+        pairs = current["telemetry"]
+        measured_overhead = pairs["enabled_ratio"]
         floor = tracked_overhead * ENABLED_BUDGET
         enabled_verdict = "ok" if measured_overhead >= floor else "REGRESSION"
+        spread = ", ".join(f"{ratio:.2f}" for ratio in sorted(pairs["ratios"]))
         print(
-            f"check: enabled/disabled ratio x{measured_overhead:.2f} vs tracked "
+            f"check: enabled/disabled ratio x{measured_overhead:.2f} (median "
+            f"of {len(pairs['ratios'])} pairs: {spread}) vs tracked "
             f"x{tracked_overhead:.2f} (floor x{floor:.2f}): {enabled_verdict}"
         )
         failed = failed or measured_overhead < floor
@@ -733,8 +763,10 @@ def main() -> int:
     if args.quick or args.check:
         quick = {
             "end_to_end": lambda: bench_end_to_end(seeds=(0,), budget_units=25),
-            "end_to_end_enabled": lambda: bench_end_to_end(
-                seeds=(0,), budget_units=25, enable_telemetry=True
+            "telemetry": lambda: bench_telemetry_pairs(
+                TELEMETRY_PAIRS if args.check else 1,
+                seeds=(0,),
+                budget_units=25,
             ),
             "propose": lambda: bench_propose(n=3, warmup_iterations=6),
             "gp": lambda: bench_gp(n_train=20, reps=5),

@@ -23,18 +23,25 @@ flavors trade fidelity for wall-clock:
 
 Both flavors are pure functions of ``(node state, seed)``: probing
 commits nothing and perturbs nothing, so a federation can probe shards
-that end up rejecting without disturbing the event timeline.  The only
-trace a probe may leave is in the observation store, whose truths and
-verdicts are replay-invariant.  ``tests/test_warehouse.py::
-TestProbeLeavesNoTrace`` checks the promise by behaviour: it snapshots
-the probe, the service and every node around each ``check`` and
-``probe_admit`` call and requires them unchanged.
+that end up rejecting without disturbing the event timeline.  A probe
+path may leave two traces, both replay-invariant.  One is in the
+observation store, whose truths and verdicts are functions of their
+keys.  The other is the service's verdict memo: a probe whose
+:meth:`AdmissionProbe.memo_key` is not None is asked once per key, and
+later checks replay the verdict.  :class:`QuickProbe` keys on (probe,
+seed, spec, each request's workload by identity and load).  The memo
+holds at most ``WarehouseService.VERDICT_MEMO_MAX_ENTRIES`` keys, never
+evicts, and counts ``warehouse.probe.memo.hits`` / ``.misses``.
+``tests/test_warehouse.py::TestProbeLeavesNoTrace`` checks the promise
+by behaviour: it snapshots the probe, the service and every node around
+each ``check`` and ``probe_admit`` call and requires them unchanged;
+``TestVerdictMemo`` does the same for the memo.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, Optional, Tuple
+from typing import Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +62,19 @@ class AdmissionProbe(ABC):
     @abstractmethod
     def check(self, node_state: ClusterNode, seed: Optional[int]) -> bool:
         """True when ``node_state``'s job set can meet every LC QoS."""
+
+    def memo_key(
+        self, node_state: ClusterNode, seed: Optional[int]
+    ) -> Optional[Hashable]:
+        """Key under which the service may memoise ``check``'s verdict.
+
+        Two calls with equal keys must get equal verdicts, and the key
+        must name the probe itself, so a replaced probe never matches
+        another's entries.  A key may name ``node_state``'s workloads by
+        ``id``: the service's entry keeps them alive.  None, the
+        default, means "do not memoise this probe".
+        """
+        return None
 
     def attach(
         self,
@@ -112,19 +132,23 @@ class QuickProbe(AdmissionProbe):
     def _candidates(self, node: Node) -> np.ndarray:
         """Unit-cube weight vectors for the LC-favoring candidates.
 
-        Returns a ``(len(BOOSTS), n_dims)`` array, one row per boost.
+        Returns a ``(len(BOOSTS), n_dims)`` array built in one step, one
+        row per boost: each job's weight once per resource, over the
+        row's peak (every weight is at least 0.15).
         """
-        lc = [job.is_lc and job.load is not None for job in node.jobs]
-        base = np.array(
-            [
-                0.15 + job.load.load_at(node.clock_s) if is_lc else 1.0
-                for job, is_lc in zip(node.jobs, lc)
-            ]
-        )
-        weights = np.where(lc, np.multiply.outer(self.BOOSTS, base), 1.0)
-        cube = np.repeat(weights, node.space.n_resources, axis=1)
-        peaks = cube.max(axis=1, keepdims=True)
-        return cube / np.where(peaks > 0, peaks, 1.0)
+        base = [
+            0.15 + job.load.load_at(node.clock_s)
+            if job.is_lc and job.load is not None
+            else None
+            for job in node.jobs
+        ]
+        repeat = range(node.space.n_resources)
+        rows = []
+        for boost in self.BOOSTS:
+            weights = [1.0 if b is None else boost * b for b in base]
+            peak = max(weights)
+            rows.append([w / peak for w in weights for _ in repeat])
+        return np.array(rows)
 
     def _configs(self, node: Node) -> Iterator[Configuration]:
         """The equal partition, then the boosted candidates.
@@ -136,6 +160,25 @@ class QuickProbe(AdmissionProbe):
         boosted = node.space.from_unit_cube_batch(self._candidates(node))
         for matrix in boosted.tolist():
             yield Configuration.from_matrix(matrix)
+
+    def memo_key(
+        self, node_state: ClusterNode, seed: Optional[int]
+    ) -> Optional[Hashable]:
+        """(probe, seed, spec, then each request's workload and load).
+
+        The verdict reads nothing else: request names never reach the
+        physics, and a fresh node's clock is 0.  Workloads hold a dict,
+        so they are keyed by identity (a stream shares its catalog
+        objects).  The key is one flat tuple, to keep entries small.
+        """
+        key: List[Hashable] = [
+            self,
+            seed if seed is not None else self.seed,
+            node_state.spec,
+        ]
+        for request in node_state.requests:
+            key += (id(request.workload), request.load)
+        return tuple(key)
 
     def check(self, node_state: ClusterNode, seed: Optional[int]) -> bool:
         node = node_state.build_node(
@@ -170,7 +213,9 @@ class CLITEProbe(AdmissionProbe):
     counts its windows on ``cluster.verify.samples`` (per node label),
     reads/feeds the store's truths, and publishes its verdict.
     Unseeded probes and engine configs with a custom acquisition or
-    kernel always run the search.
+    kernel always run the search.  It takes no service memo
+    (``memo_key`` is None): ``PlacementPolicy._finalize`` calls
+    ``verify_node`` too, so its verdicts stay in the store.
     """
 
     name = "clite"

@@ -39,7 +39,7 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 from ..core.engine import CLITEConfig
 from ..core.units import Seconds
 from ..resources.spec import ServerSpec
-from ..telemetry import NULL_TELEMETRY, Telemetry
+from ..telemetry import NULL_TELEMETRY, Counter, Telemetry
 from ..telemetry.clock import SimulatedClock
 from ..server.obstore import ObservationStore
 from .events import Arrival, Departure, EventLoop, Payload, Recheck, WarehouseJob
@@ -146,6 +146,7 @@ class WarehouseFederation:
             "rejections": 0,
             "departures": 0,
         }
+        self._counters: Dict[Tuple[str, Optional[int]], Counter] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -293,9 +294,19 @@ class WarehouseFederation:
                 for shard in self.shards:
                     shard.handle_event(t, seq, payload)
 
+    def _counter(self, name: str, shard: Optional[int] = None) -> Counter:
+        """A routing counter handle, looked up on first use and then
+        reused (registering it up front would add zero-valued series)."""
+        handle = self._counters.get((name, shard))
+        if handle is None:
+            labels = {} if shard is None else {"shard": str(shard)}
+            handle = self.telemetry.metrics.counter(name, **labels)
+            self._counters[(name, shard)] = handle
+        return handle
+
     def _route_arrival(self, t: Seconds, seq: int, job: WarehouseJob) -> None:
         self._counts["arrivals"] += 1
-        self.telemetry.metrics.counter("warehouse.route.arrivals").add()
+        self._counter("warehouse.route.arrivals").add()
         order = self._preference(job)
         if any(shard.has_job(job.name) for shard in self.shards):
             self._counts["rejections"] += 1
@@ -316,9 +327,7 @@ class WarehouseFederation:
                 job, t, seq, target, tentative, verified
             )
             self._counts["routed"] += 1
-            self.telemetry.metrics.counter(
-                "warehouse.route.admitted", shard=str(shard_index)
-            ).add()
+            self._counter("warehouse.route.admitted", shard_index).add()
             self._route_record(
                 RoutedEntry(
                     time_s=t, seq=seq, kind="route", job=job.name,
@@ -327,7 +336,7 @@ class WarehouseFederation:
             )
             return
         self._counts["rejections"] += 1
-        self.telemetry.metrics.counter("warehouse.route.rejections").add()
+        self._counter("warehouse.route.rejections").add()
         self._route_record(
             RoutedEntry(
                 time_s=t, seq=seq, kind="reject", job=job.name,

@@ -331,17 +331,29 @@ class _TruthQuickProbe(QuickProbe):
         return False
 
 
-def _quick_churn(reference):
-    """Play a dense churn stream; the reference run swaps every shard's
-    probe for :class:`_TruthQuickProbe`."""
+class _UnmemoisedQuickProbe(QuickProbe):
+    """The quick probe with the service's verdict memo turned off."""
+
+    def memo_key(self, node_state, seed):
+        return None
+
+
+def _quick_churn(probe_cls=None):
+    """Play a dense churn stream; ``probe_cls`` (when given) replaces
+    every shard's probe.
+
+    Returns the routing log, the shard timelines, the placements, the
+    status and the ``verify.nodes``, ``probe.truths``,
+    ``probe.memo.hits`` and ``probe.memo.misses`` totals.
+    """
     telemetry = Telemetry.enabled()
     events = synthesize(ScenarioConfig(n_jobs=90, duration_s=500.0, seed=16))
     with WarehouseFederation(
         2, 5, recheck_period_s=60.0, seed=16, telemetry=telemetry
     ) as fed:
-        if reference:
+        if probe_cls is not None:
             for shard in fed.shards:
-                shard.probe = _TruthQuickProbe()
+                shard.probe = probe_cls()
                 shard.probe.attach(None, telemetry)
         load_into(fed, events)
         status = fed.run_to_completion()
@@ -350,17 +362,24 @@ def _quick_churn(reference):
             [shard.timeline for shard in fed.shards],
             fed.placements(),
             status,
-            _counter_total(telemetry, "warehouse.verify.nodes"),
-            _counter_total(telemetry, "warehouse.probe.truths"),
+            *(
+                _counter_total(telemetry, name)
+                for name in (
+                    "warehouse.verify.nodes",
+                    "warehouse.probe.truths",
+                    "warehouse.probe.memo.hits",
+                    "warehouse.probe.memo.misses",
+                )
+            ),
         )
 
 
 class TestQuickProbeChurnReplay:
     def test_verdict_probe_replays_the_truth_probe(self):
-        got = _quick_churn(reference=False)
-        want = _quick_churn(reference=True)
+        got = _quick_churn()
+        want = _quick_churn(_TruthQuickProbe)
         assert got == want
-        *_, status, checks, truths = want
+        _, _, _, status, checks, truths, _, _ = want
         # Dense enough that the boosted candidates and rejections matter.
         assert status["rejections"] > 0
         assert truths > checks > 0
@@ -465,11 +484,20 @@ class TestQuickProbePinned:
         assert _digest(answers) == "f9d34335973d60dc"
 
     def test_churn_outcome(self):
-        routed, timelines, placements, status, checks, truths = _quick_churn(
-            reference=False
-        )
+        routed, timelines, placements, status, *counts = _quick_churn()
+        checks, truths, hits, misses = counts
         assert status["rejections"] > 0
-        assert (checks, truths) == (192, 546)
+        # 546 truths before the service memoised verdicts: memo hits
+        # evaluate none, and every check is a hit or a miss.
+        assert (checks, truths) == (192, 454)
+        assert hits + misses == checks and hits > 0
+        assert _digest((routed, timelines, placements)) == "fae15b51d999bdc2"
+
+    def test_churn_outcome_without_the_memo(self):
+        routed, timelines, placements, status, *counts = _quick_churn(
+            _UnmemoisedQuickProbe
+        )
+        assert counts == [192, 546, 0, 0]
         assert _digest((routed, timelines, placements)) == "fae15b51d999bdc2"
 
 
@@ -478,10 +506,11 @@ class TestProbeLeavesNoTrace:
 
     Around each probe call the probe object's attributes, the service
     (see :func:`conftest.service_trace`) and every node's requests must
-    read the same before and after.  The observation store is the one
-    sanctioned exception: it may gain truths and verdicts, but only
-    replay-invariant ones, so a repeat of the call adds nothing and a
-    fresh store replaying it gains the same records.
+    read the same before and after.  The observation store and the
+    service's verdict memo are the sanctioned exceptions: they may gain
+    entries, but only replay-invariant ones, so a repeat of the call
+    adds nothing and a fresh store or service replaying it gains the
+    same entries (the memo's side is :class:`TestVerdictMemo`).
     """
 
     def _service(self, mini_server, probe="quick", store=None):
@@ -552,6 +581,135 @@ class TestProbeLeavesNoTrace:
         assert (found, verified) == (target, (0,))
         assert (tentative is None) == (target is None)
         assert self._trace(service) == before
+
+
+class _RejectingQuickProbe(QuickProbe):
+    """Rejects every job set, under the same memo keys as its parent."""
+
+    def check(self, node_state, seed):
+        return False
+
+
+class TestVerdictMemo:
+    """The service's verdict memo, the second sanctioned write on a probe
+    path after the store: replay-invariant, exact and bounded.
+
+    Every service here runs one mini-server node hosting ``w0`` at full
+    load (QoS 6 ms); ``x`` at load 0.3 fits beside it, ``y`` at 0.85
+    does not.
+    """
+
+    @staticmethod
+    def _jobs():
+        return (
+            lc_job("w0", 1.0, qos_latency_ms=6.0),
+            lc_job("x", 0.3, qos_latency_ms=6.0),
+            lc_job("y", 0.85, qos_latency_ms=6.0),
+        )
+
+    @staticmethod
+    def _service(mini_server, w0):
+        telemetry = Telemetry.enabled()
+        service = WarehouseService(
+            1, spec=mini_server, max_jobs_per_node=3, telemetry=telemetry
+        )
+        service.submit(w0, at=1.0)
+        service.run_until(1.0)
+        assert service.placements() == {"w0": 0}
+        return service
+
+    @staticmethod
+    def _admit(service, *jobs):
+        return [service.probe_admit(job, 1.0)[0] for job in jobs]
+
+    @staticmethod
+    def _entries(service):
+        """The memo with its first key item, the probe, checked and dropped."""
+        assert all(key[0] is service.probe for key in service._verdicts)
+        return {key[1:]: value for key, value in service._verdicts.items()}
+
+    @staticmethod
+    def _memo_counts(service):
+        return tuple(
+            _counter_total(service.telemetry, f"warehouse.probe.memo.{name}")
+            for name in ("hits", "misses")
+        )
+
+    def test_repeat_probe_adds_no_entries(self, mini_server):
+        w0, x, y = self._jobs()
+        service = self._service(mini_server, w0)
+        assert self._admit(service, x, y) == [0, None]
+        entries = self._entries(service)
+        assert len(entries) == 2
+        assert self._memo_counts(service) == (0, 2)
+        # A renamed twin of x asks the same question: names are not keyed.
+        twin = WarehouseJob.lc(x.workload, 0.3, "x-twin")
+        assert self._admit(service, x, y, twin) == [0, None, 0]
+        assert self._entries(service) == entries
+        assert self._memo_counts(service) == (3, 2)
+
+    def test_fresh_service_gains_identical_entries(self, mini_server):
+        w0, x, y = self._jobs()
+        first = self._service(mini_server, w0)
+        second = self._service(mini_server, w0)
+        assert self._admit(first, x, y) == self._admit(second, x, y)
+        assert self._entries(first) == self._entries(second)
+
+    def test_replaced_probe_never_serves_old_verdicts(self, mini_server):
+        w0, x, _ = self._jobs()
+        service = self._service(mini_server, w0)
+        assert self._admit(service, x) == [0]
+        service.probe = _RejectingQuickProbe()
+        assert self._admit(service, x) == [None]
+        service.probe = QuickProbe()
+        assert self._admit(service, x) == [0]
+        assert len(service._verdicts) == 3
+        assert self._memo_counts(service) == (0, 3)
+
+    def test_full_memo_stops_inserting(self, mini_server, monkeypatch):
+        monkeypatch.setattr(WarehouseService, "VERDICT_MEMO_MAX_ENTRIES", 1)
+        w0, x, y = self._jobs()
+        service = self._service(mini_server, w0)
+        assert self._admit(service, x, y, x, y) == [0, None, 0, None]
+        # x's entry went in first and stays; y is asked afresh each time.
+        assert [value[0] for value in service._verdicts.values()] == [True]
+        assert self._memo_counts(service) == (1, 3)
+
+
+def _renamed(node):
+    """``node`` under another index, with every request renamed."""
+    from repro.cluster.state import ClusterNode, JobRequest
+
+    return ClusterNode(
+        node.index + 1000,
+        node.spec,
+        [
+            JobRequest(r.workload, r.load, name=f"other-{k}")
+            for k, r in enumerate(node.requests)
+        ],
+    )
+
+
+class TestQuickProbeMemoKey:
+    @pytest.mark.parametrize(
+        "make_nodes,seed",
+        [(_seeded_tailbench_nodes, 41), (_heterogeneous_nodes, 42)],
+        ids=["tailbench", "heterogeneous"],
+    )
+    def test_equal_keys_mean_equal_verdicts(self, make_nodes, seed):
+        probe = QuickProbe(seed=0)
+        verdicts = {}
+        for node in make_nodes(60, seed=seed):
+            key = probe.memo_key(node, 0)
+            # Names, the node index and an unset seed (the probe's own
+            # seed, 0) leave the key unchanged; another seed does not.
+            assert probe.memo_key(_renamed(node), None) == key
+            assert probe.memo_key(node, 1) != key
+            verdicts.setdefault(key, set()).update(
+                (probe.check(node, 0), probe.check(_renamed(node), None))
+            )
+        assert all(len(answers) == 1 for answers in verdicts.values())
+        assert set().union(*verdicts.values()) == {True, False}
 
 
 class TestServiceBasics:

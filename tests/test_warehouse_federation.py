@@ -102,6 +102,32 @@ class TestRouting:
         rejects = [e for e in fed.routed if e.kind == "reject"]
         assert rejects[0].detail == "capacity"
 
+    def test_route_counters_appear_on_first_use(self, mini_server):
+        telemetry = Telemetry.enabled()
+
+        def route_series():
+            return sorted(
+                (name, sorted(labels.items()), value)
+                for series, value in telemetry.snapshot().counters.items()
+                for name, labels in [parse_series(series)]
+                if name.startswith("warehouse.route.")
+            )
+
+        with WarehouseFederation(
+            2, 1, spec=mini_server, max_jobs_per_node=1, telemetry=telemetry
+        ) as fed:
+            # No zero-valued series before the first arrival.
+            assert route_series() == []
+            for i in range(3):
+                fed.submit(bg_job(f"j{i}"), at=float(i + 1))
+            fed.run_to_completion()
+        assert route_series() == [
+            ("warehouse.route.admitted", [("shard", "0")], 1.0),
+            ("warehouse.route.admitted", [("shard", "1")], 1.0),
+            ("warehouse.route.arrivals", [], 3.0),
+            ("warehouse.route.rejections", [], 1.0),
+        ]
+
     def test_duplicate_name_rejected_across_shards(self, mini_server):
         with WarehouseFederation(2, 4, spec=mini_server) as fed:
             fed.submit(bg_job("dup"), at=1.0)
