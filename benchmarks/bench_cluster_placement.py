@@ -7,21 +7,26 @@ CLITE-verified packing.
 """
 
 from common import save_report
-from repro.cluster import (
-    CLITEPlacement,
-    Cluster,
-    DedicatedPlacement,
-    FirstFitPlacement,
-    JobRequest,
+from repro.cluster import Cluster, ClusterNode, JobRequest
+from repro.experiments import format_table
+from repro.resources import default_server
+from repro.warehouse import (
+    CLITEProbe,
+    QoSBlindProbe,
+    place,
     utilization_summary,
     verify_node,
 )
-from repro.cluster.state import ClusterNode
-from repro.experiments import format_table
-from repro.resources import default_server
 from repro.workloads import parsec_catalog, tailbench_catalog
 
 N_NODES = 12
+
+#: The three placement generations: (name, admission probe, co-location cap).
+GENERATIONS = (
+    ("dedicated", QoSBlindProbe(), 1),
+    ("first-fit", QoSBlindProbe(), 4),
+    ("clite", CLITEProbe(), 4),
+)
 
 
 def request_stream(server):
@@ -43,13 +48,9 @@ def request_stream(server):
 def compute():
     server = default_server()
     outcomes = {}
-    for policy in (
-        DedicatedPlacement(),
-        FirstFitPlacement(max_jobs_per_node=4),
-        CLITEPlacement(max_jobs_per_node=4),
-    ):
+    for name, probe, cap in GENERATIONS:
         cluster = Cluster(n_nodes=N_NODES, spec=server)
-        outcomes[policy.name] = policy.place(cluster, request_stream(server), seed=0)
+        outcomes[name] = place(cluster, request_stream(server), probe, cap, seed=0)
     return outcomes
 
 
@@ -70,6 +71,10 @@ def test_cluster_placement(benchmark):
     report = format_table(
         ["policy", "machines", "all QoS met", "mean BG perf", "rejected"], rows
     )
+    for name, outcome in outcomes.items():
+        report += f"\n\n{name} placement map (request -> node):"
+        for request, node in outcome.placements.items():
+            report += f"\n  {request} -> {node}"
     save_report("cluster_placement", report)
 
     server = default_server()

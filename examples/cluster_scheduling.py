@@ -4,26 +4,23 @@
 The paper's pitch is that safely co-locating multiple LC jobs with
 batch work is how datacenters reclaim idle machines.  This example
 plays a stream of nine service/batch placement requests against three
-generations of placement policy and prints the operator's view:
-machines used, QoS safety, and batch throughput.
+generations of placement and prints the operator's view: machines used,
+QoS safety, and batch throughput.  All three are one placement engine,
+``repro.warehouse.place``, with a different admission probe and
+co-location cap:
 
-* dedicated  — one job per machine (no co-location, the conservative
-  baseline the paper's introduction starts from);
-* first-fit  — dense structural packing, blind to QoS;
-* clite      — pack only where a CLITE run proves a QoS-safe partition
-  exists, opening a fresh machine otherwise.
+* dedicated  — QoS-blind probe, cap 1: one job per machine (no
+  co-location, the conservative baseline the paper's introduction
+  starts from);
+* first-fit  — QoS-blind probe, cap 4: dense structural packing;
+* clite      — CLITE probe, cap 4: pack only where a CLITE run proves a
+  QoS-safe partition exists, opening a fresh machine otherwise.
 """
 
-from repro.cluster import (
-    CLITEPlacement,
-    Cluster,
-    DedicatedPlacement,
-    FirstFitPlacement,
-    JobRequest,
-    utilization_summary,
-)
+from repro.cluster import Cluster, JobRequest
 from repro.experiments import format_table
 from repro.resources import default_server
+from repro.warehouse import CLITEProbe, QoSBlindProbe, place, utilization_summary
 from repro.workloads import parsec_catalog, tailbench_catalog
 
 N_NODES = 10
@@ -47,28 +44,28 @@ def request_stream(server):
 
 def main() -> None:
     server = default_server()
-    policies = (
-        DedicatedPlacement(),
-        FirstFitPlacement(max_jobs_per_node=4),
-        CLITEPlacement(max_jobs_per_node=4),
+    generations = (
+        ("dedicated", QoSBlindProbe(), 1),
+        ("first-fit", QoSBlindProbe(), 4),
+        ("clite", CLITEProbe(), 4),
     )
 
     rows = []
     placements = {}
-    for policy in policies:
+    for name, probe, cap in generations:
         cluster = Cluster(n_nodes=N_NODES, spec=server)
-        outcome = policy.place(cluster, request_stream(server), seed=0)
+        outcome = place(cluster, request_stream(server), probe, cap, seed=0)
         summary = utilization_summary(outcome, N_NODES)
         rows.append(
             [
-                policy.name,
+                name,
                 summary["machines_used"],
                 "yes" if summary["all_qos_met"] else "NO",
                 summary["mean_bg_performance"],
                 summary["rejected"],
             ]
         )
-        placements[policy.name] = outcome.placements
+        placements[name] = outcome.placements
 
     print(f"Placing 9 requests on a {N_NODES}-node cluster:\n")
     print(

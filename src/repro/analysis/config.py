@@ -29,8 +29,6 @@ class LintConfig:
         ignore: Rule IDs to skip.
         hot_path: Module-path substrings (posix) marking the BO hot
             path; the numerics family only fires inside them.
-        placement_bases: Base-class names marking cluster placement
-            policies; their ``place`` must carry ``@placement_contract``.
         policy_bases: Base-class names marking node partition policies;
             their ``partition`` must carry ``@policy_contract``.
         optimizer_classes: Class names whose ``propose``/``propose_exploit``
@@ -71,7 +69,6 @@ class LintConfig:
     select: Tuple[str, ...] = ()
     ignore: Tuple[str, ...] = ()
     hot_path: Tuple[str, ...] = ("repro/core/",)
-    placement_bases: Tuple[str, ...] = ("PlacementPolicy",)
     policy_bases: Tuple[str, ...] = ("Policy",)
     optimizer_classes: Tuple[str, ...] = ("AcquisitionOptimizer",)
     partition_constructors: Tuple[str, ...] = (

@@ -4,8 +4,11 @@ The partition invariants (every resource column sums to capacity, every
 job holds >= 1 unit, units are integers — Eqs. 5-6) are enforced at
 runtime by the decorators in :mod:`repro.resources.contracts`.  These
 rules close the loop statically: every function whose outputs cross a
-contract boundary must actually carry its decorator, so a new policy or
-constructor cannot silently opt out.
+partition-contract boundary must actually carry its decorator, so a new
+policy, optimizer or constructor cannot silently opt out.  (Placement
+has one function, ``repro.warehouse.service.place``, whose
+``@placement_contract`` its own tests exercise; no class hierarchy is
+left for a rule to walk.)
 """
 
 from __future__ import annotations
@@ -56,35 +59,6 @@ class _DecoratorPresenceRule(Rule):
             f"{what} must be decorated with @{self.required_decorator} "
             "so its output is checked against the partition contracts"
         )
-
-
-@register
-class PlacementMissingContract(_DecoratorPresenceRule):
-    rule_id = "RPL301"
-    name = "placement-missing-contract"
-    family = CONTRACTS
-    description = (
-        "A cluster placement policy's place() lacks @placement_contract: "
-        "its PlacementOutcome (node indices, rejected set, machine "
-        "count) would go unchecked."
-    )
-    autofix_hint = (
-        "Decorate place() with "
-        "repro.resources.contracts.placement_contract."
-    )
-    required_decorator = "placement_contract"
-
-    def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
-        bases = set(config.placement_bases)
-        for cls in project.iter_classes():
-            if cls.name in bases or not _inherits_from(project, cls, bases):
-                continue
-            method = cls.methods.get("place")
-            if method is None:
-                continue
-            message = self._missing(method, f"{cls.name}.place")
-            if message is not None:
-                yield self.finding(project, cls.module, method.node, message)
 
 
 @register

@@ -1,28 +1,9 @@
-"""Cluster-level placement on top of per-node CLITE partitioning."""
+"""Cluster state: machines, the jobs placed on them, placement outcomes.
 
-from .scheduler import (
-    CLITEPlacement,
-    DedicatedPlacement,
-    FirstFitPlacement,
-    PLACEMENT_ENGINE,
-    PlacementPolicy,
-    utilization_summary,
-    verify_node,
-    verify_nodes,
-)
+Placement itself is :func:`repro.warehouse.service.place`, the batch
+face of the warehouse's admission search.
+"""
+
 from .state import Cluster, ClusterNode, JobRequest, PlacementOutcome
 
-__all__ = [
-    "CLITEPlacement",
-    "Cluster",
-    "ClusterNode",
-    "DedicatedPlacement",
-    "FirstFitPlacement",
-    "JobRequest",
-    "PLACEMENT_ENGINE",
-    "PlacementOutcome",
-    "PlacementPolicy",
-    "utilization_summary",
-    "verify_node",
-    "verify_nodes",
-]
+__all__ = ["Cluster", "ClusterNode", "JobRequest", "PlacementOutcome"]

@@ -148,7 +148,7 @@ class Cluster:
 
     Homogeneous by default; pass ``specs`` for a heterogeneous fleet
     (e.g. a few big-cache nodes among standard ones) — placement
-    policies consult each node's own spec, so mixing generations works
+    consults each node's own spec, so mixing generations works
     transparently.
     """
 
@@ -169,25 +169,6 @@ class Cluster:
         else:
             per_node = [self.spec] * self.n_nodes
         self.nodes = [ClusterNode(i, s) for i, s in enumerate(per_node)]
-
-    def place(self, node_index: int, request: JobRequest) -> None:
-        """Commit a placement.
-
-        ``node_index`` must identify an existing node.  Negative indices
-        are rejected rather than wrapped: Python list indexing would
-        silently target the node counted from the *end* of the fleet,
-        corrupting the placement without any error.
-        """
-        if not isinstance(node_index, int) or isinstance(node_index, bool):
-            raise ValueError(
-                f"node_index must be an int, got {type(node_index).__name__}"
-            )
-        if not 0 <= node_index < len(self.nodes):
-            raise IndexError(
-                f"node_index {node_index} out of range for a "
-                f"{len(self.nodes)}-node cluster"
-            )
-        self.nodes[node_index] = self.nodes[node_index].with_request(request)
 
     def remove_from(self, node_index: int, name: str) -> None:
         """Remove the named request from a *known* host node.
@@ -232,9 +213,9 @@ class PlacementOutcome:
         rejected: Requests no node could accept.
         machines_used: Number of nodes hosting at least one job.
         node_reports: Per-used-node (qos_met, mean normalized BG perf or
-            None); filled by policies that verify placements online.
+            None); filled when placement verifies the nodes it used.
         telemetry: Run-scoped telemetry snapshot (placement + per-node
-            verification spans and counters) when the policy ran with a
+            verification spans and counters) when placement ran with a
             telemetry context, else ``None``.
     """
 

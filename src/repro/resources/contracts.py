@@ -11,10 +11,12 @@ implied by a cluster placement — must satisfy three invariants:
 
 The decorators below check those invariants on function *outputs* and
 raise :class:`ContractViolation` on the first breach.  ``repro-lint``
-(rules RPL301-RPL304) statically verifies the decorators are present on
-every boundary function, so the two layers together make the contracts
-unskippable.  Set ``REPRO_CONTRACTS=0`` to disable the runtime checks
-(e.g. in production-scale sweeps where the lint gate already ran).
+(rules RPL302-RPL304) statically verifies the partition decorators are
+present on every boundary function, so the two layers together make
+those contracts unskippable.  :func:`placement_contract` guards the one
+placement function, :func:`repro.warehouse.service.place`.  Set
+``REPRO_CONTRACTS=0`` to disable the runtime checks (e.g. in
+production-scale sweeps where the lint gate already ran).
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _config_matrix(config: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Decorators (verified present by repro-lint RPL301-RPL304)
+# Decorators (the partition ones verified present by repro-lint RPL302-RPL304)
 # ----------------------------------------------------------------------
 def partition_contract(fn: F) -> F:
     """For ``ConfigurationSpace`` constructors returning partitions.
@@ -198,7 +200,7 @@ def policy_contract(fn: F) -> F:
 
 
 def placement_contract(fn: F) -> F:
-    """For ``PlacementPolicy.place`` implementations.
+    """For placement functions ``place(cluster, requests, ...)``.
 
     Checks that every placement targets an existing node, that no
     request is both placed and rejected, and that the reported machine
@@ -208,13 +210,11 @@ def placement_contract(fn: F) -> F:
     """
 
     @functools.wraps(fn)
-    def wrapper(
-        self: Any, cluster: Any, requests: Any, *args: Any, **kwargs: Any
-    ) -> Any:
-        outcome = fn(self, cluster, requests, *args, **kwargs)
+    def wrapper(cluster: Any, requests: Any, *args: Any, **kwargs: Any) -> Any:
+        outcome = fn(cluster, requests, *args, **kwargs)
         if not _ENABLED:
             return outcome
-        context = f"{type(self).__name__}.place"
+        context = fn.__qualname__
         n_nodes = len(cluster.nodes)
         bad = [i for i in outcome.placements.values() if not 0 <= i < n_nodes]
         if bad:

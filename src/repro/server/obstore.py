@@ -36,7 +36,7 @@ Design points:
   instance lock, and the store registers itself (and its entry maps)
   with ``repro-san`` so the sanitizer sees every access.
 * **Verdicts ride along.**  A second record kind memoises whole CLITE
-  verifications: :func:`~repro.cluster.scheduler.verify_node` is a pure
+  verifications: :func:`~repro.warehouse.admission.verify_node` is a pure
   function of the node's physics, its LC loads, the seed and the engine
   configuration, so its ``(qos_met, mean BG perf, samples)`` answer is
   stored under :func:`verdict_key` and a repeated probe skips the BO
@@ -153,7 +153,7 @@ def verdict_key(
     """The memo key of one verification: physics, loads, seed, engine.
 
     ``engine_digest`` stands for every engine setting that steers the
-    search (see :func:`repro.cluster.scheduler.engine_digest`); the
+    search (see :func:`repro.warehouse.admission.engine_digest`); the
     schema version is folded in so a version bump retires every key.
     """
     payload = {
@@ -205,7 +205,7 @@ class ObservationStore:
 
         store = ObservationStore("obs/paper-mixes.jsonl")
         node = mix.build_node(seed=0, store=store)
-        # ... any number of runs, services, or verify_nodes rounds ...
+        # ... any number of runs, services, or placement rounds ...
         store.close()
     """
 
@@ -506,7 +506,7 @@ class ObservationStore:
         """The memoised verdict under ``key``, refreshing its recency.
 
         Misses are not counted here: the caller
-        (:func:`~repro.cluster.scheduler.verify_node`) counts memo
+        (:func:`~repro.warehouse.admission.verify_node`) counts memo
         traffic on its own ``verify.memo.*`` series.
         """
         with self._lock:

@@ -185,14 +185,17 @@ class MetricRegistry:
         register_shared(self, name=f"MetricRegistry@{id(self):x}")
 
     def _get(self, kind: type, name: str, labels: Mapping[str, str], **kwargs):
-        if not METRIC_NAME_RE.match(name):
-            raise ValueError(
-                f"metric name {name!r} must match {METRIC_NAME_RE.pattern}"
-            )
         key = (name, _label_items(labels))
         with self._lock:
             instrument = self._metrics.get(key)
             if instrument is None:
+                # Only valid names are ever stored, so a name needs
+                # checking only when its instrument is created.
+                if not METRIC_NAME_RE.match(name):
+                    raise ValueError(
+                        f"metric name {name!r} must match "
+                        f"{METRIC_NAME_RE.pattern}"
+                    )
                 instrument = kind(name, labels=key[1], **kwargs)
                 self._metrics[key] = instrument
             elif not isinstance(instrument, kind):

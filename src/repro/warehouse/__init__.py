@@ -3,13 +3,22 @@
 Promotes CLITE's batch placement to a running service over simulated
 time: deterministic event core (:mod:`.events`), admission probes
 (:mod:`.admission`), QoS-driven migration with modeled cost
-(:mod:`.migration`), the single-cluster service (:mod:`.service`),
+(:mod:`.migration`), the single-cluster service and its batch face
+:func:`~.service.place` (:mod:`.service`),
 sharded federation (:mod:`.federation`), scripted scenarios
 (:mod:`.scenario`), and the HTTP control plane (:mod:`.api`) behind the
 ``repro-warehouse`` CLI (:mod:`.cli`).
 """
 
-from .admission import AdmissionProbe, CLITEProbe, QuickProbe, resolve_probe
+from .admission import (
+    PLACEMENT_ENGINE,
+    AdmissionProbe,
+    CLITEProbe,
+    QoSBlindProbe,
+    QuickProbe,
+    resolve_probe,
+    verify_node,
+)
 from .api import (
     GatewayCommand,
     ServiceGateway,
@@ -33,7 +42,13 @@ from .federation import (
 )
 from .migration import MigrationModel, MigrationRecord
 from .scenario import ScenarioConfig, ScenarioEvent, load_into, synthesize
-from .service import PROBE_ENGINE, TimelineEntry, WarehouseService
+from .service import (
+    PROBE_ENGINE,
+    TimelineEntry,
+    WarehouseService,
+    place,
+    utilization_summary,
+)
 
 __all__ = [
     "AdmissionProbe",
@@ -45,7 +60,9 @@ __all__ = [
     "GatewayCommand",
     "MigrationModel",
     "MigrationRecord",
+    "PLACEMENT_ENGINE",
     "PROBE_ENGINE",
+    "QoSBlindProbe",
     "QuickProbe",
     "ROUTING_POLICIES",
     "Recheck",
@@ -62,6 +79,9 @@ __all__ = [
     "job_from_spec",
     "load_into",
     "make_api_server",
+    "place",
     "resolve_probe",
     "synthesize",
+    "utilization_summary",
+    "verify_node",
 ]

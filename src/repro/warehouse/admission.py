@@ -2,11 +2,11 @@
 
 Admission control is the paper's bootstrap check promoted to a service
 decision: before a job lands on a node, the warehouse asks whether a
-QoS-meeting partition *exists* for the tentative job set.  Two probe
-flavors trade fidelity for wall-clock:
+QoS-meeting partition *exists* for the tentative job set.  Three probes
+trade fidelity for wall-clock:
 
 * :class:`CLITEProbe` — the full answer: run a (small-budget) CLITE BO
-  search via :func:`~repro.cluster.scheduler.verify_node`.  Shares the
+  search via :func:`verify_node`.  Shares the
   warehouse's :class:`~repro.server.obstore.ObservationStore`, so a
   seeded probe of a node state already verified replays the stored
   verdict without running the search at all, and new job sets reuse
@@ -20,8 +20,12 @@ flavors trade fidelity for wall-clock:
   sets the full search would have admitted).  At under a millisecond
   per check it is what makes thousand-node scenarios with hundreds of
   arrivals tractable.
+* :class:`QoSBlindProbe` — no answer at all: it admits every job set.
+  With it, :func:`~repro.warehouse.service.place` plays the paper's two
+  older placement generations, dedicated machines (cap 1) and QoS-blind
+  first fit (cap 4).
 
-Both flavors are pure functions of ``(node state, seed)``: probing
+Every probe is a pure function of ``(node state, seed)``: probing
 commits nothing and perturbs nothing, so a federation can probe shards
 that end up rejecting without disturbing the event timeline.  A probe
 path may leave two traces, both replay-invariant.  One is in the
@@ -40,18 +44,136 @@ each ``check`` and ``probe_admit`` call and requires them unchanged;
 
 from __future__ import annotations
 
+import hashlib
+import json
 from abc import ABC, abstractmethod
+from dataclasses import fields, replace
 from typing import Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.scheduler import verify_node
 from ..cluster.state import ClusterNode
-from ..core.engine import CLITEConfig
+from ..core.engine import CLITEConfig, CLITEEngine
 from ..resources.allocation import Configuration
 from ..server.node import Node
-from ..server.obstore import ObservationStore
+from ..server.obstore import ObservationStore, Verdict, verdict_key
 from ..telemetry import NULL_TELEMETRY, Telemetry
+
+
+#: Engine settings for the many small optimizations placement needs.
+PLACEMENT_ENGINE = CLITEConfig(
+    max_iterations=25,
+    post_qos_iterations=8,
+    refine_budget=8,
+    confirm_top=2,
+    n_restarts=4,
+)
+
+
+def engine_digest(config: CLITEConfig) -> Optional[str]:
+    """Digest of every engine setting but ``telemetry``, or ``None``.
+
+    A custom ``acquisition`` or ``kernel`` is an arbitrary object with
+    no stable digest, so such a config gets ``None`` (no memo).
+    """
+    if config.acquisition is not None or config.kernel is not None:
+        return None
+    settings = {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if f.name != "telemetry"
+    }
+    canonical = json.dumps(settings, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _memo_key(
+    node: Node, node_state: ClusterNode, config: CLITEConfig
+) -> Optional[str]:
+    """The verdict-memo key of one verification, or ``None`` to bypass.
+
+    Storeless nodes have no fingerprint; unseeded runs read ambient
+    counter noise, so they are not a function of their inputs.
+    """
+    fingerprint, digest = node.fingerprint, engine_digest(config)
+    if fingerprint is None or config.seed is None or digest is None:
+        return None
+    loads = [r.load for r in node_state.lc_requests if r.load is not None]
+    return verdict_key(fingerprint, loads, config.seed, digest)
+
+
+def _run_clite(
+    node: Node, node_state: ClusterNode, config: CLITEConfig, tel: Telemetry
+) -> Verdict:
+    """One CLITE BO run on ``node``, judged by its noise-free truth."""
+    result = CLITEEngine(node, config).optimize()
+    if tel.active:
+        tel.metrics.counter(
+            "cluster.verify.samples", node=str(node_state.index)
+        ).add(result.samples_taken)
+    if result.best_config is None:
+        return Verdict(False, None, result.samples_taken)
+    truth = node.true_performance(result.best_config)
+    bg = [j.throughput_norm for j in truth.bg_jobs]
+    return Verdict(
+        truth.all_qos_met,
+        sum(bg) / len(bg) if bg else None,
+        result.samples_taken,
+    )
+
+
+def verify_node(
+    node_state: ClusterNode,
+    engine_config: Optional[CLITEConfig] = None,
+    seed: Optional[int] = 0,
+    telemetry: Optional[Telemetry] = None,
+    store: Optional[ObservationStore] = None,
+) -> Tuple[bool, Optional[float]]:
+    """Partition one node with CLITE and report (qos_met, mean BG perf).
+
+    The report uses the simulator's noise-free view of the chosen
+    partition, like every other ground-truth metric in the harness.
+    ``store`` attaches a shared observation store to the built node, so
+    repeated verification of similar job sets (the warehouse common
+    case) skips the physics on warm truths.
+
+    The store also memoises the whole answer: a seeded verification is
+    a pure function of the node's physics fingerprint, its LC loads,
+    the seed and the engine settings (:func:`engine_digest`), so a
+    repeat of an identical node state returns the stored
+    :class:`~repro.server.obstore.Verdict` without building an engine.
+    Unseeded runs and configs with a custom acquisition or kernel
+    bypass the memo.
+
+    With telemetry, the run is wrapped in a ``cluster.verify_node``
+    span (``memo`` says whether the verdict came from the store), memo
+    traffic lands on ``verify.memo.hits``/``verify.memo.misses``, and
+    the observation windows actually spent land on the per-node
+    ``cluster.verify.samples`` counter.
+    """
+    config = engine_config or PLACEMENT_ENGINE
+    tel = telemetry if telemetry is not None else (
+        config.telemetry if config.telemetry is not None else NULL_TELEMETRY
+    )
+    config = replace(config, seed=seed, telemetry=tel if tel.active else None)
+    with tel.tracer.span(
+        "cluster.verify_node", node=node_state.index, jobs=node_state.n_jobs
+    ) as span:
+        node = node_state.build_node(seed=seed, store=store)
+        key = _memo_key(node, node_state, config)
+        verdict = None
+        if key is not None:
+            verdict = node.stored_verdict(key)
+            tel.metrics.counter(
+                "verify.memo.hits" if verdict is not None else "verify.memo.misses"
+            ).add()
+        span.set("memo", verdict is not None)
+        if verdict is None:
+            verdict = _run_clite(node, node_state, config, tel)
+            if key is not None:
+                node.publish_verdict(key, verdict)
+        span.set("qos_met", verdict.qos_met)
+    return verdict.qos_met, verdict.bg_perf
 
 
 class AdmissionProbe(ABC):
@@ -82,6 +204,15 @@ class AdmissionProbe(ABC):
         telemetry: Optional[Telemetry],
     ) -> None:
         """Adopt the owning service's shared store/telemetry context."""
+
+
+class QoSBlindProbe(AdmissionProbe):
+    """Admits every job set: packing that never asks about QoS."""
+
+    name = "qos-blind"
+
+    def check(self, node_state: ClusterNode, seed: Optional[int]) -> bool:
+        return True
 
 
 class QuickProbe(AdmissionProbe):
@@ -204,8 +335,8 @@ class CLITEProbe(AdmissionProbe):
 
     Every QoS-aware placement goes through it: the warehouse probes
     each candidate node with it, and
-    :class:`~repro.cluster.scheduler.CLITEPlacement` replays its batch
-    through a warehouse that uses it.  With a store attached,
+    :func:`~repro.warehouse.service.place` with it is the batch CLITE
+    placement.  With a store attached,
     ``check`` is memoised on (node physics, LC loads, seed, engine
     settings): a repeat returns the stored verdict without building an
     engine (``verify.memo.hits``, ``memo=True`` on the
@@ -214,8 +345,8 @@ class CLITEProbe(AdmissionProbe):
     reads/feeds the store's truths, and publishes its verdict.
     Unseeded probes and engine configs with a custom acquisition or
     kernel always run the search.  It takes no service memo
-    (``memo_key`` is None): ``PlacementPolicy._finalize`` calls
-    ``verify_node`` too, so its verdicts stay in the store.
+    (``memo_key`` is None): ``place``'s final verification calls
+    :func:`verify_node` too, so its verdicts stay in the store.
     """
 
     name = "clite"

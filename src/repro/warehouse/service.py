@@ -24,6 +24,10 @@ never the whole fleet, and the shared
 recurring job sets near-free.  Every decision lands on the timeline as a
 :class:`TimelineEntry`, timestamped on the simulated clock; two
 same-seed runs produce bit-identical timelines.
+
+:func:`place` is the batch face of the same service: it submits a
+request stream at t=0 and verifies the nodes it filled.  The paper's
+three placement generations are three ``(probe, cap)`` pairs of it.
 """
 
 from __future__ import annotations
@@ -39,19 +43,22 @@ from typing import (
     Hashable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
-from ..cluster.state import Cluster, ClusterNode, JobRequest
+from ..cluster.state import Cluster, ClusterNode, JobRequest, PlacementOutcome
 from ..core.engine import CLITEConfig
 from ..core.units import Seconds
+from ..resources.contracts import placement_contract
 from ..resources.spec import ServerSpec
 from ..sanitizer.hooks import register_shared
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..telemetry.clock import SimulatedClock
 from ..server.obstore import ObservationStore
-from .admission import AdmissionProbe, resolve_probe
+from ..workloads.loadgen import LoadSchedule
+from .admission import AdmissionProbe, resolve_probe, verify_node
 from .events import (
     Arrival,
     Departure,
@@ -63,7 +70,7 @@ from .events import (
 from .migration import MigrationModel, MigrationRecord
 
 #: Engine settings for full-CLITE admission probes: smaller than the
-#: batch :data:`~repro.cluster.scheduler.PLACEMENT_ENGINE` because a
+#: batch :data:`~.admission.PLACEMENT_ENGINE` because a
 #: service probes continuously, and a warm observation store shoulders
 #: most of the cost anyway.
 PROBE_ENGINE = CLITEConfig(
@@ -817,3 +824,107 @@ class WarehouseService:
         if len(self._timeline) == TIMELINE_LIMIT:
             self._timeline_dropped += 1
         self._timeline.append(entry)
+
+
+@placement_contract
+def place(
+    cluster: Cluster,
+    requests: Sequence[JobRequest],
+    probe: AdmissionProbe,
+    max_jobs_per_node: int,
+    seed: Optional[int] = 0,
+    *,
+    verify: bool = True,
+    telemetry: Optional[Telemetry] = None,
+    store: Optional[ObservationStore] = None,
+) -> PlacementOutcome:
+    """Place a request stream on an empty cluster, then verify each node.
+
+    A :class:`WarehouseService` over the cluster's node specs runs
+    ``probe`` at ``max_jobs_per_node``: every request is submitted at
+    t=0 as a constant-load job in stream order, and the resulting nodes
+    are copied back into ``cluster``.  So there is one search,
+    :meth:`WarehouseService._find_target`: occupied nodes densest-first,
+    each accepted if the probe admits the tentative job set (BG-only
+    job sets are accepted structurally), then a fresh machine, then
+    rejection.  Every occupied candidate is probed (``max_probe_nodes``
+    is the fleet size).  The paper's three generations are
+    :class:`~.admission.QoSBlindProbe` at cap 1 (dedicated machines),
+    the same probe at cap 4 (QoS-blind first fit) and
+    :class:`~.admission.CLITEProbe` at cap 4 ("schedule it elsewhere").
+
+    ``cluster`` must be empty (``ValueError`` otherwise), and a request
+    whose name is already placed is rejected, as the warehouse rejects a
+    ``duplicate-name`` arrival.  An LC load below the warehouse's
+    :data:`~.events.MIN_PROBE_LOAD` is placed and verified at that
+    floor.  With ``verify``, each used node gets one
+    :func:`~.admission.verify_node` run for the outcome's
+    ``node_reports``, under the probe's ``engine_config`` (a
+    :class:`~.admission.CLITEProbe`'s; :data:`~.admission.PLACEMENT_ENGINE`
+    for probes without one).  ``telemetry`` defaults to that config's.
+    """
+    if cluster.used_nodes():
+        raise ValueError("place needs an empty cluster")
+    engine_config: Optional[CLITEConfig] = getattr(probe, "engine_config", None)
+    if telemetry is None and engine_config is not None:
+        telemetry = engine_config.telemetry
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    spans_before = tel.tracer.finished_count
+    with tel.tracer.span(
+        "cluster.place",
+        probe=probe.name,
+        cap=max_jobs_per_node,
+        requests=len(requests),
+    ):
+        service = WarehouseService(
+            len(cluster.nodes),
+            specs=[node.spec for node in cluster.nodes],
+            probe=probe,
+            seed=seed,
+            max_jobs_per_node=max_jobs_per_node,
+            telemetry=tel,
+            store=store,
+            max_probe_nodes=len(cluster.nodes),
+        )
+        for request in requests:
+            schedule = (
+                None if request.load is None
+                else LoadSchedule.constant(request.load)
+            )
+            service.submit(
+                WarehouseJob(request.workload, request.request_name, schedule),
+                at=0.0,
+            )
+        service.run_until(0.0)
+        cluster.nodes[:] = service.cluster.nodes
+    reports: Dict[int, Tuple[bool, Optional[float]]] = {}
+    if verify:
+        with tel.tracer.span("cluster.verify") as span:
+            for state in cluster.used_nodes():
+                reports[state.index] = verify_node(
+                    state, engine_config, seed, telemetry=tel, store=store
+                )
+            span.set("nodes", len(reports))
+    return PlacementOutcome(
+        placements=cluster.placements(),
+        rejected=tuple(e.job for e in service.timeline if e.kind == "reject"),
+        machines_used=cluster.machines_used(),
+        node_reports=reports,
+        telemetry=(
+            tel.snapshot(spans_since=spans_before) if tel.active else None
+        ),
+    )
+
+
+def utilization_summary(outcome: PlacementOutcome, total_nodes: int) -> Dict[str, object]:
+    """The cluster-efficiency numbers a datacenter operator reads."""
+    if total_nodes < 1:
+        raise ValueError("total_nodes must be >= 1")
+    return {
+        "machines_used": outcome.machines_used,
+        "machines_total": total_nodes,
+        "utilization": outcome.machines_used / total_nodes,
+        "rejected": len(outcome.rejected),
+        "all_qos_met": outcome.all_qos_met,
+        "mean_bg_performance": outcome.mean_bg_performance(),
+    }

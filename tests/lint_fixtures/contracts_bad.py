@@ -1,14 +1,4 @@
-"""Fixture: every contract-presence rule (RPL301-RPL304) fires here."""
-
-
-class PlacementPolicy:
-    def place(self, cluster, requests):  # base itself is exempt
-        raise NotImplementedError
-
-
-class GreedyPlacement(PlacementPolicy):
-    def place(self, cluster, requests):  # RPL301: no @placement_contract
-        return None
+"""Fixture: every contract-presence rule (RPL302-RPL304) fires here."""
 
 
 class Policy:

@@ -3,10 +3,6 @@
 import abc
 
 
-def placement_contract(fn):
-    return fn
-
-
 def policy_contract(fn):
     return fn
 
@@ -19,26 +15,15 @@ def partition_contract(fn):
     return fn
 
 
-class PlacementPolicy:
-    def place(self, cluster, requests):
-        raise NotImplementedError
-
-
-class AbstractPlacement(PlacementPolicy):
-    @abc.abstractmethod
-    def place(self, cluster, requests):  # abstract: contract not required
-        ...
-
-
-class GreedyPlacement(PlacementPolicy):
-    @placement_contract
-    def place(self, cluster, requests):
-        return None
-
-
 class Policy:
     def partition(self, node, budget):
         raise NotImplementedError
+
+
+class AbstractPolicy(Policy):
+    @abc.abstractmethod
+    def partition(self, node, budget):  # abstract: contract not required
+        ...
 
 
 class SimplePolicy(Policy):

@@ -1,19 +1,17 @@
-"""Unit and integration tests for cluster-level placement."""
+"""Unit and integration tests for cluster state and batch placement."""
 
+import numpy as np
 import pytest
 
-from repro.cluster import (
-    CLITEPlacement,
-    Cluster,
-    DedicatedPlacement,
-    FirstFitPlacement,
-    JobRequest,
+from repro.cluster import Cluster, ClusterNode, JobRequest
+from repro.core import CLITEConfig
+from repro.warehouse import (
+    CLITEProbe,
+    QoSBlindProbe,
+    place,
     utilization_summary,
     verify_node,
-    verify_nodes,
 )
-from repro.cluster.state import ClusterNode
-from repro.core import CLITEConfig
 
 from conftest import make_bg, make_lc
 
@@ -33,6 +31,14 @@ def lc_request(name: str, load: float = 0.3) -> JobRequest:
 
 def bg_request(name: str) -> JobRequest:
     return JobRequest(make_bg(name), name=name)
+
+
+#: The paper's three placement generations as (admission probe, cap).
+GENERATIONS = {
+    "dedicated": (QoSBlindProbe(), 1),
+    "first-fit": (QoSBlindProbe(), 4),
+    "clite": (CLITEProbe(FAST_ENGINE), 4),
+}
 
 
 class TestJobRequest:
@@ -99,25 +105,13 @@ class TestCluster:
 
     def test_place_and_bookkeeping(self, mini_server):
         cluster = Cluster(n_nodes=3, spec=mini_server)
-        cluster.place(1, lc_request("a"))
-        cluster.place(1, bg_request("b"))
-        assert cluster.machines_used() == 1
-        assert cluster.placements() == {"a": 1, "b": 1}
-
-    def test_place_validates_node_index(self, mini_server):
-        """Regression: out-of-range indices were accepted silently —
-        negative ones wrapped via Python list indexing and corrupted the
-        placement (the request landed on the node counted from the end)."""
-        cluster = Cluster(n_nodes=3, spec=mini_server)
-        with pytest.raises(IndexError, match="out of range"):
-            cluster.place(3, lc_request("a"))
-        with pytest.raises(IndexError, match="out of range"):
-            cluster.place(-1, lc_request("a"))
-        with pytest.raises(ValueError, match="must be an int"):
-            cluster.place(True, lc_request("a"))
-        assert cluster.machines_used() == 0
-        cluster.place(2, lc_request("a"))
-        assert cluster.placements() == {"a": 2}
+        out = place(
+            cluster, [lc_request("a"), bg_request("b")], QoSBlindProbe(), 4,
+            verify=False,
+        )
+        assert cluster.machines_used() == out.machines_used == 1
+        assert cluster.placements() == out.placements == {"a": 0, "b": 0}
+        assert cluster.used_nodes() == [cluster.nodes[0]]
 
 
 class TestVerifyNode:
@@ -156,25 +150,7 @@ class TestVerifyNode:
         config = a.space.equal_partition()
         assert a.observe(config).jobs == b.observe(config).jobs
 
-
-class TestVerifyNodes:
-    def _states(self, mini_server, n=3):
-        states = []
-        for i in range(n):
-            states.append(
-                ClusterNode(i, mini_server)
-                .with_request(lc_request(f"svc-{i}", 0.3))
-                .with_request(bg_request(f"batch-{i}"))
-            )
-        return states
-
-    def test_empty_and_single(self, mini_server):
-        assert verify_nodes([], FAST_ENGINE, seed=0) == {}
-        (state,) = self._states(mini_server, n=1)
-        reports = verify_nodes([state], FAST_ENGINE, seed=0)
-        assert reports == {0: verify_node(state, FAST_ENGINE, 0)}
-
-    def test_shared_store_across_parallel_workers(self, mini_server, tmp_path):
+    def test_shared_store_across_nodes(self, mini_server, tmp_path):
         """One store backs every node's verification; identical job sets
         share a fingerprint, and a warm store makes re-verification
         physics-free without changing any report."""
@@ -187,21 +163,27 @@ class TestVerifyNodes:
             .with_request(bg_request("batch"))
             for i in range(3)
         ]
-        baseline = verify_nodes(states, FAST_ENGINE, seed=0)
-        assert baseline == {
-            state.index: verify_node(state, FAST_ENGINE, 0) for state in states
-        }
+
+        def verify_all(store=None):
+            return [verify_node(s, FAST_ENGINE, 0, store=store) for s in states]
+
+        baseline = verify_all()
         store = ObservationStore(tmp_path / "verify.jsonl")
-        cold = verify_nodes(states, FAST_ENGINE, seed=0, store=store)
-        assert cold == baseline
+        assert verify_all(store) == baseline
         warm_misses = store.stats().misses
         cold_verdict_hits = store.stats().verdict_hits
-        warm = verify_nodes(states, FAST_ENGINE, seed=0, store=store)
-        assert warm == baseline
+        assert verify_all(store) == baseline
         # The second round replays the verdicts the first round
         # published: every node is a memo hit and no physics runs.
         assert store.stats().verdict_hits - cold_verdict_hits == len(states)
         assert store.stats().misses == warm_misses
+
+
+def clite_place(cluster, stream, verify=True):
+    """CLITE placement at cap 3 under the fast engine, seed 0."""
+    return place(
+        cluster, stream, CLITEProbe(FAST_ENGINE), 3, seed=0, verify=verify
+    )
 
 
 class TestPolicies:
@@ -216,37 +198,30 @@ class TestPolicies:
 
     def test_dedicated_one_per_machine(self, mini_server, stream):
         cluster = Cluster(n_nodes=6, spec=mini_server)
-        out = DedicatedPlacement(verify=False).place(cluster, stream)
+        out = place(cluster, stream, QoSBlindProbe(), 1, verify=False)
         assert out.machines_used == 4
         assert len(set(out.placements.values())) == 4
         assert out.rejected == ()
 
     def test_dedicated_rejects_when_full(self, mini_server, stream):
         cluster = Cluster(n_nodes=2, spec=mini_server)
-        out = DedicatedPlacement(verify=False).place(cluster, stream)
+        out = place(cluster, stream, QoSBlindProbe(), 1, verify=False)
         assert out.machines_used == 2
         assert len(out.rejected) == 2
 
     def test_first_fit_packs(self, mini_server, stream):
         cluster = Cluster(n_nodes=6, spec=mini_server)
-        out = FirstFitPlacement(max_jobs_per_node=4, verify=False).place(
-            cluster, stream
-        )
+        out = place(cluster, stream, QoSBlindProbe(), 4, verify=False)
         assert out.machines_used == 1
 
     def test_first_fit_cap(self, mini_server, stream):
         cluster = Cluster(n_nodes=6, spec=mini_server)
-        out = FirstFitPlacement(max_jobs_per_node=2, verify=False).place(
-            cluster, stream
-        )
+        out = place(cluster, stream, QoSBlindProbe(), 2, verify=False)
         assert out.machines_used == 2
 
     def test_clite_placement_meets_qos(self, mini_server, stream):
         cluster = Cluster(n_nodes=6, spec=mini_server)
-        policy = CLITEPlacement(
-            max_jobs_per_node=3, engine_config=FAST_ENGINE
-        )
-        out = policy.place(cluster, stream, seed=0)
+        out = clite_place(cluster, stream)
         assert out.rejected == ()
         assert out.all_qos_met
         # It co-locates (beats dedicated) while keeping QoS.
@@ -259,26 +234,25 @@ class TestPolicies:
             lc_request("hot-3", 0.9),
         ]
         cluster = Cluster(n_nodes=4, spec=mini_server)
-        policy = CLITEPlacement(max_jobs_per_node=3, engine_config=FAST_ENGINE)
-        out = policy.place(cluster, heavy, seed=0)
+        out = clite_place(cluster, heavy)
         assert out.all_qos_met
         # Three 90%-load services cannot share one small box.
         assert out.machines_used >= 2
 
     def test_utilization_summary(self, mini_server, stream):
         cluster = Cluster(n_nodes=4, spec=mini_server)
-        out = FirstFitPlacement(verify=False).place(cluster, stream)
+        out = place(cluster, stream, QoSBlindProbe(), 4, verify=False)
         summary = utilization_summary(out, 4)
         assert summary["machines_used"] == 1
         assert summary["utilization"] == 0.25
         with pytest.raises(ValueError):
             utilization_summary(out, 0)
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            FirstFitPlacement(max_jobs_per_node=0)
-        with pytest.raises(ValueError):
-            CLITEPlacement(max_jobs_per_node=0)
+    def test_invalid_parameters(self, mini_server):
+        for probe in (QoSBlindProbe(), CLITEProbe(FAST_ENGINE)):
+            cluster = Cluster(n_nodes=2, spec=mini_server)
+            with pytest.raises(ValueError, match="max_jobs_per_node"):
+                place(cluster, [bg_request("b")], probe, 0)
 
     def test_clite_fallback_respects_can_host(self, mini_server):
         """Regression: the fresh-machine fallback skipped can_host, so a
@@ -292,54 +266,45 @@ class TestPolicies:
         cluster = Cluster(n_nodes=2, spec=mini_server)
         cluster.nodes[0] = ClusterNode(0, _ZeroCapacitySpec())
         cluster.nodes[1] = ClusterNode(1, _ZeroCapacitySpec())
-        policy = CLITEPlacement(engine_config=FAST_ENGINE, verify=False)
-        out = policy.place(cluster, [lc_request("svc", 0.3)], seed=0)
+        out = place(
+            cluster, [lc_request("svc", 0.3)], CLITEProbe(FAST_ENGINE), 4,
+            verify=False,
+        )
         assert out.rejected == ("svc",)
         assert out.machines_used == 0
 
 
 class TestHeterogeneousCluster:
     def test_per_node_specs(self, mini_server, tiny_server):
-        from repro.cluster import Cluster
-
         cluster = Cluster(n_nodes=2, specs=[mini_server, tiny_server])
         assert cluster.nodes[0].spec is mini_server
         assert cluster.nodes[1].spec is tiny_server
 
     def test_spec_count_mismatch_rejected(self, mini_server):
-        from repro.cluster import Cluster
-
         with pytest.raises(ValueError, match="specs for"):
             Cluster(n_nodes=3, specs=[mini_server])
 
     def test_placement_respects_small_node_capacity(self, mini_server, tiny_server):
         """A 4-unit node fits at most 4 jobs; the big node absorbs more."""
-        from repro.cluster import Cluster, FirstFitPlacement
-
         cluster = Cluster(n_nodes=2, specs=[tiny_server, mini_server])
         stream = [bg_request(f"b{i}") for i in range(8)]
-        out = FirstFitPlacement(max_jobs_per_node=6, verify=False).place(
-            cluster, stream
-        )
+        out = place(cluster, stream, QoSBlindProbe(), 6, verify=False)
         assert out.rejected == ()
         # The tiny node (4 units per resource) holds at most 4 jobs.
         tiny_jobs = [n for n, idx in out.placements.items() if idx == 0]
         assert len(tiny_jobs) <= 4
 
     def test_clite_placement_on_mixed_fleet(self, mini_server, tiny_server):
-        from repro.cluster import Cluster, CLITEPlacement
-
         cluster = Cluster(n_nodes=3, specs=[tiny_server, mini_server, mini_server])
         stream = [lc_request("svc", 0.4), bg_request("batch")]
-        out = CLITEPlacement(
-            max_jobs_per_node=3, engine_config=FAST_ENGINE
-        ).place(cluster, stream, seed=0)
+        out = clite_place(cluster, stream)
         assert out.rejected == ()
         assert out.all_qos_met
 
 
 class TestCLITEPlacementReplay:
-    """``CLITEPlacement`` replays its stream through ``WarehouseService``.
+    """``place`` with a ``CLITEProbe`` replays its stream through
+    ``WarehouseService``.
 
     The pinned outcomes are what the earlier private densest-first
     search produced for the same streams, bit for bit (BG means as
@@ -347,8 +312,7 @@ class TestCLITEPlacementReplay:
     """
 
     def _place(self, cluster, stream):
-        policy = CLITEPlacement(max_jobs_per_node=3, engine_config=FAST_ENGINE)
-        return policy.place(cluster, stream, seed=0)
+        return clite_place(cluster, stream)
 
     def test_pinned_mixed_stream(self, mini_server):
         cluster = Cluster(n_nodes=6, spec=mini_server)
@@ -419,8 +383,70 @@ class TestCLITEPlacementReplay:
 
     def test_occupied_cluster_rejected(self, mini_server):
         cluster = Cluster(n_nodes=2, spec=mini_server)
-        cluster.place(0, bg_request("resident"))
-        policy = CLITEPlacement(engine_config=FAST_ENGINE, verify=False)
+        cluster.nodes[0] = cluster.nodes[0].with_request(bg_request("resident"))
         with pytest.raises(ValueError, match="empty cluster"):
-            policy.place(cluster, [lc_request("svc")], seed=0)
+            clite_place(cluster, [lc_request("svc")])
         assert cluster.placements() == {"resident": 0}
+
+
+class TestEveryGeneration:
+    @pytest.mark.parametrize("generation", sorted(GENERATIONS))
+    def test_duplicate_name_rejected(self, mini_server, generation):
+        """A repeated request name is rejected by every generation; the
+        QoS-blind baselines used to put it on a second node, which
+        ``Cluster.placements()`` then collapsed to one entry."""
+        probe, cap = GENERATIONS[generation]
+        cluster = Cluster(n_nodes=4, spec=mini_server)
+        out = place(
+            cluster,
+            [lc_request("svc"), lc_request("svc"), bg_request("batch")],
+            probe, cap, seed=0, verify=False,
+        )
+        assert out.rejected == ("svc",)
+        assert set(out.placements) == {"svc", "batch"}
+        assert out.machines_used == len(set(out.placements.values()))
+        assert sum(n.n_jobs for n in cluster.nodes) == 2
+
+
+def reference_first_fit(specs, requests, cap):
+    """The QoS-blind loops ``place`` replaced: each request lands on the
+    lowest-index node under ``cap`` that can host it.  At cap 1 this is
+    the dedicated loop (the first empty node)."""
+    nodes = [ClusterNode(i, spec) for i, spec in enumerate(specs)]
+    placements, rejected = {}, []
+    for request in requests:
+        target = next(
+            (n for n in nodes if n.n_jobs < cap and n.can_host(request)), None
+        )
+        if target is None:
+            rejected.append(request.request_name)
+            continue
+        nodes[target.index] = target.with_request(request)
+        placements[request.request_name] = target.index
+    return placements, tuple(rejected)
+
+
+class TestQoSBlindReference:
+    def test_place_matches_the_reference_loops(self, mini_server, tiny_server):
+        """Seeded streams of uniquely named LC/BG requests on mixed
+        fleets: the QoS-blind probe at any cap places and rejects
+        exactly what the reference loops do."""
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            specs = [
+                (tiny_server, mini_server)[rng.integers(2)]
+                for _ in range(rng.integers(1, 7))
+            ]
+            stream = [
+                lc_request(f"r{i}", round(float(rng.uniform(0.05, 1.0)), 3))
+                if rng.random() < 0.5
+                else bg_request(f"r{i}")
+                for i in range(rng.integers(1, 21))
+            ]
+            cap = int(rng.integers(1, 7))
+            out = place(
+                Cluster(n_nodes=len(specs), specs=specs), stream,
+                QoSBlindProbe(), cap, verify=False,
+            )
+            expected = reference_first_fit(specs, stream, cap)
+            assert (out.placements, out.rejected) == expected, seed

@@ -157,19 +157,16 @@ class TestPolicyContract:
         )
 
 
-class FakePlacement:
-    @placement_contract
-    def place(self, cluster, requests):
-        return self.outcome
+@placement_contract
+def fake_place(cluster, requests, outcome):
+    return outcome
 
 
 class TestPlacementContract:
     def _call(self, outcome, n_nodes=3, names=()):
-        policy = FakePlacement()
-        policy.outcome = outcome
         cluster = SimpleNamespace(nodes=[None] * n_nodes)
         requests = [SimpleNamespace(request_name=n) for n in names]
-        return policy.place(cluster, requests)
+        return fake_place(cluster, requests, outcome)
 
     def _outcome(self, **overrides):
         base = dict(

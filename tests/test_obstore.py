@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import make_bg, make_lc, make_node
-from repro.cluster import JobRequest, verify_node
-from repro.cluster.scheduler import engine_digest
-from repro.cluster.state import ClusterNode
+from repro.cluster import ClusterNode, JobRequest
+from repro.warehouse.admission import engine_digest, verify_node
 from repro.core import CLITEConfig
 from repro.core.acquisition import ExpectedImprovement
 from repro.core.kernels import Matern52

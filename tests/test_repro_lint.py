@@ -31,7 +31,6 @@ def fixture_config(**overrides) -> LintConfig:
     """A config retargeted at the fixture corpus' class names."""
     base = dict(
         hot_path=("",),  # numerics rules apply everywhere
-        placement_bases=("PlacementPolicy",),
         policy_bases=("Policy",),
         optimizer_classes=("AcquisitionOptimizer",),
         partition_constructors=(),  # opt in per test (drift rule)
@@ -128,12 +127,11 @@ class TestThreadSafetyRules:
 # Contract-presence family
 # ----------------------------------------------------------------------
 class TestContractRules:
-    def test_bad_fixture_triggers_all_four_rules(self):
+    def test_bad_fixture_triggers_all_three_rules(self):
         findings = lint_fixture(
             "contracts_bad.py", partition_constructors=("Space.make",)
         )
         assert sorted(rule_ids(findings)) == [
-            "RPL301",
             "RPL302",
             "RPL303",
             "RPL304",
@@ -466,7 +464,7 @@ class TestRegistryAndRepoTree:
     EXPECTED_RULES = {
         "RPL101", "RPL102", "RPL103", "RPL104",
         "RPL202", "RPL203",
-        "RPL301", "RPL302", "RPL303", "RPL304",
+        "RPL302", "RPL303", "RPL304",
         "RPL401", "RPL402",
         "RPL501", "RPL502",
         "RPL603",
@@ -561,7 +559,7 @@ class TestCLI:
         # so they run in-process rather than one subprocess each.
         retired = (
             "UNITS", "PURE", "RPL901", "RPL1004", "RPL201",
-            "RPL601", "RPL602", "COST", "RPL1001", "RPL1005",
+            "RPL601", "RPL602", "COST", "RPL1001", "RPL1005", "RPL301",
         )
         for token in retired:
             assert cli_main([str(PACKAGE), "--select", token]) == 2, token

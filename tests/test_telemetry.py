@@ -88,6 +88,19 @@ class TestMetricRegistry:
             with pytest.raises(ValueError, match="must match"):
                 registry.counter(bad)
 
+    def test_invalid_name_raises_on_first_and_every_use(self):
+        """Names are checked when an instrument is created, so a bad
+        name is never stored and raises each time it is asked for."""
+        registry = MetricRegistry()
+        registry.counter("warehouse.arrivals").add()
+        for _ in range(2):
+            for make in (registry.counter, registry.gauge, registry.histogram):
+                with pytest.raises(ValueError, match="must match"):
+                    make("Warehouse.Arrivals", node="1")
+        assert [i.name for i in registry.instruments()] == [
+            "warehouse.arrivals"
+        ]
+
     def test_kind_conflict_rejected(self):
         registry = MetricRegistry()
         registry.counter("x")

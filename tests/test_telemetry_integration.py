@@ -6,18 +6,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_bg, make_lc, make_node
-from repro.cluster import (
-    CLITEPlacement,
-    Cluster,
-    DedicatedPlacement,
-    JobRequest,
-    verify_nodes,
-)
-from repro.cluster.state import ClusterNode
+from repro.cluster import Cluster, ClusterNode, JobRequest
 from repro.core import CLITEConfig, CLITEEngine
 from repro.experiments import MixSpec, run_dynamic, run_trial
 from repro.server import Job, Node, NodeBudget, PerformanceCounters, QoSMonitor
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.warehouse import CLITEProbe, QoSBlindProbe, place, verify_node
 from repro.workloads import LoadSchedule
 from test_core_termination_engine import small_engine_config
 
@@ -169,7 +163,8 @@ class TestClusterTelemetry:
     def test_verify_span_per_node(self, mini_server):
         states = cluster_states(mini_server)
         tel = Telemetry.enabled()
-        verify_nodes(states, FAST_ENGINE, seed=0, telemetry=tel)
+        for state in states:
+            verify_node(state, FAST_ENGINE, seed=0, telemetry=tel)
         snap = tel.snapshot()
         assert snap.phase_counts["cluster.verify_node"] == len(states)
 
@@ -180,8 +175,9 @@ class TestClusterTelemetry:
             JobRequest(make_bg("batch"), name="batch"),
         ]
         tel = Telemetry.enabled()
-        policy = DedicatedPlacement(verify=False, telemetry=tel)
-        outcome = policy.place(cluster, requests, seed=0)
+        outcome = place(
+            cluster, requests, QoSBlindProbe(), 1, verify=False, telemetry=tel
+        )
         assert outcome.telemetry is not None
         assert outcome.telemetry.phase_counts["cluster.place"] == 1
 
@@ -191,16 +187,14 @@ class TestClusterTelemetry:
         cluster = Cluster(n_nodes=2, spec=mini_server)
         requests = [JobRequest(make_lc("svc"), 0.3, name="svc")]
         tel = Telemetry.enabled()
-        policy = CLITEPlacement(
-            engine_config=CLITEConfig(
-                max_iterations=8,
-                post_qos_iterations=2,
-                confirm_top=1,
-                n_restarts=3,
-                telemetry=tel,
-            )
+        config = CLITEConfig(
+            max_iterations=8,
+            post_qos_iterations=2,
+            confirm_top=1,
+            n_restarts=3,
+            telemetry=tel,
         )
-        outcome = policy.place(cluster, requests, seed=0)
+        outcome = place(cluster, requests, CLITEProbe(config), 4)
         assert outcome.telemetry is not None
         assert outcome.telemetry.phase_counts["cluster.place"] == 1
         assert tel.metrics.counter_value("engine.runs") >= 1.0
@@ -208,9 +202,7 @@ class TestClusterTelemetry:
     def test_disabled_outcome_carries_no_snapshot(self, mini_server):
         cluster = Cluster(n_nodes=2, spec=mini_server)
         requests = [JobRequest(make_bg("batch"), name="batch")]
-        outcome = DedicatedPlacement(verify=False).place(
-            cluster, requests, seed=0
-        )
+        outcome = place(cluster, requests, QoSBlindProbe(), 1, verify=False)
         assert outcome.telemetry is None
 
 
