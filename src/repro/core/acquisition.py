@@ -26,7 +26,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def _pdf(z: np.ndarray) -> np.ndarray:
     # |z| > 40 already underflows to 0; clipping avoids overflow warnings
     # from squaring extreme z when sigma is tiny.
-    z = np.clip(z, -40.0, 40.0)
+    z = z.clip(-40.0, 40.0)
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 

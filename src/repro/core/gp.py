@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
-from .kernels import Kernel, Matern52, median_lengthscale
+from .kernels import Kernel, Matern52, median_lengthscale, validate_points
 
 #: Jitter used as the escalation seed when the configured noise is zero.
 _MIN_JITTER = 1e-12
@@ -215,12 +215,14 @@ class GaussianProcess:
             would return.  (A one-row ``predict`` solves for a single
             right-hand side, which LAPACK sums in another order.)
         """
-        if not self.is_fitted:
+        if self._x is None:
             raise RuntimeError("predict() before fit()")
         xq = np.asarray(xq, dtype=float)
         stacked = xq.ndim == 3
         rows = xq.reshape(-1, xq.shape[-1]) if stacked else np.atleast_2d(xq)
-        k_star = self.kernel(rows, self._x)
+        # The query is checked once here, not again by the kernel.
+        validate_points(rows, self._x)
+        k_star = self.kernel.covariance(rows, self._x)
         if stacked:
             # One gemv per block, as a stacked matmul: a single gemv
             # over all k*b rows may sum in a different order and change
@@ -231,18 +233,23 @@ class GaussianProcess:
         else:
             mean_z = k_star @ self._alpha
         # var = k(x,x) - ||L^-1 k*||^2: one triangular solve, and the
-        # prior variance comes from the kernel's diagonal fast path
-        # instead of an (m, m) Gram matrix built just for its diagonal.
+        # prior variance k(x,x) is the stationary kernel's constant
+        # ``variance`` (what :meth:`Kernel.diag` fills a vector with;
+        # subtracting from the scalar gives the same bits).
         # The solve calls the LAPACK routine solve_triangular reaches
         # for a C-ordered factor (L^T upper, transposed) without its
         # wrapper's checks; k_star is not read again, so it is reused.
         v, info = dtrtrs(self._chol.T, k_star.T, lower=0, trans=1, overwrite_b=1)
         if info:
             raise LinAlgError(f"triangular solve failed: info={info}")
-        prior_var = self.kernel.diag(rows)
-        var_z = np.maximum(prior_var - np.einsum("ij,ij->j", v, v), 0.0)
-        mean = mean_z * self._y_std + self._y_mean
-        std = np.sqrt(var_z) * self._y_std
+        var = np.subtract(self.kernel.variance, np.einsum("ij,ij->j", v, v))
+        np.maximum(var, 0.0, out=var)
+        # mean_z * y_std + y_mean and sqrt(var) * y_std, in place.
+        mean = mean_z
+        mean *= self._y_std
+        mean += self._y_mean
+        std = np.sqrt(var, out=var)
+        std *= self._y_std
         if stacked:
             return mean.reshape(xq.shape[:2]), std.reshape(xq.shape[:2])
         return mean, std

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+_SQRT5 = math.sqrt(5.0)
 
-def _validate_points(x1: np.ndarray, x2: np.ndarray) -> None:
+
+def validate_points(x1: np.ndarray, x2: np.ndarray) -> None:
+    """Raise ``ValueError`` unless both are 2-D with equal column counts."""
     if x1.ndim != 2 or x2.ndim != 2:
         raise ValueError("kernel inputs must be 2-D (n_points, n_dims)")
     if x1.shape[1] != x2.shape[1]:
@@ -45,9 +48,20 @@ class Kernel(ABC):
         if self.variance <= 0:
             raise ValueError(f"variance must be > 0, got {self.variance}")
 
-    @abstractmethod
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Covariance matrix between two point sets, shape (n1, n2)."""
+        x1 = np.atleast_2d(np.asarray(x1, dtype=float))
+        x2 = np.atleast_2d(np.asarray(x2, dtype=float))
+        validate_points(x1, x2)
+        return self.covariance(x1, x2)
+
+    @abstractmethod
+    def covariance(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` without its checks.
+
+        ``x1`` and ``x2`` must be 2-D float arrays with equal column
+        counts; GP ``predict`` checks its query once and calls this.
+        """
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         """``k(x_i, x_i)`` for each row of ``x``, shape (n,).
@@ -71,25 +85,36 @@ class Kernel(ABC):
 class Matern52(Kernel):
     """Matérn kernel with smoothness parameter 5/2 (CLITE's choice)."""
 
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-        x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-        _validate_points(x1, x2)
-        r = cdist(x1, x2) / self.lengthscale
-        sqrt5_r = math.sqrt(5.0) * r
-        return self.variance * (1.0 + sqrt5_r + 5.0 * r**2 / 3.0) * np.exp(-sqrt5_r)
+    def covariance(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        # variance * (1 + sqrt5 r + 5 r^2 / 3) * exp(-sqrt5 r), evaluated
+        # in that order, in place: the (n1, n2) temporaries are reused
+        # instead of allocated once per operation.
+        r = cdist(x1, x2)
+        r /= self.lengthscale
+        sqrt5_r = _SQRT5 * r
+        r **= 2
+        r *= 5.0
+        r /= 3.0
+        k = 1.0 + sqrt5_r
+        k += r
+        k *= self.variance
+        np.negative(sqrt5_r, out=sqrt5_r)
+        k *= np.exp(sqrt5_r, out=sqrt5_r)
+        return k
 
 
 @dataclass(frozen=True)
 class RBF(Kernel):
     """Squared-exponential kernel (for the kernel-choice ablation)."""
 
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-        x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-        _validate_points(x1, x2)
-        sq = cdist(x1, x2, "sqeuclidean") / self.lengthscale**2
-        return self.variance * np.exp(-0.5 * sq)
+    def covariance(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        # variance * exp(-0.5 * d^2 / l^2), in that order, in place.
+        sq = cdist(x1, x2, "sqeuclidean")
+        sq /= self.lengthscale**2
+        sq *= -0.5
+        k = np.exp(sq, out=sq)
+        k *= self.variance
+        return k
 
 
 def median_lengthscale(

@@ -22,8 +22,8 @@ returned candidate, is bitwise the head of the full one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, ClassVar, List, Optional, Set, Tuple
 
 import numpy as np
@@ -51,13 +51,17 @@ _FLAT_GRAD_TOL = 1e-12
 _FD_EPS = 1e-6
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _fd_steps(d: int) -> np.ndarray:
     """The ``(d, d)`` forward-difference step matrix, built once per ``d``."""
     steps = _FD_EPS * np.eye(d)
     steps.flags.writeable = False
     return steps
 
+
+#: Where the incumbent's line-search blends sit between it (0) and
+#: each job's maximum-allocation extreme (1).
+_BLEND_STEPS = (0.25, 0.5, 0.75)
 
 #: SLSQP iteration cap and ``ftol`` for every start.
 _SLSQP_MAXITER = 40
@@ -123,9 +127,12 @@ class AcquisitionOptimizer:
             span carrying ``starts``, ``flat_starts`` (starts skipped
             as dead-flat), ``rounds`` (lockstep solver rounds; each is
             one batched GP predict, so cache hits served within a round
-            add none), ``ranked`` (unseen lattice points ranked) and
-            ``candidates`` (how many of those were returned).  Defaults
-            to the shared no-op tracer.
+            add none), ``steps`` (SLSQP kernel steps over all starts),
+            ``points`` (points the forward-difference objective
+            evaluated, each one ``(d+1)``-row predict block), ``ranked``
+            (unseen lattice points ranked) and ``candidates`` (how many
+            of those were returned).  Defaults to the shared no-op
+            tracer.
     """
 
     def __init__(
@@ -149,9 +156,8 @@ class AcquisitionOptimizer:
         self.pool_size = pool_size
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._rng = resolve_rng(rng, owner="AcquisitionOptimizer")
-        self._spans = np.array(
-            [r.units - space.n_jobs for r in space.spec.resources], dtype=float
-        )
+        self._units = np.array([r.units for r in space.spec.resources])
+        self._spans = (self._units - space.n_jobs).astype(float)
         #: ``_columns[r]`` are the cube coordinates of resource ``r``.
         self._columns = np.arange(space.n_dims).reshape(
             space.n_jobs, space.n_resources
@@ -160,6 +166,27 @@ class AcquisitionOptimizer:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
+    # Per-space constants every propose reuses, built on first use so
+    # that building an optimizer (one per engine run, whether it
+    # proposes or not) costs what it did before.
+    @functools.cached_property
+    def _equal_cube(self) -> np.ndarray:
+        """The equal partition's cube, one of every solve's starts."""
+        return self.space.to_unit_cube(self.space.equal_partition())
+
+    @functools.cached_property
+    def _blend_terms(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Both factors of :meth:`_blends`: ``1 - t`` per row, and ``t``
+        times each job's maximum-allocation cube."""
+        space = self.space
+        extremes = [
+            space.to_unit_cube(space.max_allocation(j))
+            for j in range(space.n_jobs)
+        ]
+        near = np.array([[1 - t] for _ in extremes for t in _BLEND_STEPS])
+        far = np.array([t * extreme for extreme in extremes for t in _BLEND_STEPS])
+        return near, far
+
     def _column_targets(self) -> np.ndarray:
         """Per-resource sum each cube column must hit (1, or 0 if rigid)."""
         return (self._spans > 0).astype(float)
@@ -235,19 +262,17 @@ class AcquisitionOptimizer:
         vec = np.clip(z.reshape(len(z), n_jobs, n_res), 0.0, 1.0)
         pin = dropout.job_index
         free = [j for j in range(n_jobs) if j != pin]
+        # A pinned row too greedy for a column shrinks to leave every
+        # free job its one unit there.
+        pinned = np.minimum(
+            np.asarray(dropout.allocation, dtype=int), self._units - len(free)
+        )
         out = np.empty((len(z), n_jobs, n_res), dtype=int)
-        remaining = []
-        for r, resource in enumerate(self.space.spec.resources):
-            pinned_units = int(dropout.allocation[r])
-            left = resource.units - pinned_units
-            if left < len(free):
-                # The pinned row is too greedy for this column; shrink it.
-                pinned_units = resource.units - len(free)
-                left = len(free)
-            out[:, pin, r] = pinned_units
-            remaining.append(left)
+        out[:, pin] = pinned
         if free:
-            out[:, free, :] = _round_resources_batch(vec[:, free, :], remaining)
+            out[:, free, :] = _round_resources_batch(
+                vec[:, free, :], self._units - pinned
+            )
         return out
 
     def _repair_caps_batch(
@@ -260,9 +285,9 @@ class AcquisitionOptimizer:
 
         A per-unit waterfall over a (n, j, r) stack: each excess unit
         moves to the not-pinned job with the most headroom, first index
-        on ties; the pinned job's row is neither trimmed nor grown.  All
-        matrices step at once, so the Python-level loop runs O(max
-        excess) times instead of O(batch).
+        on ties; the pinned job's row is neither trimmed nor grown.
+        Column by column, job by job, every matrix's transfers are
+        computed at once in closed form (see :func:`_waterfall`).
         """
         if upper_caps is None or len(mats) == 0:
             return mats
@@ -273,35 +298,23 @@ class AcquisitionOptimizer:
             else None
         )
         mats = mats.copy()
-        n_jobs = self.space.n_jobs
-        for r in range(self.space.n_resources):
+        # Units only move to jobs under their cap, so the (job,
+        # resource) cells over cap in some matrix are known up front.
+        over = (mats > caps).any(axis=0)
+        if pin is not None:
+            over[pin] = False
+        for r, j in zip(*np.nonzero(over.T)):
             col = mats[:, :, r]
-            capr = caps[:, r]
-            for j in range(n_jobs):
-                if j == pin:
-                    continue
-                excess = col[:, j] - capr[j]
-                active = excess > 0
-                while active.any():
-                    headroom = capr[None, :] - col
-                    eligible = headroom > 0
-                    eligible[:, j] = False
-                    if pin is not None:
-                        eligible[:, pin] = False
-                    movable = active & eligible.any(axis=1)
-                    if not movable.any():
-                        break
-                    masked = np.where(
-                        eligible, headroom, np.iinfo(headroom.dtype).min
-                    )
-                    target = np.argmax(masked, axis=1)
-                    rows = np.nonzero(movable)[0]
-                    col[rows, j] -= 1
-                    col[rows, target[rows]] += 1
-                    excess[rows] -= 1
-                    # Rows whose excess remains but have no headroom left
-                    # stay over cap, like the scalar version's break.
-                    active = movable & (excess > 0)
+            rows = np.nonzero(col[:, j] > caps[j, r])[0]
+            part = col[rows]
+            headroom = caps[:, r] - part
+            headroom[:, j] = 0
+            if pin is not None:
+                headroom[:, pin] = 0
+            np.maximum(headroom, 0, out=headroom)
+            moved = np.minimum(part[:, j] - caps[j, r], headroom.sum(axis=1))
+            part[:, j] -= moved
+            col[rows] = part + _waterfall(headroom, moved)
         return mats
 
     # ------------------------------------------------------------------
@@ -356,6 +369,13 @@ class AcquisitionOptimizer:
     # ------------------------------------------------------------------
     # The optimization itself
     # ------------------------------------------------------------------
+    def _blends(self, z_inc: np.ndarray) -> np.ndarray:
+        """Row ``(j, t)``, job-major, is ``(1 - t) * z_inc + t *
+        to_unit_cube(max_allocation(j))`` for each ``t`` in
+        ``_BLEND_STEPS``."""
+        near, far = self._blend_terms
+        return near * z_inc + far
+
     def _start_points(
         self,
         incumbent: Optional[Configuration],
@@ -363,13 +383,11 @@ class AcquisitionOptimizer:
     ) -> np.ndarray:
         """Feasible SLSQP starts: equal partition, incumbent, random draws."""
         space = self.space
-        fixed = [space.equal_partition()]
+        fixed = [self._equal_cube]
         if incumbent is not None:
-            fixed.append(incumbent)
+            fixed.append(space.to_unit_cube(incumbent))
         draws = space.random_batch(self.n_restarts, self._rng)
-        starts = np.concatenate(
-            [[space.to_unit_cube(c) for c in fixed], space.to_unit_cube_batch(draws)]
-        )
+        starts = np.concatenate([fixed, space.to_unit_cube_batch(draws)])
         return self._project_feasible(starts, dropout)
 
     @proposal_contract
@@ -464,16 +482,7 @@ class AcquisitionOptimizer:
             # the resource-equivalence ridges (e.g. "shift everything
             # spare toward the BG job") that single-unit moves cross
             # only one step per sample.
-            z_inc = space.to_unit_cube(incumbent)
-            blends = np.array(
-                [
-                    (1 - t) * z_inc
-                    + t * space.to_unit_cube(space.max_allocation(j))
-                    for j in range(space.n_jobs)
-                    for t in (0.25, 0.5, 0.75)
-                ]
-            )
-            cube_blocks.append(blends)
+            cube_blocks.append(self._blends(space.to_unit_cube(incumbent)))
         if int_blocks or cube_blocks:
             if pinned:
                 cube_all = np.concatenate(
@@ -504,8 +513,8 @@ class AcquisitionOptimizer:
             [self._start_points(incumbent, dropout), pool_cube[top]]
         )
         unique: dict = {}
-        for z in starts:
-            unique.setdefault(np.round(z, 9).tobytes(), np.asarray(z))
+        for key, z in zip(np.round(starts, 9), starts):
+            unique.setdefault(key.tobytes(), z)
         start_cube = np.array(list(unique.values()))
 
         # Probe every start's finite-difference gradient in one batched
@@ -522,17 +531,17 @@ class AcquisitionOptimizer:
 
         lower, upper = self._bounds(dropout, upper_caps)
         solutions = start_cube.copy()
-        solutions[~grad_flat], rounds = _lockstep_slsqp(
+        solutions[~grad_flat], _ = _lockstep_slsqp(
             start_cube[~grad_flat],
             lambda z: _descent_objective(gp, acq_fn, best_score, z),
             lower,
             upper,
             self._columns,
             self._column_targets(),
+            span,
         )
         span.set("starts", len(start_cube))
         span.set("flat_starts", int(grad_flat.sum()))
-        span.set("rounds", rounds)
 
         # Evaluate the continuous optima (the termination signal) and
         # their lattice projections in two batched predicts.
@@ -549,25 +558,55 @@ class AcquisitionOptimizer:
         if len(pool_acq):
             max_acq = max(max_acq, float(pool_acq.max()))
 
-        # Best value per unseen lattice point, solver optima first; the
-        # stable sort keeps that order among ties, so the top-k slice is
-        # bitwise the head of the full ranking.
+        # Best value per unseen lattice point (its flat unit tuple),
+        # solver optima first; the stable sort keeps that order among
+        # ties, so the top-k slice is bitwise the head of the full
+        # ranking.
         best_by_config: dict = {}
-        for mats, values in ((sol_mats, sol_values), (pool_mats, pool_acq)):
-            keys = map(tuple, mats.reshape(len(mats), d).tolist())
-            for mat, key, value in zip(mats, keys, values.tolist()):
-                entry = best_by_config.get(key)
-                if key not in sampled and (entry is None or value > entry[1]):
-                    best_by_config[key] = (mat, value)
+        flat = np.concatenate([sol_mats, pool_mats]).reshape(-1, d)
+        values = sol_values.tolist() + pool_acq.tolist()
+        for key, value in zip(map(tuple, flat.tolist()), values):
+            if key in sampled:
+                continue
+            kept = best_by_config.get(key)
+            if kept is None or value > kept:
+                best_by_config[key] = value
         ranked = sorted(
-            best_by_config.values(), key=lambda pair: pair[1], reverse=True
+            best_by_config.items(), key=lambda pair: pair[1], reverse=True
         )
         span.set("ranked", len(ranked))
+        n_res = space.n_resources
         candidates = tuple(
-            Candidate(config=Configuration.from_matrix(m), acquisition_value=v)
-            for m, v in ranked[:max_candidates]
+            Candidate(
+                config=Configuration(
+                    tuple(key[i : i + n_res] for i in range(0, d, n_res))
+                ),
+                acquisition_value=value,
+            )
+            for key, value in ranked[:max_candidates]
         )
         return Proposal(candidates=candidates, max_acquisition=max_acq)
+
+
+def _waterfall(headroom: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Units each job receives when ``moved[b]`` units go, one at a time,
+    to row ``b``'s job with the most ``headroom`` (first index on ties).
+
+    Job ``i``'s headroom is a stack of slots valued ``headroom[b, i]``
+    down to 1; the one-at-a-time rule takes slots by value, highest
+    first, lower job index first among equal values.  So every slot
+    above the lowest value taken, ``level``, is taken, and the rest of
+    the units go one each to the first jobs that have a slot at
+    ``level``.
+    """
+    # at_least[b, v - 1]: row b's slots valued v or more.
+    below = np.arange(headroom.max())
+    at_least = np.maximum(headroom[:, :, None] - below, 0).sum(axis=1)
+    level = (at_least >= moved[:, None]).sum(axis=1)[:, None]
+    above = np.maximum(headroom - level, 0)
+    rest = moved - above.sum(axis=1)
+    at_level = headroom >= level
+    return above + (at_level & (np.cumsum(at_level, axis=1) <= rest[:, None]))
 
 
 def _descent_objective(
@@ -581,16 +620,58 @@ def _descent_objective(
     Each point and its forward-difference neighbours form one
     ``(d+1)``-point block, and all blocks go through one stacked GP
     predict, so every point gets bitwise the values a predict of its
-    block alone would give.
+    block alone would give.  With ``a`` the acquisition, the gradient
+    ``(a0 - ai) / eps`` has the bits of ``(-ai - -a0) / eps``.
     """
     n, d = z.shape
     points = np.empty((n, d + 1, d))
     points[:, 0] = z
-    points[:, 1:] = z[:, None, :] + _fd_steps(d)
+    np.add(z[:, None, :], _fd_steps(d), out=points[:, 1:])
     mean, std = gp.predict(points)
-    acq = acq_fn(mean.ravel(), std.ravel(), best_score)
-    values = -np.reshape(acq, mean.shape)
-    return values[:, 0], (values[:, 1:] - values[:, :1]) / _FD_EPS
+    acq = acq_fn(mean.ravel(), std.ravel(), best_score).reshape(mean.shape)
+    return -acq[:, 0], (acq[:, :1] - acq[:, 1:]) / _FD_EPS
+
+
+def _column_sums(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``x[i][columns].sum(axis=1)`` for every row ``i`` of ``x``, bitwise.
+
+    numpy sums each short row of one point's ``x[columns]`` pairwise,
+    but the rows of a large stack in another order, so the per-point
+    order is spelled out here over whole ``(n, n_resources)`` slices,
+    one per job: numpy adds a row into 0.0, with one running sum below
+    8 terms, 8 interleaved ones up to 128, and halves beyond.
+    """
+    n_jobs, n_res = columns.shape[1], len(columns)
+    # One gather, job-major; the sums come out C-ordered, which the SLSQP
+    # kernel needs (it reads each row as a contiguous buffer).
+    cells = x.take(columns.T.ravel(), axis=1)
+    return 0.0 + _pairwise_sum(
+        [cells[:, j * n_res : (j + 1) * n_res] for j in range(n_jobs)]
+    )
+
+
+def _pairwise_sum(terms: List[np.ndarray]) -> np.ndarray:
+    n = len(terms)
+    if n < 8:
+        # One running sum, from 0.0.
+        total = 0.0 + terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if n <= 128:
+        tail = n - n % 8
+        acc = terms[:8]
+        for i in range(8, tail, 8):
+            acc = [a + b for a, b in zip(acc, terms[i : i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+        for term in terms[tail:]:
+            total = total + term
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def _lockstep_slsqp(
@@ -600,6 +681,7 @@ def _lockstep_slsqp(
     upper: np.ndarray,
     columns: np.ndarray,
     targets: np.ndarray,
+    span: Optional[Span] = None,
 ) -> Tuple[np.ndarray, int]:
     """Minimize from every start at once with SLSQP.
 
@@ -620,26 +702,53 @@ def _lockstep_slsqp(
     request for the cached point is answered at once and the kernel
     stepped again, so every round is one ``value_and_grad`` call and
     the round count is one more than the most new points any start
-    asks for.
+    asks for.  ``span`` gets ``rounds``, ``steps`` (kernel calls over
+    all starts) and ``points`` (rows handed to ``value_and_grad``).
     """
     solutions = starts.copy()
-    if not len(starts):
-        return solutions, 0
+    rounds = steps = points = 0
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        # Gathering each column into a contiguous row sums it in the
-        # order np.sum(x[idx]) does, at any job count.
-        return x[columns].sum(axis=1) - targets
+        # Each row's constraint values, bitwise np.sum(row[idx]) - t.
+        return _column_sums(x, columns) - targets
 
-    if np.all(lower == upper):
+    if len(starts) and np.all(lower == upper):
         # minimize() never runs SLSQP when the bounds pin every
         # variable: the bounds are the answer iff they meet the
         # constraints exactly.
-        if np.all(residuals(lower) == 0):
+        if np.all(residuals(lower[None]) == 0):
             solutions[:] = lower
-        return solutions, 0
+    elif len(starts):
+        rounds, steps, points = _drive(
+            starts, value_and_grad, lower, upper, columns, residuals, solutions
+        )
+    if span is not None:
+        span.set("rounds", rounds)
+        span.set("steps", steps)
+        span.set("points", points)
+    return solutions, rounds
 
-    n, m = starts.shape[1], len(targets)
+
+def _drive(
+    starts: np.ndarray,
+    value_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    lower: np.ndarray,
+    upper: np.ndarray,
+    columns: np.ndarray,
+    residuals: Callable[[np.ndarray], np.ndarray],
+    solutions: np.ndarray,
+) -> Tuple[int, int, int]:
+    """:func:`_lockstep_slsqp`'s loop; fills ``solutions`` in place.
+
+    Returns the rounds, kernel steps and evaluated points.  The cached-
+    point test compares ``x`` as lists of Python floats: ``==`` per
+    element, as numpy's, without two numpy calls per kernel step.  The
+    residuals of a round's points are computed together, and each start
+    keeps those of its cached point: points equal under ``==`` have
+    bitwise equal column sums, so a value request for the cached point
+    reuses them.
+    """
+    n, m = starts.shape[1], len(columns)
     # The constraints are linear, so their normals are built once.
     normals = np.zeros((m, n), order="F")
     normals[np.arange(m)[:, None], columns] = 1.0
@@ -652,13 +761,10 @@ def _lockstep_slsqp(
 
     x = np.clip(starts, lower, upper)
     values, grads = value_and_grad(x)
-    rounds = 1
+    rounds, steps, points = 1, 0, len(x)
     runs = [
-        _SLSQPRun(
-            i, x[i].copy(), float(values[i]), grads[i], residuals(x[i]),
-            buffer_size,
-        )
-        for i in range(len(starts))
+        _SLSQPRun(i, x[i].copy(), float(values[i]), grads[i], d, buffer_size)
+        for i, d in enumerate(residuals(x))
     ]
 
     while runs:
@@ -669,34 +775,37 @@ def _lockstep_slsqp(
                     run.state, run.fx, run.g, normals, run.d, run.x,
                     run.mult, lower, upper, run.buffer, run.indices,
                 )
+                steps += 1
                 mode = run.state["mode"]
-                if abs(mode) != 1:
+                if mode != 1 and mode != -1:
                     if mode == 0:
                         solutions[run.index] = run.x
                     break
-                if mode == 1:
-                    run.d = residuals(run.x)
-                if not (run.x == run.seen).all():
+                point = run.x.tolist()
+                if point != run.seen:
+                    run.seen = point
                     stepping.append(run)
                     break
                 run.hand_over()
         if stepping:
-            values, grads = value_and_grad(
-                np.array([run.x for run in stepping])
-            )
+            batch = np.array([run.x for run in stepping])
+            values, grads = value_and_grad(batch)
             rounds += 1
-            for run, value, grad in zip(stepping, values, grads):
-                run.seen, run.value, run.grad = run.x.copy(), float(value), grad
+            points += len(batch)
+            for run, value, grad, d in zip(
+                stepping, values, grads, residuals(batch)
+            ):
+                run.value, run.grad, run.residuals = float(value), grad, d
                 run.hand_over()
         runs = stepping
-    return solutions, rounds
+    return rounds, steps, points
 
 
 class _SLSQPRun:
     """One start's SLSQP kernel state inside :func:`_lockstep_slsqp`."""
 
     __slots__ = (
-        "index", "x", "seen", "value", "grad", "fx", "g", "d",
+        "index", "x", "seen", "value", "grad", "residuals", "fx", "g", "d",
         "state", "mult", "buffer", "indices",
     )
 
@@ -712,8 +821,10 @@ class _SLSQPRun:
         n, m = len(x), len(d)
         self.index = index
         self.x = x
-        # The point last evaluated, with its value and gradient.
-        self.seen, self.value, self.grad = x.copy(), value, grad
+        # The point last evaluated (as Python floats), with its value,
+        # gradient and constraint residuals.
+        self.seen, self.value, self.grad = x.tolist(), value, grad
+        self.residuals = d
         # What the kernel is handed: objective, gradient, residuals.
         self.fx, self.g, self.d = value, grad, d
         # The kernel's C struct, initialized as minimize() does.
@@ -731,8 +842,8 @@ class _SLSQPRun:
         self.indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
 
     def hand_over(self) -> None:
-        """Give the kernel what its mode asks for at the current ``x``."""
+        """Give the kernel what its mode asks for at the cached point."""
         if self.state["mode"] == 1:
-            self.fx = self.value
+            self.fx, self.d = self.value, self.residuals
         else:
             self.g = self.grad

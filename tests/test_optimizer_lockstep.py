@@ -306,3 +306,8 @@ def test_propose_span_reports_starts_and_rounds(quiet_node):
     assert live["starts"] > live["flat_starts"] and live["rounds"] > 1
     assert flat["flat_starts"] == flat["starts"] and flat["rounds"] == 0
     assert live["ranked"] == live["candidates"] > 0
+    # Every start's last kernel step asks for nothing, and every point
+    # after the starts' own was asked for by a step.
+    assert live["steps"] >= live["points"] >= live["rounds"]
+    assert live["points"] >= live["starts"] - live["flat_starts"]
+    assert flat["steps"] == flat["points"] == 0

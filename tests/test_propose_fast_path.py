@@ -9,11 +9,13 @@ reference built the old way.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
 from conftest import make_node
 from repro.core import (
@@ -27,7 +29,9 @@ from repro.core.acquisition import (
     ProbabilityOfImprovement,
     UpperConfidenceBound,
 )
-from repro.core.kernels import RBF
+from repro.core import optimizer as optimizer_module
+from repro.core.kernels import RBF, Matern52
+from repro.core.optimizer import _FD_EPS, _column_sums, _descent_objective
 from repro.resources import ConfigurationSpace, Resource, ServerSpec, default_server
 from repro.telemetry import Tracer
 from test_core_termination_engine import small_engine_config
@@ -89,6 +93,31 @@ class TestPinnedTrajectories:
         digest = _trajectory_digest(node, max_iterations=16, exploit_every=2)
         assert digest == "e5801e4b557ee887"
         assert len(walks) == 8 and sum(walks) == 2
+
+    def test_pinned_and_capped_four_job_mix(self, monkeypatch):
+        """3 LC + 1 BG on the paper's testbed (d = 12): every BO round
+        runs with a dropout pin and caps, and two come back empty."""
+        seen = []
+        propose = AcquisitionOptimizer.propose
+
+        def spy(self, gp, best_score, sampled, **kwargs):
+            proposal = propose(self, gp, best_score, sampled, **kwargs)
+            dropout = kwargs["dropout"]
+            seen.append((
+                dropout is not None and dropout.job_index is not None,
+                kwargs["upper_caps"] is not None,
+                not proposal.candidates,
+            ))
+            return proposal
+
+        monkeypatch.setattr(AcquisitionOptimizer, "propose", spy)
+        node = make_node(
+            default_server(), lc_loads=(0.3, 0.5, 0.2), n_bg=1, noise=0.01
+        )
+        assert node.space.n_dims == 12
+        assert _trajectory_digest(node, max_iterations=20) == "bbbb617fb7a11f7a"
+        pinned, capped, empty = (sum(column) for column in zip(*seen))
+        assert pinned == capped == len(seen) == 20 and empty == 2
 
     @pytest.mark.parametrize(
         "overrides, expected",
@@ -167,12 +196,23 @@ class TestTopK:
             )
 
 
+def _reference_covariance(kernel, x1, x2):
+    """Each kernel as one expression, a new array per operation."""
+    if isinstance(kernel, RBF):
+        sq = cdist(x1, x2, "sqeuclidean") / kernel.lengthscale**2
+        return kernel.variance * np.exp(-0.5 * sq)
+    r = cdist(x1, x2) / kernel.lengthscale
+    sqrt5_r = math.sqrt(5.0) * r
+    return kernel.variance * (1.0 + sqrt5_r + 5.0 * r**2 / 3.0) * np.exp(-sqrt5_r)
+
+
 def _reference_predict(gp, xq):
-    """``predict`` with the triangular solve through ``solve_triangular``."""
+    """``predict`` with the triangular solve through ``solve_triangular``,
+    the kernel as one expression and the prior variance from ``diag``."""
     xq = np.asarray(xq, dtype=float)
     stacked = xq.ndim == 3
     rows = xq.reshape(-1, xq.shape[-1]) if stacked else np.atleast_2d(xq)
-    k_star = gp.kernel(rows, gp._x)
+    k_star = _reference_covariance(gp.kernel, rows, gp._x)
     if stacked:
         mean_z = (k_star.reshape(*xq.shape[:2], -1) @ gp._alpha).ravel()
     else:
@@ -277,3 +317,247 @@ def test_project_feasible_matches_column_loop(units, n_jobs, pin):
         want = _reference_project_feasible(opt, row, dropout)
         assert np.array_equal(stacked[i], want)
         assert np.array_equal(opt._project_feasible(row, dropout), want)
+
+
+class TestKernelCovariance:
+    @pytest.mark.parametrize("kernel_cls", [Matern52, RBF])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_in_place_matches_expression(self, kernel_cls, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 13))
+        kernel = kernel_cls(
+            lengthscale=float(rng.uniform(0.05, 2.0)),
+            variance=float(rng.uniform(0.2, 3.0)),
+        )
+        x1 = rng.random((int(rng.integers(1, 300)), d))
+        x2 = rng.random((int(rng.integers(1, 80)), d))
+        x1[0] = x2[0]  # a zero distance
+        want = _reference_covariance(kernel, x1, x2)
+        assert np.array_equal(kernel(x1, x2), want)
+        assert np.array_equal(kernel.covariance(x1, x2), want)
+
+    @pytest.mark.parametrize("kernel_cls", [Matern52, RBF])
+    def test_predict_matches_reference(self, kernel_cls):
+        rng = np.random.default_rng(5)
+        gp = GaussianProcess(kernel=kernel_cls()).fit(
+            rng.random((30, 9)), rng.random(30)
+        )
+        for xq in (rng.random((1, 9)), rng.random((64, 9)), rng.random((7, 10, 9))):
+            for got, want in zip(gp.predict(xq), _reference_predict(gp, xq)):
+                assert np.array_equal(got, want)
+
+
+def _reference_descent_objective(predict, acq_fn, best, z):
+    """The FD objective as first written: negate, then difference."""
+    n, d = z.shape
+    points = np.empty((n, d + 1, d))
+    points[:, 0] = z
+    points[:, 1:] = z[:, None, :] + _FD_EPS * np.eye(d)
+    mean, std = predict(points)
+    acq = acq_fn(mean.ravel(), std.ravel(), best)
+    values = -np.reshape(acq, mean.shape)
+    return values[:, 0], (values[:, 1:] - values[:, :1]) / _FD_EPS
+
+
+class _FixedPosterior:
+    """A stand-in GP whose ``predict`` returns set ``(mean, std)`` blocks."""
+
+    def __init__(self, mean, std):
+        self.mean, self.std = mean, std
+
+    def predict(self, points):
+        assert points.shape[:2] == self.mean.shape
+        return self.mean.copy(), self.std.copy()
+
+
+ACQUISITIONS = [
+    ExpectedImprovement(),
+    ProbabilityOfImprovement(),
+    UpperConfidenceBound(),
+]
+
+
+class TestDescentObjective:
+    @pytest.mark.parametrize("acq", ACQUISITIONS, ids=["ei", "pi", "ucb"])
+    @pytest.mark.parametrize("kernel_cls", [Matern52, RBF])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, acq, kernel_cls, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 13))
+        n = int(rng.integers(3, 50))
+        gp = GaussianProcess(kernel=kernel_cls()).fit(
+            rng.random((n, d)), rng.random(n)
+        )
+        z = rng.random((int(rng.integers(1, 12)), d))
+        best = float(rng.uniform(0.2, 1.0))
+        got = _descent_objective(gp, acq, best, z)
+        want = _reference_descent_objective(
+            lambda points: _reference_predict(gp, points), acq, best, z
+        )
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("acq", ACQUISITIONS, ids=["ei", "pi", "ucb"])
+    def test_rows_with_zero_std(self, acq):
+        """Points where the posterior is certain take the masked paths."""
+        rng = np.random.default_rng(1)
+        n, d = 6, 9
+        mean = rng.normal(0.5, 0.3, (n, d + 1))
+        std = rng.random((n, d + 1))
+        std[0] = 0.0  # a whole block certain
+        std[1, 0] = std[2, 3] = std[3, ::2] = 0.0
+        mean[3, 1] = 0.9  # certain, above best + zeta
+        gp = _FixedPosterior(mean, std)
+        z = rng.random((n, d))
+        got = _descent_objective(gp, acq, 0.55, z)
+        want = _reference_descent_objective(gp.predict, acq, 0.55, z)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+
+class TestLockstepBookkeeping:
+    @pytest.mark.parametrize("n_jobs", [*range(1, 11), 12, 16, 17])
+    @pytest.mark.parametrize("pin", [False, True], ids=["free", "pinned"])
+    def test_column_sums_match_per_point_sum(self, n_jobs, pin):
+        """numpy sums a point's short rows pairwise (a running sum below
+        8 terms); the stacked sums must match that at every job count."""
+        space = _space((40, 30, 36), n_jobs)
+        rng = np.random.default_rng(n_jobs)
+        opt = AcquisitionOptimizer(space, rng=rng)
+        dropout = None
+        if pin:
+            job = n_jobs // 2
+            dropout = DropoutDecision(
+                job_index=job, allocation=space.random(rng).job_allocation(job)
+            )
+        x = opt._project_feasible(rng.random((40, space.n_dims)), dropout)
+        x[:5] *= 10.0 ** rng.integers(-9, 4, (5, space.n_dims))
+        sums = _column_sums(x, opt._columns)
+        # The SLSQP kernel reads each row as a contiguous buffer.
+        assert sums.flags.c_contiguous
+        for i, point in enumerate(x):
+            assert np.array_equal(sums[i], point[opt._columns].sum(axis=1))
+
+    def test_column_sums_past_one_block(self):
+        """Beyond 128 terms numpy splits the sum in halves."""
+        rng = np.random.default_rng(0)
+        columns = np.arange(2 * 300).reshape(300, 2).T.copy()
+        x = rng.random((3, 600)) * 10.0 ** rng.integers(-9, 4, (3, 600))
+        sums = _column_sums(x, columns)
+        for i, point in enumerate(x):
+            assert np.array_equal(sums[i], point[columns].sum(axis=1))
+
+    def test_cached_point_test_matches_numpy(self):
+        """Lists of Python floats compare as ``(x == seen).all()`` does."""
+        rng = np.random.default_rng(0)
+        x = rng.random(12)
+        cases = [x.copy(), np.nextafter(x, 2.0), x * (1 + 1e-16)]
+        zeros = x.copy()
+        zeros[[2, 5]] = 0.0
+        negative = zeros.copy()
+        negative[[2, 5]] = -0.0
+        nan = x.copy()
+        nan[4] = np.nan
+        for a, b in [(x, c) for c in cases] + [(zeros, negative), (nan, nan.copy())]:
+            assert (a.tolist() == b.tolist()) is bool((a == b).all())
+
+    def test_span_counts_kernel_steps_and_points(self, monkeypatch, quiet_node):
+        steps, points = [], []
+        kernel = optimizer_module._slsqp_kernel
+        objective = optimizer_module._descent_objective
+
+        def counted_kernel(*args):
+            steps.append(None)
+            return kernel(*args)
+
+        def counted_objective(gp, acq_fn, best, z):
+            points.append(len(z))
+            return objective(gp, acq_fn, best, z)
+
+        monkeypatch.setattr(optimizer_module, "_slsqp_kernel", counted_kernel)
+        monkeypatch.setattr(optimizer_module, "_descent_objective", counted_objective)
+        rng = np.random.default_rng(0)
+        space = quiet_node.space
+        gp = GaussianProcess().fit(
+            space.to_unit_cube_batch(space.random_batch(12, rng)), rng.random(12)
+        )
+        tracer = Tracer()
+        AcquisitionOptimizer(space, rng=rng, tracer=tracer).propose(
+            gp, 0.5, set(), incumbent=space.random(rng)
+        )
+        (span,) = tracer.finished()
+        assert span.attributes["steps"] == len(steps) > 0
+        assert span.attributes["points"] == sum(points) > 0
+        assert span.attributes["rounds"] == len(points)
+
+
+def _reference_repair_caps_batch(opt, mats, upper_caps, dropout):
+    """The cap waterfall one unit per step, every matrix at once."""
+    caps = np.asarray(upper_caps).astype(int)
+    pin = dropout.job_index if dropout is not None else None
+    mats = mats.copy()
+    for r in range(opt.space.n_resources):
+        col = mats[:, :, r]
+        capr = caps[:, r]
+        for j in range(opt.space.n_jobs):
+            if j == pin:
+                continue
+            excess = col[:, j] - capr[j]
+            active = excess > 0
+            while active.any():
+                headroom = capr[None, :] - col
+                eligible = headroom > 0
+                eligible[:, j] = False
+                if pin is not None:
+                    eligible[:, pin] = False
+                movable = active & eligible.any(axis=1)
+                if not movable.any():
+                    break
+                target = np.argmax(np.where(eligible, headroom, -(10**9)), axis=1)
+                rows = np.nonzero(movable)[0]
+                col[rows, j] -= 1
+                col[rows, target[rows]] += 1
+                excess[rows] -= 1
+                active = movable & (excess > 0)
+    return mats
+
+
+@pytest.mark.parametrize("n_jobs", range(1, 9))
+@pytest.mark.parametrize("pin", [False, True], ids=["free", "pinned"])
+def test_closed_form_cap_repair_matches_unit_waterfall(n_jobs, pin):
+    """Any caps, also ones no partition meets (some below one unit)."""
+    rng = np.random.default_rng(n_jobs)
+    space = _space((n_jobs + 9, n_jobs + 3, 2 * n_jobs + 5), n_jobs)
+    opt = AcquisitionOptimizer(space, rng=rng)
+    for _ in range(20):
+        dropout = None
+        if pin:
+            job = int(rng.integers(n_jobs))
+            dropout = DropoutDecision(
+                job_index=job, allocation=space.random(rng).job_allocation(job)
+            )
+        mats = space.random_batch(int(rng.integers(1, 60)), rng)
+        caps = rng.integers(0, 2 * n_jobs + 7, (n_jobs, space.n_resources))
+        got = opt._repair_caps_batch(mats, caps.astype(float), dropout)
+        want = _reference_repair_caps_batch(opt, mats, caps, dropout)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "units, n_jobs",
+    [((10, 11, 10), 1), ((10, 11, 10), 3), ((6, 7), 2), ((8, 4, 9), 4), ((12, 9), 8)],
+)
+def test_cached_blends_match_fresh_extremes(units, n_jobs):
+    space = _space(units, n_jobs)
+    rng = np.random.default_rng(n_jobs)
+    opt = AcquisitionOptimizer(space, rng=rng)
+    for _ in range(5):
+        z_inc = space.to_unit_cube(space.random(rng))
+        want = np.array(
+            [
+                (1 - t) * z_inc + t * space.to_unit_cube(space.max_allocation(j))
+                for j in range(n_jobs)
+                for t in (0.25, 0.5, 0.75)
+            ]
+        )
+        assert np.array_equal(opt._blends(z_inc), want)
