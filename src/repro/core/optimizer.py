@@ -33,6 +33,7 @@ from ..resources.allocation import (
     Configuration,
     ConfigurationSpace,
     _round_resources_batch,
+    pairwise_sum,
 )
 from ..resources.contracts import proposal_contract
 from ..telemetry.tracer import NULL_TRACER, Span, Tracer
@@ -637,41 +638,16 @@ def _column_sums(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
     numpy sums each short row of one point's ``x[columns]`` pairwise,
     but the rows of a large stack in another order, so the per-point
-    order is spelled out here over whole ``(n, n_resources)`` slices,
-    one per job: numpy adds a row into 0.0, with one running sum below
-    8 terms, 8 interleaved ones up to 128, and halves beyond.
+    order (:func:`~repro.resources.allocation.pairwise_sum`) is spelled
+    out here over whole ``(n, n_resources)`` slices, one per job.
     """
     n_jobs, n_res = columns.shape[1], len(columns)
     # One gather, job-major; the sums come out C-ordered, which the SLSQP
     # kernel needs (it reads each row as a contiguous buffer).
     cells = x.take(columns.T.ravel(), axis=1)
-    return 0.0 + _pairwise_sum(
+    return pairwise_sum(
         [cells[:, j * n_res : (j + 1) * n_res] for j in range(n_jobs)]
     )
-
-
-def _pairwise_sum(terms: List[np.ndarray]) -> np.ndarray:
-    n = len(terms)
-    if n < 8:
-        # One running sum, from 0.0.
-        total = 0.0 + terms[0]
-        for term in terms[1:]:
-            total = total + term
-        return total
-    if n <= 128:
-        tail = n - n % 8
-        acc = terms[:8]
-        for i in range(8, tail, 8):
-            acc = [a + b for a, b in zip(acc, terms[i : i + 8])]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
-            (acc[4] + acc[5]) + (acc[6] + acc[7])
-        )
-        for term in terms[tail:]:
-            total = total + term
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def _lockstep_slsqp(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,6 +86,40 @@ class Configuration:
         a = np.asarray(self.flat(), dtype=float)
         b = np.asarray(other.flat(), dtype=float)
         return float(np.linalg.norm(a - b))
+
+
+def pairwise_sum(terms: List[Any]) -> Any:
+    """Sum ``terms`` bitwise as numpy's ``add.reduce`` sums one row.
+
+    numpy adds a row into 0.0, with one running sum below 8 terms, 8
+    interleaved ones up to 128, and halves beyond.  The terms may be
+    Python floats or equally shaped arrays (summed elementwise), so a
+    scalar path and an array path can both reproduce a numpy row sum.
+    """
+    n = len(terms)
+    if n < 8:
+        # One running sum, from 0.0.
+        total = 0.0 + terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if n <= 128:
+        tail = n - n % 8
+        acc = terms[:8]
+        for i in range(8, tail, 8):
+            acc = [a + b for a, b in zip(acc, terms[i : i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+        for term in terms[tail:]:
+            total = total + term
+    else:
+        # Adding 0.0 inside each half as well changes only a -0.0 half,
+        # which the final 0.0 + would have turned into 0.0 anyway.
+        half = n // 2
+        half -= half % 8
+        total = pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    return 0.0 + total
 
 
 def _round_column(weights: np.ndarray, total: int) -> np.ndarray:
@@ -181,6 +215,8 @@ class ConfigurationSpace:
         self._units = np.array([r.units for r in spec.resources], dtype=int)
         self._units.setflags(write=False)
         self._units_list = [int(r.units) for r in spec.resources]
+        #: Units above the one-unit floor, per resource.
+        self._spares = [units - n_jobs for units in self._units_list]
         self._equal = self._build_equal_partition()
 
     @staticmethod
@@ -475,13 +511,48 @@ class ConfigurationSpace:
         The continuous vector is interpreted per resource as relative
         weights of the spare units (everything above the one-unit floor)
         and rounded with the largest-remainder method, so the result
-        always satisfies Eqs. 5-6 exactly.  This is a one-row call of
-        :meth:`from_unit_cube_batch`, so both share one rounding path.
+        always satisfies Eqs. 5-6 exactly.  Computed on Python floats,
+        it returns bitwise what a :meth:`from_unit_cube_batch` row
+        returns: the same clipping, the same weight sums
+        (:func:`pairwise_sum`, numpy's order), the same divisions and
+        ties broken by job index.  A NaN entry raises ``ValueError``.
         """
-        vec = np.asarray(x, dtype=float).reshape(1, -1)
-        return Configuration.from_matrix(
-            self.from_unit_cube_batch(vec)[0].tolist()
+        values = (
+            x if isinstance(x, (list, tuple))
+            else np.asarray(x, dtype=float).ravel().tolist()
         )
+        n_jobs, n_res = self.n_jobs, self.n_resources
+        if len(values) != n_jobs * n_res:
+            raise ValueError(
+                f"expected a cube vector of {n_jobs * n_res} entries, "
+                f"got {len(values)}"
+            )
+        columns = []
+        for r, spare in enumerate(self._spares):
+            # np.clip(v, 0.0, 1.0) on a number; a NaN stays NaN, and the
+            # floor below rejects it.
+            weights = [
+                0.0 if v <= 0.0 else (1.0 if v >= 1.0 else v)
+                for v in values[r::n_res]
+            ]
+            total = pairwise_sum(weights)
+            if total <= 0:
+                weights, total = [1.0] * n_jobs, float(n_jobs)
+            shares = [w / total * spare for w in weights]
+            # Shares are >= 0, so int() is the floor.
+            base = [int(share) for share in shares]
+            remainder = spare - sum(base)
+            if remainder > 0:
+                # Largest fractional part first; sorted() is stable, so
+                # equal fractions keep job order, as argsort(-frac) does.
+                fractions = [share - b for share, b in zip(shares, base)]
+                order = sorted(
+                    range(n_jobs), key=fractions.__getitem__, reverse=True
+                )
+                for j in order[:remainder]:
+                    base[j] += 1
+            columns.append([b + 1 for b in base])
+        return Configuration(tuple(zip(*columns)))
 
     @partition_contract
     def from_unit_cube_batch(self, x: np.ndarray) -> np.ndarray:

@@ -96,12 +96,35 @@ def check_partition_matrix(
         )
     caps = np.asarray(capacities, dtype=int)
     sums = arr.sum(axis=1)
-    if (sums != caps[None, :]).any():
+    bad = (sums != caps[None, :]).any(axis=1)
+    if bad.any():
+        first = int(bad.argmax())
         raise ContractViolation(
             f"{context}: resource columns must sum to {caps.tolist()} "
-            f"(Eq. 6); got {sums[0].tolist()}"
-            + ("" if len(sums) == 1 else " (first of batch)")
+            f"(Eq. 6); got {sums[first].tolist()}"
+            + ("" if len(sums) == 1 else f" (matrix {first} of the batch)")
         )
+
+
+def _plainly_valid(units: Any, capacities: Sequence[int]) -> bool:
+    """True when a tuple-of-rows partition holds Python ints >= 1 whose
+    columns sum to ``capacities``.
+
+    A pure-Python screen for :func:`check_partition_matrix`: whatever it
+    accepts, that check accepts too, and anything else (floats, numpy
+    ints, a bad row length, a breach) goes to that check, which decides
+    and words the error.
+    """
+    if not units:
+        return False
+    n_res = len(capacities)
+    for row in units:
+        if len(row) != n_res:
+            return False
+        for v in row:
+            if type(v) is not int or v < 1:
+                return False
+    return [sum(column) for column in zip(*units)] == list(capacities)
 
 
 def _capacities_of(space: Any) -> Sequence[int]:
@@ -120,19 +143,25 @@ def _config_matrix(config: Any) -> Any:
 def partition_contract(fn: F) -> F:
     """For ``ConfigurationSpace`` constructors returning partitions.
 
-    Handles both scalar constructors (returning a ``Configuration``)
-    and batch constructors (returning an integer ndarray stack).
+    Handles both scalar constructors (returning a ``Configuration``,
+    screened on its tuples by :func:`_plainly_valid`) and batch
+    constructors (returning an integer ndarray stack).
     """
 
     @functools.wraps(fn)
     def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
         result = fn(self, *args, **kwargs)
         if _ENABLED:
-            check_partition_matrix(
-                _config_matrix(result),
-                _capacities_of(self),
-                f"{type(self).__name__}.{fn.__name__}",
-            )
+            capacities = _capacities_of(self)
+            units = getattr(result, "units", None)
+            if not (
+                isinstance(units, tuple) and _plainly_valid(units, capacities)
+            ):
+                check_partition_matrix(
+                    _config_matrix(result),
+                    capacities,
+                    f"{type(self).__name__}.{fn.__name__}",
+                )
         return result
 
     return wrapper  # type: ignore[return-value]

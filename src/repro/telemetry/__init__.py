@@ -37,6 +37,7 @@ from .metrics import (
     DEFAULT_BUCKETS,
     METRIC_NAME_RE,
     Counter,
+    CounterHandles,
     Gauge,
     Histogram,
     MetricRegistry,
@@ -173,6 +174,7 @@ from .serve import (  # noqa: E402  (serves the exporters)
 __all__ = [
     "Clock",
     "Counter",
+    "CounterHandles",
     "DEFAULT_BUCKETS",
     "EventRecord",
     "Gauge",

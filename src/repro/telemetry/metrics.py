@@ -252,6 +252,30 @@ class MetricRegistry:
         return out
 
 
+class CounterHandles:
+    """Counter handles of one registry, looked up on first use and then
+    reused, for hot paths that count per event.
+
+    Registering the handles up front would add zero-valued series, so a
+    handle is created on its first lookup, exactly as a plain
+    ``registry.counter(...)`` call would create it.  A handle may carry
+    one label, ``label``, whose value is given per call.
+    """
+
+    def __init__(self, metrics: MetricRegistry, label: str) -> None:
+        self._metrics = metrics
+        self._label = label
+        self._handles: Dict[Tuple[str, Optional[int]], Counter] = {}
+
+    def __call__(self, name: str, value: Optional[int] = None) -> Counter:
+        handle = self._handles.get((name, value))
+        if handle is None:
+            labels = {} if value is None else {self._label: str(value)}
+            handle = self._metrics.counter(name, **labels)
+            self._handles[(name, value)] = handle
+        return handle
+
+
 class _NullCounter(Counter):
     def add(self, amount: Union[int, float] = 1) -> None:
         pass

@@ -50,8 +50,6 @@ from abc import ABC, abstractmethod
 from dataclasses import fields, replace
 from typing import Hashable, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from ..cluster.state import ClusterNode
 from ..core.engine import CLITEConfig, CLITEEngine
 from ..resources.allocation import Configuration
@@ -220,25 +218,29 @@ class QuickProbe(AdmissionProbe):
 
     Candidates are the equal partition plus one LC-favoring partition
     per boost factor: LC jobs weigh ``boost * (0.15 + load)`` spare
-    units, BG jobs weigh 1, projected onto the feasible lattice through
-    :meth:`~repro.resources.allocation.ConfigurationSpace.from_unit_cube_batch`
+    units, BG jobs weigh 1, each projected onto the feasible lattice by
+    :meth:`~repro.resources.allocation.ConfigurationSpace.from_unit_cube`
     (largest-remainder rounding, deterministic tie-breaks) only once
-    the equal partition has failed.  A node passes as soon as one
-    candidate meets every LC QoS target.  Each candidate is asked for
-    a bare verdict, :meth:`~repro.server.node.Node.qos_met` (LC jobs
-    only, first violation stops, each p95 bisected only until its
+    every candidate before it has failed.  A boost whose normalised
+    weights repeat an earlier boost's is skipped: on a node of LC jobs
+    only, every boost gives the same weights.  A node passes as soon as
+    one candidate meets every LC QoS target.  Each candidate is asked
+    for a bare verdict, :meth:`~repro.server.node.Node.qos_met` (LC
+    jobs only, first violation stops, each p95 bisected only until its
     bracket decides), not for a full noise-free observation; the
     answer is the same bit for bit.
 
-    One check costs about 0.02-0.7 ms (5th to 95th percentile over
+    One check costs about 0.012-0.46 ms (5th to 95th percentile over
     3,000 checks of random 1-5 job Tailbench/PARSEC mixes on the
-    Table 2 testbed, one core of a 2-vCPU Intel Xeon host); the median
-    is 0.09 ms for one job, 0.47 ms for four and 0.51 ms for five.
-    That buys building the node, up to five QoS verdicts, and one
-    batched projection when the equal partition fails.  The node's
-    configuration space and its jobs are shared with every other
-    probe of the same shape and requests, so a check does not rebuild
-    them.
+    Table 2 testbed, one core of a 2-vCPU Intel Xeon host, three runs);
+    the median is 0.04 ms for one job, 0.19-0.24 ms for four and
+    0.26-0.31 ms for five.  That buys building the node, up to five QoS
+    verdicts, and up to four scalar projections when the equal
+    partition fails.  The node's configuration space and its jobs are
+    shared with every other probe of the same shape and requests, so a
+    check does not rebuild them.  These are direct calls: inside a
+    service, a repeated check is answered by the verdict memo instead
+    (see :meth:`memo_key`).
     """
 
     name = "quick"
@@ -260,37 +262,34 @@ class QuickProbe(AdmissionProbe):
         if telemetry is not None:
             self._telemetry = telemetry
 
-    def _candidates(self, node: Node) -> np.ndarray:
-        """Unit-cube weight vectors for the LC-favoring candidates.
+    def _configs(self, node: Node) -> Iterator[Configuration]:
+        """The equal partition, then the boosted candidates, lazily.
 
-        Returns a ``(len(BOOSTS), n_dims)`` array built in one step, one
-        row per boost: each job's weight once per resource, over the
-        row's peak (every weight is at least 0.15).
+        Each boosted candidate is projected only when the caller asks
+        past the one before it, i.e. after that one failed.  Its weights
+        are each job's weight once per resource, over the row's peak
+        (every weight is at least 0.15); a boost whose normalised row
+        equals an earlier one's would project onto the same partition,
+        so it is skipped.
         """
+        space = node.space
+        yield space.equal_partition()
         base = [
             0.15 + job.load.load_at(node.clock_s)
             if job.is_lc and job.load is not None
             else None
             for job in node.jobs
         ]
-        repeat = range(node.space.n_resources)
-        rows = []
+        repeat = range(space.n_resources)
+        seen: List[List[float]] = []
         for boost in self.BOOSTS:
             weights = [1.0 if b is None else boost * b for b in base]
             peak = max(weights)
-            rows.append([w / peak for w in weights for _ in repeat])
-        return np.array(rows)
-
-    def _configs(self, node: Node) -> Iterator[Configuration]:
-        """The equal partition, then the boosted candidates.
-
-        The boosted ones are projected only when the caller asks past
-        the equal partition, i.e. after it failed.
-        """
-        yield node.space.equal_partition()
-        boosted = node.space.from_unit_cube_batch(self._candidates(node))
-        for matrix in boosted.tolist():
-            yield Configuration.from_matrix(matrix)
+            row = [w / peak for w in weights]
+            if row in seen:
+                continue
+            seen.append(row)
+            yield space.from_unit_cube([w for w in row for _ in repeat])
 
     def memo_key(
         self, node_state: ClusterNode, seed: Optional[int]
@@ -317,17 +316,22 @@ class QuickProbe(AdmissionProbe):
         )
         if not node.lc_indices:
             return True  # nothing with a QoS target to violate
-        truths = self._telemetry.metrics.counter("warehouse.probe.truths")
         tried = set()
+        met = False
         for config in self._configs(node):
-            key = config.flat()
+            key = config.units
             if key in tried:
                 continue
             tried.add(key)
-            truths.add()
             if node.qos_met(config):
-                return True
-        return False
+                met = True
+                break
+        # One add per check: the series appears with the first truth,
+        # exactly as when each truth was added on its own.
+        self._telemetry.metrics.counter("warehouse.probe.truths").add(
+            len(tried)
+        )
+        return met
 
 
 class CLITEProbe(AdmissionProbe):

@@ -39,7 +39,7 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 from ..core.engine import CLITEConfig
 from ..core.units import Seconds
 from ..resources.spec import ServerSpec
-from ..telemetry import NULL_TELEMETRY, Counter, Telemetry
+from ..telemetry import NULL_TELEMETRY, CounterHandles, Telemetry
 from ..telemetry.clock import SimulatedClock
 from ..server.obstore import ObservationStore
 from .events import Arrival, Departure, EventLoop, Payload, Recheck, WarehouseJob
@@ -146,7 +146,8 @@ class WarehouseFederation:
             "rejections": 0,
             "departures": 0,
         }
-        self._counters: Dict[Tuple[str, Optional[int]], Counter] = {}
+        #: Routing counter handles, labelled by shard index.
+        self._counter = CounterHandles(self.telemetry.metrics, "shard")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -213,7 +214,10 @@ class WarehouseFederation:
         return self.loop.schedule(at, Departure(name))
 
     def run_until(self, t: Seconds) -> int:
-        return self.loop.run_until(t, self._handle)
+        # Without an active tracer the route span is a no-op: hand the
+        # loop the bare router instead of building one per event.
+        tracer_on = self.telemetry.tracer.active
+        return self.loop.run_until(t, self._handle if tracer_on else self._route)
 
     def run_to_completion(self) -> Dict[str, object]:
         last = self.loop.queue.last_time()
@@ -271,8 +275,10 @@ class WarehouseFederation:
         if self.routing == "rejection-retry":
             home = home_shard(job.name, n)
             return [home] + [i for i in range(n) if i != home]
-        # least-loaded: ascending running jobs, shard index breaks ties.
-        return sorted(range(n), key=lambda i: (self.shards[i].jobs_running, i))
+        # least-loaded: ascending running jobs; the sort is stable, so
+        # the shard index breaks ties.
+        running = [shard.jobs_running for shard in self.shards]
+        return sorted(range(n), key=running.__getitem__)
 
     # ------------------------------------------------------------------
     # Event handling
@@ -286,37 +292,31 @@ class WarehouseFederation:
         with self.telemetry.tracer.span(
             "warehouse.route", kind=type(payload).__name__.lower(), seq=seq
         ):
-            if isinstance(payload, Arrival):
-                self._route_arrival(t, seq, payload.job)
-            elif isinstance(payload, Departure):
-                self._route_departure(t, seq, payload.name)
-            elif isinstance(payload, Recheck):
-                for shard in self.shards:
-                    shard.handle_event(t, seq, payload)
+            self._route(t, seq, payload)
 
-    def _counter(self, name: str, shard: Optional[int] = None) -> Counter:
-        """A routing counter handle, looked up on first use and then
-        reused (registering it up front would add zero-valued series)."""
-        handle = self._counters.get((name, shard))
-        if handle is None:
-            labels = {} if shard is None else {"shard": str(shard)}
-            handle = self.telemetry.metrics.counter(name, **labels)
-            self._counters[(name, shard)] = handle
-        return handle
+    def _route(self, t: Seconds, seq: int, payload: Payload) -> None:
+        if isinstance(payload, Arrival):
+            self._route_arrival(t, seq, payload.job)
+        elif isinstance(payload, Departure):
+            self._route_departure(t, seq, payload)
+        elif isinstance(payload, Recheck):
+            for shard in self.shards:
+                shard.handle_event(t, seq, payload)
 
     def _route_arrival(self, t: Seconds, seq: int, job: WarehouseJob) -> None:
         self._counts["arrivals"] += 1
         self._counter("warehouse.route.arrivals").add()
         order = self._preference(job)
-        if any(shard.has_job(job.name) for shard in self.shards):
-            self._counts["rejections"] += 1
-            self._route_record(
-                RoutedEntry(
-                    time_s=t, seq=seq, kind="reject", job=job.name,
-                    detail="duplicate-name",
+        for shard in self.shards:
+            if shard.has_job(job.name):
+                self._counts["rejections"] += 1
+                self._route_record(
+                    RoutedEntry(
+                        time_s=t, seq=seq, kind="reject", job=job.name,
+                        detail="duplicate-name",
+                    )
                 )
-            )
-            return
+                return
         for shard_index in order:
             target, tentative, verified = self.shards[shard_index].probe_admit(
                 job, t
@@ -344,11 +344,12 @@ class WarehouseFederation:
             )
         )
 
-    def _route_departure(self, t: Seconds, seq: int, name: str) -> None:
+    def _route_departure(self, t: Seconds, seq: int, payload: Departure) -> None:
         self._counts["departures"] += 1
+        name = payload.name
         for shard_index, shard in enumerate(self.shards):
             if shard.has_job(name):
-                shard.handle_event(t, seq, Departure(name))
+                shard.handle_event(t, seq, payload)
                 self._route_record(
                     RoutedEntry(
                         time_s=t, seq=seq, kind="depart", job=name,

@@ -54,7 +54,7 @@ from ..core.units import Seconds
 from ..resources.contracts import placement_contract
 from ..resources.spec import ServerSpec
 from ..sanitizer.hooks import register_shared
-from ..telemetry import NULL_TELEMETRY, Telemetry
+from ..telemetry import NULL_TELEMETRY, CounterHandles, Telemetry
 from ..telemetry.clock import SimulatedClock
 from ..server.obstore import ObservationStore
 from ..workloads.loadgen import LoadSchedule
@@ -226,6 +226,8 @@ class WarehouseService:
         self._volatile_nodes: List[int] = []
         #: Nodes whose job set changed since their last recheck visit.
         self._recheck_dirty: Set[int] = set()
+        #: The check path's counter handles, labelled by node index.
+        self._counter = CounterHandles(self.telemetry.metrics, "node")
         #: Probe memo key -> (verdict, the workloads it was asked on).
         self._verdicts: Dict[Hashable, Tuple[bool, Tuple[object, ...]]] = {}
         self._timeline: Deque[TimelineEntry] = deque(maxlen=TIMELINE_LIMIT)
@@ -612,19 +614,17 @@ class WarehouseService:
         is asked once per key: later checks replay the memoised verdict
         (``warehouse.probe.memo.hits``; first asks count as ``.misses``).
         """
-        verified_out.append(node_state.index)
-        metrics = self.telemetry.metrics
-        metrics.counter(
-            "warehouse.verify.nodes", node=str(node_state.index)
-        ).add()
+        index = node_state.index
+        verified_out.append(index)
+        self._counter("warehouse.verify.nodes", index).add()
         key = self.probe.memo_key(node_state, self.seed)
         if key is None:
             return self.probe.check(node_state, self.seed)
         entry = self._verdicts.get(key)
         if entry is not None:
-            metrics.counter("warehouse.probe.memo.hits").add()
+            self._counter("warehouse.probe.memo.hits").add()
             return entry[0]
-        metrics.counter("warehouse.probe.memo.misses").add()
+        self._counter("warehouse.probe.memo.misses").add()
         verdict = self.probe.check(node_state, self.seed)
         if len(self._verdicts) < self.VERDICT_MEMO_MAX_ENTRIES:
             # The entry keeps the workloads alive, so no id the key

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Mapping
 
 from ..core.units import Fraction, Millis, Rate
 from ..resources.spec import CORES
@@ -52,11 +52,15 @@ class SensitivityCurve:
             raise ValueError(f"shape must be > 0, got {self.shape}")
         if not 0 <= self.floor < 1:
             raise ValueError(f"floor must be in [0, 1), got {self.floor}")
+        # The curve's denominator, fixed by ``shape``: computed once here
+        # rather than per call.  Not a field, so equality, hashing and
+        # the store fingerprint see the same three parameters.
+        object.__setattr__(self, "_full_rise", 1.0 - math.exp(-self.shape))
 
     def utility(self, share: Fraction) -> Fraction:
         """Fraction of peak speed retained at ``share`` of the resource."""
         share = min(max(share, 0.0), 1.0)
-        rise = (1.0 - math.exp(-self.shape * share)) / (1.0 - math.exp(-self.shape))
+        rise = (1.0 - math.exp(-self.shape * share)) / self._full_rise
         return self.floor + (1.0 - self.floor) * rise
 
     def contribution(self, share: Fraction) -> Fraction:
@@ -119,11 +123,16 @@ class Workload:
     contention_sensitivity: float = 0.1
 
     def non_core_multiplier(self, shares: Mapping[str, float]) -> Fraction:
-        """Speed multiplier from every resource except cores."""
-        filtered: Dict[str, float] = {
-            k: v for k, v in shares.items() if k != CORES
-        }
-        return self.profile.multiplier(filtered)
+        """Speed multiplier from every resource except cores.
+
+        ``profile.multiplier`` of ``shares`` without their cores entry: a
+        profile's ``cores`` curve, if it has one, reads a full share.
+        """
+        result = 1.0
+        for name, curve in self.profile.curves.items():
+            share = 1.0 if name == CORES else shares.get(name, 1.0)
+            result *= curve.contribution(share)
+        return result
 
 
 @dataclass(frozen=True)

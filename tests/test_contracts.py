@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.resources import Resource, ServerSpec
-from repro.resources.allocation import ConfigurationSpace
+from repro.resources.allocation import Configuration, ConfigurationSpace
 from repro.resources.contracts import (
     ContractViolation,
     check_partition_matrix,
@@ -64,6 +64,14 @@ class TestCheckPartitionMatrix:
     def test_context_named_in_error(self):
         with pytest.raises(ContractViolation, match="Who.did_it"):
             check_partition_matrix([[0, 3], [6, 3]], self.CAPS, "Who.did_it")
+
+    def test_batch_reports_the_first_failing_matrix(self):
+        batch = np.array([[[2, 3], [4, 3]], [[2, 3], [3, 2]]])
+        with pytest.raises(ContractViolation) as caught:
+            check_partition_matrix(batch, self.CAPS, "t")
+        message = str(caught.value)
+        assert "got [5, 5]" in message and "(matrix 1 of the batch)" in message
+        assert "[6, 6]) (Eq. 6); got [6, 6]" not in message
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +209,76 @@ class TestPlacementContract:
     def test_machine_count_mismatch_rejected(self):
         with pytest.raises(ContractViolation, match="machines_used"):
             self._call(self._outcome(machines_used=9))
+
+
+# ----------------------------------------------------------------------
+# Configuration results: the tuple screen decides as the matrix check
+# ----------------------------------------------------------------------
+class FakeConfigSpace(FakeSpace):
+    """Returns Configuration-likes: ``units`` rows plus ``as_array``."""
+
+    @partition_contract
+    def make_config(self, units):
+        return SimpleNamespace(units=units, as_array=lambda: np.array(units))
+
+
+def _outcome(call):
+    """``None`` when ``call`` passes, else the error's type and text."""
+    try:
+        call()
+    except Exception as exc:  # the comparison covers every error kind
+        return type(exc), str(exc)
+    return None
+
+
+class TestConfigurationContract:
+    CAPS = (6, 6)
+    CONTEXT = "FakeConfigSpace.make_config"
+
+    CASES = {
+        "valid": ((2, 3), (4, 3)),
+        "zero unit": ((0, 3), (6, 3)),
+        "fractional": ((2.5, 3), (3.5, 3)),
+        "whole-valued float": ((3.0, 3), (3, 3)),
+        "numpy ints": ((np.int64(2), np.int64(3)), (np.int64(4), np.int64(3))),
+        "bad column sum": ((2, 3), (3, 3)),
+        "bool units": ((True, 3), (5, 3)),
+        "short row": ((2, 3), (4,)),
+        "long row": ((2, 3), (4, 3, 1)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_verdict_and_error_as_the_matrix_check(self, case):
+        units = self.CASES[case]
+        space = FakeConfigSpace(self.CAPS)
+        want = _outcome(
+            lambda: check_partition_matrix(
+                np.array(units), self.CAPS, self.CONTEXT
+            )
+        )
+        assert _outcome(lambda: space.make_config(units)) == want
+        if case in ("valid", "whole-valued float", "numpy ints"):
+            assert want is None
+        elif case in ("zero unit", "fractional", "bad column sum"):
+            assert want[0] is ContractViolation
+
+    def test_real_space_rejects_a_bad_configuration(self):
+        space = make_space()
+        space._equal = Configuration(((1, 1), (1, 1)))
+        with pytest.raises(ContractViolation, match="got \\[2, 2\\]"):
+            space.equal_partition()
+
+    def test_disabled_contracts_skip_the_screen(self, monkeypatch):
+        from repro.resources import contracts
+
+        monkeypatch.setenv("REPRO_CONTRACTS", "0")
+        assert not contracts._env_enabled()
+        previous = set_contracts_enabled(contracts._env_enabled())
+        try:
+            out = FakeConfigSpace(self.CAPS).make_config(((9, 9), (9, 9)))
+            assert out.units == ((9, 9), (9, 9))
+        finally:
+            set_contracts_enabled(previous)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ The quick admission probe reuses what does not change between probes:
 one shared :class:`ConfigurationSpace` per (server, job count) with its
 equal partition computed at construction, the node job a
 :class:`JobRequest` builds once, one rounding call for every resource
-column, counters that seed their generator on the first noisy read, and
-LC loads read once per time point.  Every test here compares one of
+column, a scalar projection of each boosted candidate on Python floats,
+counters that seed their generator on the first noisy read, and LC
+loads read once per time point.  Every test here compares one of
 those paths, bit for bit, with the computation it replaced.
 """
 
@@ -16,6 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_bg, make_lc
 from repro.cluster.state import ClusterNode, JobRequest
@@ -35,6 +38,7 @@ from repro.resources.allocation import (
     _round_column,
     _round_columns_batch,
     _round_resources_batch,
+    pairwise_sum,
 )
 from repro.resources.contracts import ContractViolation
 from repro.resources.isolation import IsolationManager
@@ -173,6 +177,98 @@ class TestPerRowTotals:
             np.testing.assert_array_equal(
                 optimizer._round_batch(z, dropout), want
             )
+
+
+# ----------------------------------------------------------------------
+# Scalar projection: from_unit_cube on Python floats == a batch row
+# ----------------------------------------------------------------------
+#: Entries whose fractional shares tie, or that sit on the clip edges.
+_EDGE_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.0 / 3.0, -0.0)
+
+
+@st.composite
+def _projection_cases(draw):
+    """A space of 1-10 jobs (one resource rigid, units == n_jobs, at
+    random) and cube vectors mixing ties, zeros, and out-of-range
+    entries."""
+    n_jobs = draw(st.integers(1, 10))
+    n_res = draw(st.integers(1, 4))
+    units = [draw(st.integers(n_jobs, n_jobs + 12)) for _ in range(n_res)]
+    if draw(st.booleans()):
+        units[draw(st.integers(0, n_res - 1))] = n_jobs
+    space = ConfigurationSpace(
+        ServerSpec(
+            resources=tuple(Resource(f"r{i}", u) for i, u in enumerate(units))
+        ),
+        n_jobs,
+    )
+    entry = st.one_of(
+        st.sampled_from(_EDGE_VALUES),
+        st.floats(0.0, 1.0),
+        st.floats(-2.0, 3.0),
+    )
+    kind = draw(st.sampled_from(["mixed", "zeros", "tied", "coarse"]))
+    n = space.n_dims
+    if kind == "zeros":
+        x = [0.0] * n
+    elif kind == "tied":
+        x = [draw(st.sampled_from(_EDGE_VALUES))] * n
+    elif kind == "coarse":
+        x = [draw(st.integers(-1, 5)) / 4 for _ in range(n)]
+    else:
+        x = draw(st.lists(entry, min_size=n, max_size=n))
+    return space, x
+
+
+class TestScalarProjection:
+    @given(case=_projection_cases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_equals_one_row_and_four_row_batches(self, case, seed):
+        space, x = case
+        got = space.from_unit_cube(x)
+        assert all(type(v) is int for row in got.units for v in row)
+        one = space.from_unit_cube_batch(np.array([x]))[0]
+        assert got == Configuration.from_matrix(one)
+        # The quick probe used to project four rows in one call.
+        rows = np.random.default_rng(seed).uniform(-0.2, 1.2, (4, space.n_dims))
+        rows[seed % 4] = x
+        four = space.from_unit_cube_batch(rows)[seed % 4]
+        assert got == Configuration.from_matrix(four)
+        assert space.from_unit_cube(np.array(x)) == got
+        assert space.from_unit_cube(tuple(x)) == got
+
+    @pytest.mark.parametrize("n_jobs", range(1, 11))
+    def test_random_rows_across_the_eight_term_switch(self, n_jobs):
+        rng = np.random.default_rng(500 + n_jobs)
+        for rigid in (False, True):
+            space = _space(rng, n_jobs, rigid)
+            x = rng.random((300, space.n_dims)) * rng.choice(
+                [1e-6, 1.0], size=(300, 1)
+            )
+            x[:60] = np.round(x[:60] * 4) / 4
+            batch = space.from_unit_cube_batch(x)
+            for row, want in zip(x.tolist(), batch):
+                assert space.from_unit_cube(row) == Configuration.from_matrix(want)
+
+    def test_wrong_length_and_nan_are_rejected(self):
+        space = ConfigurationSpace.of(default_server(), 2)
+        with pytest.raises(ValueError, match="6 entries"):
+            space.from_unit_cube([0.5] * 5)
+        with pytest.raises(ValueError, match="NaN"):
+            space.from_unit_cube([0.5, 0.2, 0.1, math.nan, 0.3, 0.4])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300])
+    def test_pairwise_sum_is_numpy_row_sum(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.random((200, n)) * rng.choice([1e-9, 1.0, 1e9], size=(200, n))
+        rows[0] = -0.0
+        rows[1] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        sums = rows.sum(axis=1)
+        for row, want in zip(rows.tolist(), sums.tolist()):
+            got = pairwise_sum(row)
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+        stacked = pairwise_sum([rows[:, j] for j in range(n)])
+        np.testing.assert_array_equal(stacked, sums)
 
 
 # ----------------------------------------------------------------------

@@ -307,21 +307,113 @@ class TestQuickProbeEquivalence:
         assert any(not v and n < 1 + len(QuickProbe.BOOSTS) for v, n in want)
 
 
+def _reference_candidates(node):
+    """The boosted candidates as one ``(len(BOOSTS), n_dims)`` array, the
+    way the quick probe built them before it projected them one by one:
+    each job's weight once per resource, over the row's peak."""
+    base = [
+        0.15 + job.load.load_at(node.clock_s)
+        if job.is_lc and job.load is not None
+        else None
+        for job in node.jobs
+    ]
+    rows = []
+    for boost in QuickProbe.BOOSTS:
+        weights = [1.0 if b is None else boost * b for b in base]
+        peak = max(weights)
+        rows.append(
+            [w / peak for w in weights for _ in range(node.space.n_resources)]
+        )
+    return np.array(rows)
+
+
+def _reference_configs(node):
+    """The equal partition, then the old 4-row batch's projections."""
+    from repro.resources import Configuration
+
+    boosted = node.space.from_unit_cube_batch(_reference_candidates(node))
+    return [node.space.equal_partition()] + [
+        Configuration.from_matrix(m) for m in boosted.tolist()
+    ]
+
+
+class TestQuickProbeCandidateStream:
+    """The lazy candidate stream against the old 4-row batch."""
+
+    @staticmethod
+    def _distinct(configs):
+        seen = []
+        for config in configs:
+            if config not in seen:
+                seen.append(config)
+        return seen
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            lambda: _seeded_tailbench_nodes(80, seed=31),
+            lambda: _heterogeneous_nodes(60, seed=32),
+        ],
+        ids=["tailbench", "heterogeneous"],
+    )
+    def test_same_distinct_configs_in_the_same_order(self, nodes, monkeypatch):
+        from repro.resources.allocation import ConfigurationSpace
+
+        projected = []
+        original = ConfigurationSpace.from_unit_cube
+
+        def counting(space, x):
+            projected.append(1)
+            return original(space, x)
+
+        monkeypatch.setattr(ConfigurationSpace, "from_unit_cube", counting)
+        probe = QuickProbe()
+        skipped = 0
+        for seed, node_state in enumerate(nodes()):
+            node = node_state.build_node(seed=seed)
+            if not node.lc_indices:
+                continue
+            projected.clear()
+            stream = list(probe._configs(node))
+            reference = _reference_configs(node)
+            assert self._distinct(stream) == self._distinct(reference)
+            # One projection per distinct normalised weight row.
+            assert len(projected) == len(stream) - 1 <= len(QuickProbe.BOOSTS)
+            skipped += len(reference) - len(stream)
+        assert skipped > 0  # all-LC nodes repeat their boosted row
+
+    def test_same_truths_count_as_the_batch(self):
+        answers = _quick_answers(_seeded_tailbench_nodes(80, seed=33))
+        want = []
+        for seed, node_state in enumerate(_seeded_tailbench_nodes(80, seed=33)):
+            node = node_state.build_node(seed=seed)
+            if not node.lc_indices:
+                want.append((True, 0))
+                continue
+            tried = set()
+            for config in _reference_configs(node):
+                if config.flat() in tried:
+                    continue
+                tried.add(config.flat())
+                if node.qos_met(config):
+                    break
+            else:
+                want.append((False, len(tried)))
+                continue
+            want.append((True, len(tried)))
+        assert answers == want
+
+
 class _TruthQuickProbe(QuickProbe):
     """Reference quick probe: each candidate judged by a whole noise-free
     observation (``Node.true_performance(...).all_qos_met``)."""
 
     def check(self, node_state, seed):
-        from repro.resources import Configuration
-
         node = node_state.build_node(seed=seed if seed is not None else self.seed)
         if not node.lc_indices:
             return True
-        configs = [node.space.equal_partition()]
-        boosted = node.space.from_unit_cube_batch(self._candidates(node))
-        configs.extend(Configuration.from_matrix(m) for m in boosted.tolist())
         tried = set()
-        for config in configs:
+        for config in _reference_configs(node):
             if config.flat() in tried:
                 continue
             tried.add(config.flat())

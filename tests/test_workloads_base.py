@@ -1,5 +1,7 @@
 """Unit and property tests for workload profiles and sensitivity curves."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,3 +165,89 @@ def test_curve_contribution_monotone_and_bounded(weight, shape, floor, s1, s2):
     lo, hi = sorted((s1, s2))
     assert curve.contribution(lo) <= curve.contribution(hi) + 1e-12
     assert 0.0 <= curve.contribution(s1) <= 1.0 + 1e-12
+
+
+# ----------------------------------------------------------------------
+# The cached curve denominator and the unfiltered core-free multiplier,
+# each against the expression it replaced, bit for bit.
+# ----------------------------------------------------------------------
+def _reference_utility(curve, share):
+    share = min(max(share, 0.0), 1.0)
+    rise = (1.0 - math.exp(-curve.shape * share)) / (1.0 - math.exp(-curve.shape))
+    return curve.floor + (1.0 - curve.floor) * rise
+
+
+def _reference_non_core_multiplier(workload, shares):
+    filtered = {k: v for k, v in shares.items() if k != CORES}
+    result = 1.0
+    for name, curve in workload.profile.curves.items():
+        result *= _reference_utility(curve, filtered.get(name, 1.0)) ** curve.weight
+    return result
+
+
+def _catalog_workloads():
+    from dataclasses import replace
+
+    from repro.workloads.parsec import BG_NAMES, bg_workload
+    from repro.workloads.tailbench import LC_NAMES, lc_workload
+
+    with_cores = replace(
+        make_lc("cores-curve"),
+        profile=ResourceProfile(
+            {
+                LLC_WAYS: SensitivityCurve(weight=0.8, shape=2.5, floor=0.1),
+                CORES: SensitivityCurve(weight=1.3, shape=0.7, floor=0.07),
+                MEMORY_BANDWIDTH: SensitivityCurve(weight=0.4, shape=5.0),
+            }
+        ),
+    )
+    return (
+        [lc_workload(name, calibrated=False) for name in LC_NAMES]
+        + [bg_workload(name) for name in BG_NAMES]
+        + [with_cores]
+    )
+
+
+class TestCachedCurveArithmetic:
+    SHARES = (-0.3, 0.0, 1e-9, 0.1, 1 / 3, 0.5, 0.9999999, 1.0, 1.7)
+
+    @pytest.mark.parametrize("workload", _catalog_workloads(), ids=lambda w: w.name)
+    def test_utility_matches_the_old_expression(self, workload):
+        curves = list(workload.profile.curves.values()) + [workload.core_curve]
+        for curve in curves:
+            for share in self.SHARES:
+                assert curve.utility(share) == _reference_utility(curve, share)
+
+    @pytest.mark.parametrize("workload", _catalog_workloads(), ids=lambda w: w.name)
+    def test_non_core_multiplier_matches_the_filtered_dict(self, workload):
+        import numpy as np
+
+        rng = np.random.default_rng(len(workload.name))
+        names = [CORES, LLC_WAYS, MEMORY_BANDWIDTH, "memory_capacity", "disk"]
+        for _ in range(200):
+            shares = {
+                name: float(rng.uniform(-0.1, 1.1))
+                for name in names
+                if rng.random() < 0.8
+            }
+            assert workload.non_core_multiplier(
+                shares
+            ) == _reference_non_core_multiplier(workload, shares)
+
+    def test_profile_with_a_cores_curve_reads_a_full_core_share(self):
+        workload = _catalog_workloads()[-1]
+        assert CORES in workload.profile.curves
+        shares = {CORES: 0.1, LLC_WAYS: 0.3}
+        assert workload.non_core_multiplier(shares) == workload.profile.multiplier(
+            {LLC_WAYS: 0.3}
+        )
+
+    def test_cached_denominator_is_not_a_field(self):
+        from dataclasses import asdict, fields, replace
+
+        curve = SensitivityCurve(weight=0.5, shape=4.0, floor=0.2)
+        assert [f.name for f in fields(curve)] == ["weight", "shape", "floor"]
+        assert asdict(curve) == {"weight": 0.5, "shape": 4.0, "floor": 0.2}
+        assert curve == SensitivityCurve(weight=0.5, shape=4.0, floor=0.2)
+        steeper = replace(curve, shape=6.0)
+        assert steeper.utility(0.3) == _reference_utility(steeper, 0.3)
