@@ -1,14 +1,13 @@
 """repro-lint: AST-based invariant checking for the reproduction.
 
-CLITE's evaluation stands on three mechanical invariants — seed-driven
-determinism, thread-safety of whatever runs on handler threads, and
-the partition contracts of Eqs. 5-6 — and this subpackage enforces
-them statically.  A rule engine walks every module's AST, a call-graph
-pass computes what each thread entry point and event handler reaches,
-and a catalog of rules (determinism, thread-safety, contract presence,
-numerics hygiene, telemetry naming, lockset discipline, lock order)
-reports violations with stable IDs, autofix hints, and
-per-line/per-file suppression comments.
+CLITE's evaluation stands on mechanical invariants — seed-driven
+determinism, immutable cache keys, and the partition contracts of
+Eqs. 5-6 — and this subpackage enforces them statically.  A rule engine
+walks every module's AST once, and a catalog of per-module rules
+(determinism, thread-safety, contract presence, numerics hygiene,
+telemetry naming) reports violations with stable IDs, autofix hints,
+and per-line/per-file suppression comments.  Lock discipline on the
+threads that do run is checked at runtime by :mod:`repro.sanitizer`.
 
 Run it as ``repro-lint src/repro`` (console script) or through
 :func:`run_lint`.

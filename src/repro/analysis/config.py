@@ -38,32 +38,6 @@ class LintConfig:
             ``@partition_contract``.
         frozen_key_classes: Dataclass names that are used as dict/cache
             keys and therefore must be declared ``frozen=True``.
-        guarded_classes: Class names whose instances are shared across
-            threads *by design* and protect themselves with an internal
-            lock; RPL603 requires every attribute write in their methods
-            to hold a lock on all paths.
-        flow_blocking_calls: The RPL802 blocking-call registry:
-            ``"mod.fn"`` dotted names, ``".method"`` receiver-blind
-            method names (``.result``), or ``"Class.method"`` entries
-            resolved through the type oracle (physics observation).
-        flow_entrypoints: Extra loop/thread entry points for the FLOW
-            analyses as ``module.function`` or ``module.Class.method``
-            dotted names (``Thread(target=...)`` targets are discovered
-            automatically).
-        flow_longlived: Class names whose instances live as long as the
-            service; RPL805 tracks growth of their container attributes.
-        flow_bounded_containers: ``Owner.attr`` / ``module.NAME``
-            container tokens exempt from RPL805 (bounded by
-            construction, with the reason documented at the allowlist).
-        flow_shared_ok: Class names allowed to cross into worker
-            threads without registration (RPL803) — thread-safe by
-            composition.
-        flow_strict_modules: Path substrings inside which RPL804
-            enforces exception-safe release; tests may leak on assert
-            failure by design, service code may not.
-        flow_resources: Lifecycle registry as ``"Creator=rel1,rel2"``
-            entries mapping resource constructors to their release
-            methods.
     """
 
     select: Tuple[str, ...] = ()
@@ -84,61 +58,6 @@ class LintConfig:
         "DropoutDecision",
         "Resource",
         "ServerSpec",
-    )
-    guarded_classes: Tuple[str, ...] = (
-        "MetricRegistry",
-        "Counter",
-        "Gauge",
-        "Histogram",
-        "Tracer",
-        "ObservationStore",
-    )
-    flow_blocking_calls: Tuple[str, ...] = (
-        ".result",
-        ".serve_forever",
-        "Node.observe",
-        "Node.true_performance",
-        "open",
-        "os.fsync",
-        "socket.create_connection",
-        "subprocess.Popen",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.run",
-        "time.sleep",
-    )
-    flow_entrypoints: Tuple[str, ...] = (
-        "repro.telemetry.serve._MetricsHandler.do_GET",
-        "repro.warehouse.api._WarehouseHandler.do_GET",
-        "repro.warehouse.api._WarehouseHandler.do_POST",
-    )
-    flow_longlived: Tuple[str, ...] = (
-        "MetricRegistry",
-        "Node",
-        "ObservationStore",
-        "Tracer",
-    )
-    flow_bounded_containers: Tuple[str, ...] = (
-        # Metric cardinality is code-determined: the set of metric
-        # names/labels is a static property of the instrumented source,
-        # the standard Prometheus registry model.
-        "MetricRegistry._metrics",
-    )
-    flow_shared_ok: Tuple[str, ...] = (
-        # Thread-safe by composition: an immutable facade over the
-        # lock-guarded MetricRegistry/Tracer and a read-only clock.
-        "Telemetry",
-    )
-    flow_strict_modules: Tuple[str, ...] = ("repro/",)
-    flow_resources: Tuple[str, ...] = (
-        "MetricsServer=server_close,shutdown",
-        "ObservationStore=close",
-        "WarehouseAPIServer=server_close,shutdown",
-        "WarehouseFederation=close",
-        "make_api_server=server_close,shutdown",
-        "make_server=server_close,shutdown",
-        "open=close",
-        "socket.socket=close",
     )
 
     def rule_enabled(self, rule_id: str) -> bool:
@@ -187,19 +106,6 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     overrides = {}
     for key, value in table.items():
         name = key.replace("-", "_")
-        if name == "flow" and isinstance(value, dict):
-            # [tool.repro-lint.flow]: sub-keys map onto the flow_*
-            # fields.
-            for sub_key, sub_value in value.items():
-                sub_name = f"{name}_{sub_key.replace('-', '_')}"
-                where = (
-                    f"[tool.repro-lint.{key}] option {sub_key!r} "
-                    f"in {pyproject}"
-                )
-                if sub_name not in known:
-                    raise ValueError(f"unknown {where}")
-                overrides[sub_name] = _entries(sub_value, where)
-            continue
         where = f"[tool.repro-lint] option {key!r} in {pyproject}"
         if name not in known:
             raise ValueError(f"unknown {where}")

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .config import LintConfig
-    from .project import Project, Site
+    from .project import Project
 
 #: Rule families, in catalog order.
 DETERMINISM = "determinism"
@@ -16,8 +16,6 @@ THREAD_SAFETY = "thread-safety"
 CONTRACTS = "contracts"
 NUMERICS = "numerics"
 TELEMETRY = "telemetry"
-DATAFLOW = "dataflow"
-FLOW = "flow"
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,8 @@ class Rule(ABC):
     Subclasses declare a stable ``rule_id``, a ``family`` (one of the
     module-level family constants), and an ``autofix_hint`` copied onto
     every finding.  ``check`` sees the whole parsed project so rules can
-    be cross-module (the thread-safety family needs the call graph).
+    be cross-module (the contract family follows base classes across
+    modules).
     """
 
     rule_id: str = ""
@@ -78,20 +77,6 @@ class Rule(ABC):
             hint=self.autofix_hint,
         )
 
-    def finding_at(
-        self, project: "Project", site: "Site", message: str
-    ) -> Finding:
-        """Build a finding at an analysis :class:`~.project.Site`."""
-        module = project.modules.get(site.module)
-        return Finding(
-            rule_id=self.rule_id,
-            path=str(module.display_path) if module else site.module,
-            line=site.line,
-            col=site.col,
-            message=message,
-            hint=self.autofix_hint,
-        )
-
 
 #: Registry of every known rule class, keyed by rule ID.
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -113,9 +98,7 @@ def all_rules() -> Dict[str, Type[Rule]]:
     # registry is complete no matter which module was imported first.
     from . import (  # noqa: F401
         rules_contracts,
-        rules_dataflow,
         rules_determinism,
-        rules_flow,
         rules_numerics,
         rules_telemetry,
         rules_threadsafety,

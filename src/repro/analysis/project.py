@@ -10,18 +10,12 @@ families shipped here.
 from __future__ import annotations
 
 import ast
-import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-R = TypeVar("R")
 
 #: ``# repro-lint: disable=RPL101,RPL202`` (line) /
 #: ``disable-next-line=...`` / ``disable-file=...`` (whole file).
@@ -31,16 +25,6 @@ _SUPPRESS_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Site:
-    """One source location inside one function."""
-
-    module: str   # dotted module name
-    line: int
-    col: int
-    fn_key: str   # "module:qualname" of the enclosing function
-
-
 @dataclass
 class FunctionInfo:
     """One function or method definition."""
@@ -48,7 +32,6 @@ class FunctionInfo:
     module: str
     qualname: str  # "func" or "Class.method"
     node: FunctionNode
-    class_name: Optional[str] = None
 
     @property
     def key(self) -> str:
@@ -61,15 +44,6 @@ class FunctionInfo:
 
     def decorator_names(self) -> List[str]:
         return [_last_component(d) for d in self.node.decorator_list]
-
-    def site(self, node: ast.AST) -> Site:
-        """The :class:`Site` of ``node`` inside this function."""
-        return Site(
-            module=self.module,
-            line=getattr(node, "lineno", self.node.lineno),
-            col=getattr(node, "col_offset", 0),
-            fn_key=self.key,
-        )
 
 
 @dataclass
@@ -97,7 +71,6 @@ class ModuleInfo:
     path: Path
     display_path: str
     tree: ast.Module
-    source_lines: List[str]
     #: local alias -> fully qualified dotted target
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
@@ -152,88 +125,12 @@ class Project:
         for module in self.modules.values():
             yield from module.classes.values()
 
-    def lookup_method(
-        self, class_name: str, method: str, _seen: Optional[Set[str]] = None
-    ) -> Optional[FunctionInfo]:
-        """Resolve ``class_name.method`` walking base classes by name."""
-        seen = _seen if _seen is not None else set()
-        if class_name in seen:
-            return None
-        seen.add(class_name)
-        for cls in self.classes_by_name.get(class_name, ()):
-            found = cls.methods.get(method)
-            if found is not None:
-                return found
-            for base in cls.base_names:
-                found = self.lookup_method(base, method, seen)
-                if found is not None:
-                    return found
-        return None
-
-    def resolve_dotted(self, dotted: str) -> Optional[str]:
-        """``pkg.mod.fn`` / ``pkg.mod.Cls.meth`` to a function key."""
-        for module_name, module in self.modules.items():
-            if not dotted.startswith(module_name + "."):
-                continue
-            remainder = dotted[len(module_name) + 1:]
-            parts = remainder.split(".")
-            if len(parts) == 1 and parts[0] in module.functions:
-                return module.functions[parts[0]].key
-            if len(parts) == 2 and parts[0] in module.classes:
-                method = module.classes[parts[0]].methods.get(parts[1])
-                if method is not None:
-                    return method.key
-        return None
-
-    def suppressed(self, rule_id: str, site: Site) -> bool:
-        module = self.modules.get(site.module)
-        return module is not None and module.suppressed(rule_id, site.line)
-
-    def label(self, key: str) -> str:
-        """``module:qualname`` of a function key (the key if unknown)."""
-        fn = self.functions.get(key)
-        return key if fn is None else f"{fn.module}:{fn.qualname}"
-
-    def qualname(self, key: str) -> str:
-        fn = self.functions.get(key)
-        return fn.qualname if fn is not None else key.split(":")[-1]
-
     def dataclass_info(self, class_name: str) -> Optional[ClassInfo]:
         """The project's dataclass with this simple name, if unique."""
         candidates = [
             c for c in self.classes_by_name.get(class_name, ()) if c.is_dataclass
         ]
         return candidates[0] if len(candidates) == 1 else None
-
-
-_MEMO_LIMIT = 8
-
-
-def project_memo(build: Callable[..., R]) -> Callable[..., R]:
-    """Memoize ``build(project, *args)`` per parsed project and args.
-
-    A :class:`Project` is parsed once per lint run and every rule of a
-    family reads the same analysis, so the key is the project's
-    identity plus the hash of the remaining arguments (the config);
-    the stored project is compared by identity so a recycled ``id``
-    never replays another project's result.  Each memo keeps at most
-    eight entries and is cleared wholesale when full.
-    """
-    memo: Dict[Tuple[int, int], Tuple[Project, R]] = {}
-
-    @functools.wraps(build)
-    def cached(project: Project, *args: Any) -> R:
-        key = (id(project), hash(args))
-        hit = memo.get(key)
-        if hit is not None and hit[0] is project:
-            return hit[1]
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        result = build(project, *args)
-        memo[key] = (project, result)
-        return result
-
-    return cached
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +239,6 @@ def parse_module(path: Path, display_path: Optional[str] = None) -> ModuleInfo:
         path=path,
         display_path=display_path or str(path),
         tree=tree,
-        source_lines=lines,
         imports=_collect_imports(tree, name),
         file_suppressions=file_suppressions,
         line_suppressions=line_suppressions,
@@ -370,7 +266,6 @@ def parse_module(path: Path, display_path: Optional[str] = None) -> ModuleInfo:
                         module=name,
                         qualname=f"{node.name}.{item.name}",
                         node=item,
-                        class_name=node.name,
                     )
             module.classes[node.name] = cls
     return module

@@ -3,8 +3,9 @@
 Objects used as dict/cache keys must be frozen dataclasses, and frozen
 classes may only be back-doored via ``object.__setattr__`` inside
 ``__post_init__``: a key that changes hash mid-flight corrupts every
-cache keyed on it, on whatever thread reads it next.  Which values may
-cross into a thread at all is FLOW's RPL803.
+cache keyed on it, on whatever thread reads it next.  Which objects
+threads actually share, and how they lock them, is checked at runtime
+by repro-san (:mod:`repro.sanitizer`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """repro-san: runtime race and determinism sanitizer.
 
-Layer 2 of the correctness tooling (layer 1 is the static RPL6xx
-dataflow family in :mod:`repro.analysis`).  Shadow-instruments shared
-objects to detect lock-discipline violations TSan-style at runtime, and
-probes callables for hash-order-dependent output across
-``PYTHONHASHSEED`` universes.
+The thread-safety checks of the correctness tooling all run here, on the
+code as it executes.  Shadow-instruments shared objects to detect
+lock-discipline violations at runtime: data races TSan-style, and
+lock-order cycles, self-deadlocks and blocking calls under a lock
+lockdep-style.  Also probes callables for hash-order-dependent output
+across ``PYTHONHASHSEED`` universes.
 
 Usage::
 
@@ -12,7 +13,7 @@ Usage::
 
     with instrument(registry, cache) as san:
         run_workload()
-    assert san.races() == []
+    assert san.races() == [] and san.lock_reports() == []
 
 Production code registers its shared objects through
 :func:`register_shared`, which is a no-op (a single ``None`` check)
@@ -27,15 +28,24 @@ from .hashorder import (
     hash_order_probe,
 )
 from .hooks import activate, active_sanitizer, deactivate, register_shared
-from .shadow import AccessRecord, RaceReport, Sanitizer, instrument
+from .shadow import (
+    AccessRecord,
+    LockReport,
+    RaceReport,
+    Sanitizer,
+    SelfDeadlockError,
+    instrument,
+)
 
 __all__ = [
     "AccessRecord",
     "DEFAULT_HASH_SEEDS",
+    "LockReport",
     "ProbeError",
     "ProbeResult",
     "RaceReport",
     "Sanitizer",
+    "SelfDeadlockError",
     "activate",
     "active_sanitizer",
     "deactivate",

@@ -6,11 +6,10 @@ Two subcommands:
     Plays a small warehouse scenario while concurrent HTTP clients
     ``POST /submit``, ``GET /status`` and ``GET /metrics`` against a
     live control plane, under the sanitizer with a live telemetry stack,
-    and reports any lockset-empty conflicting access pairs.  The HTTP
-    control plane is the one place where threads meet the scheduler, so
-    this is the dynamic counterpart of the static RPL603 lockset rule:
-    the linter proves the lock discipline of the code it can see; the
-    sanitizer checks the discipline actually held at runtime.  The
+    and reports any lockset-empty conflicting access pairs, lock-order
+    cycles, self-deadlocks and blocking calls made under a lock.  The
+    HTTP control plane is the one place where threads meet the
+    scheduler, so this run is the gate on its lock discipline.  The
     sanitized timeline must also equal a direct, uninstrumented replay.
 
 ``repro-san probe pkg.module:function``
@@ -126,6 +125,7 @@ def _stress(args: argparse.Namespace) -> int:
             args.clients, args.requests, args.seed
         )
         races = sanitizer.races()
+        lock_reports = sanitizer.lock_reports()
         n_access = len(sanitizer.accesses())
     print(
         f"repro-san stress: {submits} submission(s) from {args.clients} "
@@ -133,23 +133,26 @@ def _stress(args: argparse.Namespace) -> int:
     )
     for race in races:
         print(f"  RACE {race.describe()}")
+    for report in lock_reports:
+        print(f"  LOCK {report.describe()}")
     failures = [f"{len(races)} race(s) detected"] if races else []
+    if lock_reports:
+        failures.append(f"{len(lock_reports)} lock report(s)")
     lost = args.clients * args.requests - submits
     if lost:
         failures.append(f"{lost} submission(s) lost")
     if timeline != reference:
         failures.append("sanitized timeline differs from the direct replay")
     print(f"repro-san: {'; '.join(failures)}" if failures else (
-        f"repro-san: no races detected; {len(timeline)} decisions match "
-        "the direct replay"
+        f"repro-san: no races detected, no lock reports; {len(timeline)} "
+        "decisions match the direct replay"
     ))
     return 1 if failures else 0
 
 
 def _probe(args: argparse.Namespace) -> int:
-    seeds = tuple(int(s) for s in args.hash_seeds.split(","))
     try:
-        result = hash_order_probe(args.target, hash_seeds=seeds)
+        result = hash_order_probe(args.target, hash_seeds=args.hash_seeds)
     except (ProbeError, ValueError) as exc:
         print(f"repro-san: error: {exc}", file=sys.stderr)
         return 2
@@ -159,6 +162,33 @@ def _probe(args: argparse.Namespace) -> int:
             print(f"  {line}")
         return 1
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a count of at least one (zero exercises nothing)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _hash_seeds(text: str) -> Tuple[int, ...]:
+    """An argparse type: two or more distinct ``PYTHONHASHSEED`` values
+    (one universe compares nothing)."""
+    try:
+        seeds = tuple(int(token) for token in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        )
+    if len(set(seeds)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"need at least two distinct seeds, got {text!r}"
+        )
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stress",
         help="hammer the HTTP control plane under the sanitizer",
     )
-    stress.add_argument("--clients", type=int, default=4,
+    stress.add_argument("--clients", type=_positive_int, default=4,
                         help="concurrent HTTP client threads")
-    stress.add_argument("--requests", type=int, default=20,
+    stress.add_argument("--requests", type=_positive_int, default=20,
                         help="submit/status/metrics rounds per client")
     stress.add_argument("--seed", type=int, default=0)
     stress.set_defaults(func=_stress)
@@ -188,8 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     probe.add_argument(
         "--hash-seeds",
-        default=",".join(str(s) for s in DEFAULT_HASH_SEEDS),
-        help="comma-separated PYTHONHASHSEED values (default: 0,1)",
+        type=_hash_seeds,
+        default=DEFAULT_HASH_SEEDS,
+        help=(
+            "comma-separated PYTHONHASHSEED values, at least two distinct "
+            "(default: 0,1)"
+        ),
     )
     probe.set_defaults(func=_probe)
     return parser

@@ -14,6 +14,21 @@ is a write and the two locksets are disjoint — the classic happens-
 before-free definition specialised to lock discipline, which is the
 only synchronisation idiom this codebase uses.
 
+The instrumented locks also keep each thread's held-lock stack and one
+lock-order graph per sanitizer (the Linux kernel's lockdep idea), so
+:meth:`Sanitizer.lock_reports` names three more lock-discipline bugs,
+each found at the acquisition or call that commits it:
+
+* an acquisition whose (held, acquired) pair closes a cycle in the
+  graph — a deadlock waiting for the wrong interleaving, even if this
+  run did not deadlock;
+* a plain ``Lock`` re-acquired by the thread that holds it, reported
+  (and raised as :class:`SelfDeadlockError`) before the acquire would
+  block forever; ``RLock`` re-entry is silent;
+* a blocking call (``time.sleep``, ``os.fsync``, ``open``) made while
+  holding an instrumented lock, which stalls every thread waiting on
+  it; :func:`instrument` wraps those calls for the length of its block.
+
 Recording is field-granular and deduplicated by ``(thread, kind,
 lockset)``, so memory stays bounded no matter how hot the access loop
 is; values are never copied or compared, which keeps same-seed runs
@@ -22,16 +37,38 @@ bit-identical with the sanitizer enabled.
 
 from __future__ import annotations
 
+import builtins
+import functools
+import io
+import os
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+    Tuple,
+)
+
+#: The one non-reentrant lock type: re-acquiring it on the holding
+#: thread deadlocks.
+_PLAIN_LOCK = type(threading.Lock())
 
 #: Lock types eligible for automatic instrumentation.
 _LOCK_TYPES = (
-    type(threading.Lock()),
+    _PLAIN_LOCK,
     type(threading.RLock()),
+)
+
+#: Calls that block the calling thread, as (module, attribute, label).
+#: Audit hooks see ``open`` but not ``time.sleep`` or ``os.fsync``, so
+#: :func:`instrument` wraps the module attributes instead.
+_BLOCKING_CALLS: Tuple[Tuple[object, str, str], ...] = (
+    (time, "sleep", "time.sleep"),
+    (os, "fsync", "os.fsync"),
+    (builtins, "open", "open"),
+    (io, "open", "open"),
 )
 
 
@@ -70,13 +107,48 @@ class RaceReport:
         )
 
 
+@dataclass(frozen=True)
+class LockReport:
+    """One lock-discipline violation seen at acquisition or call time.
+
+    ``kind`` is ``"cycle"`` (``locks`` runs round the cycle, the last
+    one ordered before the first), ``"self-deadlock"`` (``locks`` is
+    the re-acquired lock) or ``"blocking"`` (``locks`` is what the
+    thread held when it made ``call``).
+    """
+
+    kind: str
+    locks: Tuple[str, ...]
+    thread: str
+    call: str = ""
+
+    def describe(self) -> str:
+        if self.kind == "cycle":
+            chain = " -> ".join(self.locks + self.locks[:1])
+            return f"lock-order cycle {chain}, closed on thread {self.thread}"
+        if self.kind == "self-deadlock":
+            return (
+                f"self-deadlock: thread {self.thread} re-acquired the "
+                f"non-reentrant {self.locks[0]} it already holds"
+            )
+        return (
+            f"blocking call {self.call} on thread {self.thread} holding "
+            f"{', '.join(self.locks)}"
+        )
+
+
+class SelfDeadlockError(RuntimeError):
+    """A thread asked for a plain lock it already holds."""
+
+
 class _InstrumentedLock:
-    """Delegating lock wrapper that maintains the per-thread held-set.
+    """Delegating lock wrapper that maintains the per-thread held stack.
 
     Reentrant acquisitions (RLocks re-taken by self-guarding helpers)
-    are depth-counted per thread: the token leaves the held-set only
+    are depth-counted per thread: the token leaves the held stack only
     when the outermost hold releases, so code running between an inner
-    release and the outer one is still seen as holding the lock.
+    release and the outer one is still seen as holding the lock.  An
+    outermost acquisition first feeds the sanitizer's lock-order graph.
     """
 
     def __init__(self, sanitizer: "Sanitizer", token: str, inner: Any) -> None:
@@ -85,11 +157,20 @@ class _InstrumentedLock:
         self._inner = inner
         self._depth = threading.local()
 
-    def acquire(self, *args: Any, **kwargs: Any) -> bool:
-        acquired = self._inner.acquire(*args, **kwargs)
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        depth = getattr(self._depth, "n", 0)
+        if depth == 0:
+            self._sanitizer._note_acquire(self._token)
+        elif type(self._inner) is _PLAIN_LOCK and blocking and timeout < 0:
+            self._sanitizer._report_self_deadlock(self._token)
+            raise SelfDeadlockError(
+                f"{self._token} is already held by this thread"
+            )
+        acquired = self._inner.acquire(blocking, timeout)
         if acquired:
-            self._depth.n = getattr(self._depth, "n", 0) + 1
-            self._sanitizer._held().add(self._token)
+            self._depth.n = depth + 1
+            if depth == 0:
+                self._sanitizer._held().append(self._token)
         return bool(acquired)
 
     def release(self) -> None:
@@ -97,7 +178,9 @@ class _InstrumentedLock:
         depth = getattr(self._depth, "n", 1) - 1
         self._depth.n = depth
         if depth <= 0:
-            self._sanitizer._held().discard(self._token)
+            held = self._sanitizer._held()
+            if self._token in held:  # at most once: pushed at depth 0
+                held.remove(self._token)
 
     def locked(self) -> bool:
         return bool(self._inner.locked())
@@ -381,12 +464,18 @@ class Sanitizer:
         #: restore info: (object, original class, {attr: original lock})
         self._watched: List[Tuple[object, type, Dict[str, object]]] = []
         self._names: Dict[int, str] = {}
+        #: lock-order graph: lock -> locks first acquired while it was held
+        self._order: Dict[str, Set[str]] = {}
+        self._lock_reports: Dict[Tuple[str, Tuple[str, ...], str], LockReport] = {}
+        #: originals of the wrapped blocking calls, while wrapped
+        self._unwrapped: List[Tuple[object, str, Callable[..., Any]]] = []
 
     # -- thread-local state ---------------------------------------------
-    def _held(self) -> set:
+    def _held(self) -> List[str]:
+        """This thread's held instrumented locks, outermost first."""
         held = getattr(self._tls, "held", None)
         if held is None:
-            held = set()
+            held = []
             self._tls.held = held
         return held
 
@@ -407,6 +496,85 @@ class Sanitizer:
                 per_field[key] = per_field.get(key, 0) + 1
         finally:
             self._tls.busy = False
+
+    # -- lock order -------------------------------------------------------
+    def _note_acquire(self, token: str) -> None:
+        """Add (held, ``token``) edges; report each one that closes a cycle."""
+        held = self._held()
+        if not held:
+            return
+        thread = threading.current_thread().name
+        with self._lock:
+            for prior in dict.fromkeys(held):
+                edges = self._order.setdefault(prior, set())
+                if token in edges:
+                    continue
+                back = self._order_path(token, prior)
+                edges.add(token)
+                if back is not None:
+                    self._add_report(LockReport(
+                        "cycle", (prior, *back[:-1]), thread
+                    ))
+
+    def _order_path(self, start: str, goal: str) -> Optional[List[str]]:
+        """A path ``start`` ->* ``goal`` in the order graph, or None."""
+        parents: Dict[str, str] = {start: start}
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            if node == goal:
+                path = [node]
+                while node != start:
+                    node = parents[node]
+                    path.append(node)
+                return path[::-1]
+            for nxt in sorted(self._order.get(node, ())):
+                if nxt not in parents:
+                    parents[nxt] = node
+                    frontier.append(nxt)
+        return None
+
+    def _report_self_deadlock(self, token: str) -> None:
+        with self._lock:
+            self._add_report(LockReport(
+                "self-deadlock", (token,), threading.current_thread().name
+            ))
+
+    def _add_report(self, report: LockReport) -> None:
+        self._lock_reports.setdefault(
+            (report.kind, report.locks, report.call), report
+        )
+
+    # -- blocking calls ---------------------------------------------------
+    def _wrap_blocking_calls(self) -> None:
+        """Report every blocking call made under an instrumented lock
+        until :meth:`_unwrap_blocking_calls`."""
+        for module, attr, label in _BLOCKING_CALLS:
+            original = getattr(module, attr)
+            self._unwrapped.append((module, attr, original))
+            setattr(module, attr, self._blocking_wrapper(label, original))
+
+    def _unwrap_blocking_calls(self) -> None:
+        while self._unwrapped:
+            module, attr, original = self._unwrapped.pop()
+            setattr(module, attr, original)
+
+    def _blocking_wrapper(
+        self, label: str, call: Callable[..., Any]
+    ) -> Callable[..., Any]:
+        @functools.wraps(call)
+        def blocking(*args: Any, **kwargs: Any) -> Any:
+            held = getattr(self._tls, "held", None)
+            if held:
+                report = LockReport(
+                    "blocking", tuple(held),
+                    threading.current_thread().name, label,
+                )
+                with self._lock:
+                    self._add_report(report)
+            return call(*args, **kwargs)
+
+        return blocking
 
     # -- watching --------------------------------------------------------
     def watch(
@@ -548,6 +716,12 @@ class Sanitizer:
                     reports.append(RaceReport(obj_name, fld, first, second))
         return reports
 
+    def lock_reports(self) -> List[LockReport]:
+        """Every lock-order cycle, self-deadlock and blocking-under-lock
+        call seen so far, in a stable order."""
+        with self._lock:
+            return [self._lock_reports[key] for key in sorted(self._lock_reports)]
+
 
 @contextmanager
 def instrument(
@@ -560,12 +734,14 @@ def instrument(
 
     Also activates the global hook registry (:mod:`.hooks`), so shared
     objects constructed *inside* the block — registries, caches, node
-    state — self-register via their no-op-by-default hooks.
+    state — self-register via their no-op-by-default hooks, and wraps
+    the blocking calls so one made under a watched lock is reported.
     """
     from . import hooks
 
     sanitizer = Sanitizer()
     hooks.activate(sanitizer)
+    sanitizer._wrap_blocking_calls()
     try:
         for i, obj in enumerate(objects):
             name = names[i] if i < len(names) else None
@@ -577,5 +753,6 @@ def instrument(
             )
         yield sanitizer
     finally:
+        sanitizer._unwrap_blocking_calls()
         hooks.deactivate()
         sanitizer.restore()

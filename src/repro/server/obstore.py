@@ -396,7 +396,6 @@ class ObservationStore:
                 # Durability by design: the append handle must open under
                 # the lock so concurrent first-appends cannot double-write
                 # the header.
-                # repro-lint: disable-next-line=RPL802
                 self._fh = open(self.path, mode, encoding="utf-8")
                 if fresh:
                     self._fh.write(self._header_line() + "\n")
@@ -435,7 +434,6 @@ class ObservationStore:
                 # Durability by design: compaction must snapshot the maps
                 # and swap the file while no concurrent put can interleave;
                 # the pause is the compaction cost in bench_perf.py.
-                # repro-lint: disable-next-line=RPL802
                 with open(tmp, "w", encoding="utf-8") as out:
                     out.write(self._header_line() + "\n")
                     for key, jobs in self._entries.items():
@@ -445,7 +443,6 @@ class ObservationStore:
                     out.flush()
                     # Durability by design: fsync before the atomic
                     # os.replace is the crash guarantee.
-                    # repro-lint: disable-next-line=RPL802
                     os.fsync(out.fileno())
                 if self._fh is not None:
                     self._fh.close()
@@ -553,7 +550,6 @@ class ObservationStore:
                 self._fh.flush()
                 # Durability by design: flush() promises the data is on
                 # disk when it returns.
-                # repro-lint: disable-next-line=RPL802
                 os.fsync(self._fh.fileno())
 
     def close(self) -> None:

@@ -2,7 +2,7 @@
 
 A :class:`MetricRegistry` hands out named instruments and snapshots
 them.  All instruments are thread-safe: creation is serialized on the
-registry lock and every update on the owning instrument's lock, so
+registry lock and every update and read on the owning instrument's lock, so
 ``GET /metrics`` scrapes on HTTP handler threads never see a half-made
 instrument and concurrent writers never lose increments.
 
@@ -57,7 +57,8 @@ class Counter:
 
     @property
     def value(self) -> float:
-        return self._value
+        with self._lock:
+            return self._value
 
     def add(self, amount: Union[int, float] = 1) -> None:
         if amount < 0:
@@ -77,7 +78,8 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        return self._value
+        with self._lock:
+            return self._value
 
     def set(self, value: Union[int, float]) -> None:
         with self._lock:
@@ -117,11 +119,13 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        return self._count
+        with self._lock:
+            return self._count
 
     @property
     def sum(self) -> float:
-        return self._sum
+        with self._lock:
+            return self._sum
 
     def observe(self, value: Union[int, float]) -> None:
         value = float(value)
@@ -139,26 +143,30 @@ class Histogram:
 
     def bucket_counts(self) -> Tuple[int, ...]:
         """Per-bucket counts, overflow last (not cumulative)."""
-        return tuple(self._counts)
+        with self._lock:
+            return tuple(self._counts)
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (0 < q <= 1); NaN when empty."""
         if not 0 < q <= 1:
             raise ValueError("quantile must be in (0, 1]")
-        if self._count == 0:
+        with self._lock:
+            counts, n = tuple(self._counts), self._count
+            low, high = self._min, self._max
+        if n == 0:
             return float("nan")
-        target = q * self._count
+        target = q * n
         cumulative = 0
-        lower = self._min
+        lower = low
         for i, bound in enumerate(self.bounds):
-            in_bucket = self._counts[i]
+            in_bucket = counts[i]
             if cumulative + in_bucket >= target and in_bucket > 0:
                 fraction = (target - cumulative) / in_bucket
                 estimate = lower + fraction * (bound - lower)
-                return min(max(estimate, self._min), self._max)
+                return min(max(estimate, low), high)
             cumulative += in_bucket
             lower = bound
-        return self._max
+        return high
 
     @property
     def p50(self) -> float:
@@ -198,6 +206,12 @@ class MetricRegistry:
                     )
                 instrument = kind(name, labels=key[1], **kwargs)
                 self._metrics[key] = instrument
+                # Scrapes read instruments on handler threads while the
+                # driver updates them: each one is a shared object.
+                register_shared(
+                    instrument,
+                    name=f"{render_series(name, key[1])}@{id(instrument):x}",
+                )
             elif not isinstance(instrument, kind):
                 raise ValueError(
                     f"metric {name!r} already registered as "

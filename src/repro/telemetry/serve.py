@@ -24,6 +24,7 @@ import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterable, Tuple
 
+from ..sanitizer.hooks import register_shared
 from .export import prometheus_text
 from .metrics import MetricRegistry
 
@@ -113,6 +114,8 @@ class MetricsServer(ThreadingHTTPServer):
     ) -> None:
         super().__init__(address, _MetricsHandler)
         self.registry = registry
+        # Shared by the serve_forever thread and its handler threads.
+        register_shared(self, name=f"MetricsServer@{id(self):x}")
 
     @property
     def port(self) -> int:

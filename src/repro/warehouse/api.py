@@ -15,9 +15,9 @@ Handlers run on server threads while the scheduler runs the event loop
 on the driver thread, and the scheduler core is deliberately
 single-threaded.  The :class:`ServiceGateway` is the only object both
 sides touch: handlers *enqueue* commands and *read* the last published
-status under a lock that is never held across blocking work (the
-RPL802 discipline); the driver drains the inbox and publishes a fresh
-snapshot between ``run_until`` slices.  The scheduler itself never sees
+status under a lock that is never held across blocking work (repro-san
+reports a blocking call made under it); the driver drains the inbox and
+publishes a fresh snapshot between ``run_until`` slices.  The scheduler itself never sees
 another thread.
 """
 

@@ -3,7 +3,7 @@ hash-order probe targets.
 
 Lives under ``lint_fixtures`` so the repo-wide lint sweep skips it —
 the whole point of :class:`RacyAccumulator` is to violate the lock
-discipline the linter enforces.
+discipline repro-san checks.
 """
 
 import threading
@@ -20,7 +20,7 @@ class RacyAccumulator:
 
     def bump_unguarded(self, n=100):
         for _ in range(n):
-            self.unguarded += 1  # repro-lint: disable=RPL603
+            self.unguarded += 1
 
     def bump_guarded(self, n=100):
         for _ in range(n):
@@ -30,7 +30,7 @@ class RacyAccumulator:
     def peek_unguarded(self):
         total = 0
         for _ in range(100):
-            total += self.unguarded  # repro-lint: disable=RPL603
+            total += self.unguarded
         return total
 
     def read_shared(self):

@@ -76,6 +76,20 @@ class TestCommands:
         assert "QoS met: True" in out
         assert "partition" in out
 
+    def test_run_obstore_replays_and_closes(self, tmp_path, capsys):
+        """A second identical run replays every truth from the store, and
+        each run closes it (a leaked append handle fails the suite as a
+        ResourceWarning)."""
+        argv = [
+            "run", "--lc", "memcached:0.2", "--bg", "swaptions",
+            "--policy", "PARTIES", "--budget", "30",
+            "--obstore", str(tmp_path / "obs.jsonl"),
+        ]
+        assert main(argv) == 0
+        assert " 0 hits, " in capsys.readouterr().out
+        assert main(argv) == 0
+        assert " 0 misses, " in capsys.readouterr().out
+
     def test_run_requires_jobs(self):
         with pytest.raises(SystemExit, match="at least one"):
             main(["run"])

@@ -168,11 +168,11 @@ class TestVerifyNode:
             return [verify_node(s, FAST_ENGINE, 0, store=store) for s in states]
 
         baseline = verify_all()
-        store = ObservationStore(tmp_path / "verify.jsonl")
-        assert verify_all(store) == baseline
-        warm_misses = store.stats().misses
-        cold_verdict_hits = store.stats().verdict_hits
-        assert verify_all(store) == baseline
+        with ObservationStore(tmp_path / "verify.jsonl") as store:
+            assert verify_all(store) == baseline
+            warm_misses = store.stats().misses
+            cold_verdict_hits = store.stats().verdict_hits
+            assert verify_all(store) == baseline
         # The second round replays the verdicts the first round
         # published: every node is a memo hit and no physics runs.
         assert store.stats().verdict_hits - cold_verdict_hits == len(states)

@@ -128,11 +128,11 @@ class TestRoundTrip:
 
 class TestLRUBounds:
     def test_eviction_at_capacity(self, mini_server, store_path):
-        store = ObservationStore(store_path, max_entries=5)
-        node = make_node(mini_server, store=store)
-        sweep(node, n=12)
-        assert len(store) == 5
-        assert store.stats().evictions == 12 - 5
+        with ObservationStore(store_path, max_entries=5) as store:
+            node = make_node(mini_server, store=store)
+            sweep(node, n=12)
+            assert len(store) == 5
+            assert store.stats().evictions == 12 - 5
 
     def test_capacity_enforced_on_reload(self, mini_server, store_path):
         with ObservationStore(store_path) as store:
@@ -141,13 +141,13 @@ class TestLRUBounds:
         assert len(small) == 3
 
     def test_get_refreshes_recency(self, store_path):
-        store = ObservationStore(store_path, max_entries=2)
-        store.put("fp", (1,), (0.1,), ())
-        store.put("fp", (2,), (0.1,), ())
-        assert store.get("fp", (1,), (0.1,)) is not None  # refresh (1,)
-        store.put("fp", (3,), (0.1,), ())  # evicts (2,), not (1,)
-        assert store.get("fp", (1,), (0.1,)) is not None
-        assert store.get("fp", (2,), (0.1,)) is None
+        with ObservationStore(store_path, max_entries=2) as store:
+            store.put("fp", (1,), (0.1,), ())
+            store.put("fp", (2,), (0.1,), ())
+            assert store.get("fp", (1,), (0.1,)) is not None  # refresh (1,)
+            store.put("fp", (3,), (0.1,), ())  # evicts (2,), not (1,)
+            assert store.get("fp", (1,), (0.1,)) is not None
+            assert store.get("fp", (2,), (0.1,)) is None
 
     def test_invalid_capacity_rejected(self, store_path):
         with pytest.raises(ValueError, match="max_entries"):
@@ -267,11 +267,11 @@ class TestCorruptionTolerance:
 
 class TestCompaction:
     def test_file_stays_bounded(self, mini_server, store_path):
-        store = ObservationStore(store_path, max_entries=4)
-        node = make_node(mini_server, store=store)
-        sweep(node, n=40, rng_seed=1)
-        sweep(make_node(mini_server, store=store), n=40, rng_seed=2)
-        store.flush()
+        with ObservationStore(store_path, max_entries=4) as store:
+            node = make_node(mini_server, store=store)
+            sweep(node, n=40, rng_seed=1)
+            sweep(make_node(mini_server, store=store), n=40, rng_seed=2)
+            store.flush()
         lines = store_path.read_text().splitlines()
         # Compaction keeps the file at header + live entries, never the
         # full append history.
@@ -289,7 +289,6 @@ class TestCompaction:
 
 class TestConcurrency:
     def test_parallel_puts_and_gets(self, store_path):
-        store = ObservationStore(store_path, max_entries=64)
         errors = []
 
         def worker(base):
@@ -300,11 +299,14 @@ class TestConcurrency:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with ObservationStore(store_path, max_entries=64) as store:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         assert not errors
         assert len(store) == 64
 

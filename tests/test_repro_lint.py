@@ -210,152 +210,6 @@ class TestTelemetryRules:
 
 
 # ----------------------------------------------------------------------
-# Dataflow family (per-path locksets)
-# ----------------------------------------------------------------------
-class TestDataflowRules:
-    GUARDED = dict(guarded_classes=("GuardedCache",))
-
-    def test_bad_fixture_triggers_rpl603(self):
-        findings = lint_fixture("dataflow_bad.py", **self.GUARDED)
-        assert "RPL603" in set(rule_ids(findings))
-
-    def test_good_fixture_is_clean(self):
-        findings = lint_fixture("dataflow_good.py", **self.GUARDED)
-        assert [f for f in findings if f.rule_id.startswith("RPL6")] == [], (
-            render_text(findings)
-        )
-
-    def test_rpl603_unlocked_and_one_branch_writes(self):
-        findings = lint_fixture(
-            "dataflow_bad.py", select=("RPL603",), **self.GUARDED
-        )
-        assert len(findings) == 2
-        assert all("GuardedCache" in f.message for f in findings)
-
-    def test_rpl603_respects_both_branch_acquire(self):
-        """dataflow_good's ``branchy`` acquires on both arms of the if;
-        the per-path intersection must treat the join as locked."""
-        findings = lint_fixture(
-            "dataflow_good.py", select=("RPL603",), **self.GUARDED
-        )
-        assert findings == [], render_text(findings)
-
-    def test_rpl603_disabled_outside_guarded_classes(self):
-        # Without the GuardedCache override, the default guarded set
-        # (MetricRegistry & co.) matches nothing in the fixture.
-        findings = lint_fixture("dataflow_bad.py", select=("RPL603",))
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# Flow family (RPL8xx)
-# ----------------------------------------------------------------------
-class TestFlowRules:
-    FLOW_IDS = ("RPL801", "RPL802", "RPL803", "RPL804", "RPL805")
-
-    #: Lifecycle is src-scoped by default; the fixture corpus opts in
-    #: with an everywhere-matching strict prefix and retargets the
-    #: long-lived class list at the fixture's own classes.
-    OVERRIDES = dict(
-        select=FLOW_IDS,
-        flow_strict_modules=("",),
-        flow_longlived=("EventLog", "BoundedLog"),
-    )
-
-    def test_bad_fixture_triggers_all_five_rules(self):
-        findings = lint_fixture("flow_bad.py", **self.OVERRIDES)
-        assert sorted(set(rule_ids(findings))) == sorted(self.FLOW_IDS), (
-            render_text(findings)
-        )
-
-    def test_good_fixture_is_clean(self):
-        findings = lint_fixture("flow_good.py", **self.OVERRIDES)
-        assert findings == [], render_text(findings)
-
-    def test_rpl801_names_the_full_cycle(self):
-        findings = lint_fixture(
-            "flow_bad.py", **{**self.OVERRIDES, "select": ("RPL801",)}
-        )
-        assert len(findings) == 1
-        assert "OrderA._lock" in findings[0].message
-        assert "OrderB._lock" in findings[0].message
-
-    def test_rpl802_direct_and_interprocedural(self):
-        findings = lint_fixture(
-            "flow_bad.py", **{**self.OVERRIDES, "select": ("RPL802",)}
-        )
-        messages = [f.message for f in findings]
-        assert any(
-            m.startswith("blocking call time.sleep") for m in messages
-        )
-        assert any("'Chatty._drain'" in m for m in messages)
-
-    def test_rpl803_names_value_and_class(self):
-        findings = lint_fixture(
-            "flow_bad.py", **{**self.OVERRIDES, "select": ("RPL803",)}
-        )
-        assert any(
-            "'state'" in f.message and "RequestState" in f.message
-            for f in findings
-        )
-
-    def test_rpl804_distinguishes_leak_kinds(self):
-        findings = lint_fixture(
-            "flow_bad.py", **{**self.OVERRIDES, "select": ("RPL804",)}
-        )
-        messages = " | ".join(f.message for f in findings)
-        assert "never released" in messages
-        assert "exception paths" in messages
-        assert "finally" in messages
-
-    def test_rpl804_skipped_outside_strict_modules(self):
-        findings = lint_fixture(
-            "flow_bad.py",
-            **{**self.OVERRIDES, "flow_strict_modules": ("src/repro/",)},
-        )
-        assert "RPL804" not in set(rule_ids(findings))
-
-    def test_rpl805_names_container_and_entry(self):
-        findings = lint_fixture(
-            "flow_bad.py", **{**self.OVERRIDES, "select": ("RPL805",)}
-        )
-        containers = {f.message.split()[1] for f in findings}
-        assert any(c.endswith(".EVENTS") for c in containers)
-        assert "EventLog.entries" in containers
-        assert all("reachable from loop entry" in f.message for f in findings)
-
-    def test_rpl805_allowlist_silences_container(self):
-        findings = lint_fixture(
-            "flow_bad.py",
-            **{
-                **self.OVERRIDES,
-                "select": ("RPL805",),
-                "flow_bounded_containers": (
-                    "lint_fixtures.flow_bad.EVENTS",
-                    "EventLog.entries",
-                ),
-            },
-        )
-        assert findings == [], render_text(findings)
-
-    def test_suppression_silences_flow_finding(self, tmp_path):
-        snippet = tmp_path / "suppressed_flow.py"
-        snippet.write_text(
-            "import threading\n"
-            "import time\n"
-            "class Noisy:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def tick(self):\n"
-            "        with self._lock:\n"
-            "            # repro-lint: disable-next-line=RPL802\n"
-            "            time.sleep(0.01)\n"
-        )
-        findings = run_lint([snippet], fixture_config(select=("RPL802",)))
-        assert findings == [], render_text(findings)
-
-
-# ----------------------------------------------------------------------
 # Suppressions, config, reporters
 # ----------------------------------------------------------------------
 class TestSuppressionsAndConfig:
@@ -377,6 +231,17 @@ class TestSuppressionsAndConfig:
         without = lint_fixture("determinism_bad.py", ignore=("RPL103",))
         assert "RPL103" not in rule_ids(without)
 
+    def test_config_fields(self):
+        """Seven fields: rule selection plus the shapes the per-module
+        rules read."""
+        from dataclasses import fields
+
+        assert [f.name for f in fields(LintConfig)] == [
+            "select", "ignore", "hot_path", "policy_bases",
+            "optimizer_classes", "partition_constructors",
+            "frozen_key_classes",
+        ]
+
     def test_pyproject_table_overrides(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
             '[tool.repro-lint]\nhot-path = ["custom/"]\nignore = ["RPL103"]\n'
@@ -385,30 +250,12 @@ class TestSuppressionsAndConfig:
         assert config.hot_path == ("custom/",)
         assert config.ignore == ("RPL103",)
 
-    def test_flow_table_overrides(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint.flow]\nlonglived = ["EventLog"]\n'
-        )
-        config = load_config(tmp_path / "module.py")
-        assert config.flow_longlived == ("EventLog",)
-
     @staticmethod
     def _assert_rejected(tmp_path, cases):
         for table, key in cases:
             (tmp_path / "pyproject.toml").write_text(table)
             with pytest.raises(ValueError, match=repr(key)):
                 load_config(tmp_path / "module.py")
-
-    def test_unknown_flow_key_rejected(self, tmp_path):
-        self._assert_rejected(tmp_path, [
-            (
-                '[tool.repro-lint.flow]\nlong-lived = ["EventLog"]\n',
-                "long-lived",
-            ),
-            # Values are lists: a string would be iterated by character.
-            ('[tool.repro-lint.flow]\nlonglived = "Node"\n', "longlived"),
-            ('[tool.repro-lint.flow.resources]\n"A" = "close"\n', "resources"),
-        ])
 
     def test_unknown_config_key_rejected(self, tmp_path):
         self._assert_rejected(tmp_path, [
@@ -418,7 +265,7 @@ class TestSuppressionsAndConfig:
             ('[tool.repro-lint]\nhot-path = "custom/"\n', "hot-path"),
             ('[tool.repro-lint]\nignore = "RPL103"\n', "ignore"),
             ("[tool.repro-lint]\nselect = 1\n", "select"),
-            # Only flow holds a nested table.
+            # No option holds a nested table.
             ('[tool.repro-lint.hot-path]\n"a" = "b"\n', "hot-path"),
             ('[tool.repro-lint.units]\n"f.return" = "Millis"\n', "units"),
             ('[tool.repro-lint.pure]\nregistry = ["m.f"]\n', "pure"),
@@ -426,6 +273,11 @@ class TestSuppressionsAndConfig:
             ('[tool.repro-lint.cost.budgets]\n"m.f" = "small"\n', "cost"),
             # Retired with RPL602.
             ('[tool.repro-lint]\nclock-classes = ["T"]\n', "clock-classes"),
+            # Retired with FLOW and RPL603.
+            ('[tool.repro-lint.flow]\nlonglived = ["EventLog"]\n', "flow"),
+            ('[tool.repro-lint.flow.resources]\n"A" = "close"\n', "flow"),
+            ('[tool.repro-lint]\nguarded-classes = ["C"]\n', "guarded-classes"),
+            ('[tool.repro-lint]\nflow-longlived = ["C"]\n', "flow-longlived"),
         ])
 
 
@@ -467,8 +319,6 @@ class TestRegistryAndRepoTree:
         "RPL302", "RPL303", "RPL304",
         "RPL401", "RPL402",
         "RPL501", "RPL502",
-        "RPL603",
-        "RPL801", "RPL802", "RPL803", "RPL804", "RPL805",
     }
 
     def test_registry_is_complete(self):
@@ -529,7 +379,7 @@ class TestCLI:
     def test_clean_tree_exits_zero(self):
         # A small clean subtree: the whole package's verdict is
         # test_whole_repo_lints_clean's job.
-        result = run_cli(str(PACKAGE / "resources"), "--no-cache")
+        result = run_cli(str(PACKAGE / "resources"))
         assert result.returncode == 0, result.stdout + result.stderr
         assert "clean" in result.stdout
 
@@ -560,10 +410,28 @@ class TestCLI:
         retired = (
             "UNITS", "PURE", "RPL901", "RPL1004", "RPL201",
             "RPL601", "RPL602", "COST", "RPL1001", "RPL1005", "RPL301",
+            "FLOW", "dataflow", "RPL603",
+            "RPL801", "RPL802", "RPL803", "RPL804", "RPL805",
         )
         for token in retired:
             assert cli_main([str(PACKAGE), "--select", token]) == 2, token
             assert f"unknown rule id(s): {token}" in capsys.readouterr().err
+
+    def test_retired_options_are_usage_errors(self, capsys):
+        """The incremental cache and the ``report`` subcommand are gone:
+        their flags are unknown, and ``report`` is no lintable path."""
+        for argv in (
+            [str(PACKAGE), "--no-cache"],
+            [str(PACKAGE), "--cache-file", "x.json"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(argv)
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert cli_main(["report", "flow", str(PACKAGE)]) == 2
+        assert "not a Python file or directory: report" in (
+            capsys.readouterr().err
+        )
 
     def test_missing_path_exits_two(self):
         result = run_cli(str(REPO_ROOT / "no_such_file.txt"))

@@ -253,6 +253,7 @@ class TestServeEndpoint:
                 urllib.request.urlopen(
                     f"http://127.0.0.1:{server.port}/nope", timeout=5
                 )
+            excinfo.value.close()  # the error carries the open response
             assert excinfo.value.code == 404
         finally:
             server.shutdown()

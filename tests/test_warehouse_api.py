@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
+from collections import deque
 
 import pytest
 
@@ -124,15 +126,24 @@ def api_server():
         thread.join(timeout=5.0)
 
 
+def _open(request):
+    """``urlopen``, closing the response an HTTP error carries."""
+    try:
+        return urllib.request.urlopen(request, timeout=5.0)
+    except urllib.error.HTTPError as error:
+        error.close()
+        raise
+
+
 def _get(url):
-    with urllib.request.urlopen(url, timeout=5.0) as response:
+    with _open(url) as response:
         return response.status, response.read()
 
 
 def _post(url, payload):
     body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
     request = urllib.request.Request(url, data=body, method="POST")
-    with urllib.request.urlopen(request, timeout=5.0) as response:
+    with _open(request) as response:
         return response.status, json.loads(response.read())
 
 
@@ -192,6 +203,125 @@ class TestHTTPEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(f"{server.url}/reboot", {})
         assert err.value.code == 404
+
+
+def _retained_sizes(*owners):
+    """``len()`` of every container a served request could leave behind.
+
+    That is each container attribute of the long-lived control-plane
+    objects, and each module-level container of every loaded ``repro``
+    module.
+    """
+    containers = (list, dict, set, deque)
+    sizes = {}
+    for owner in owners:
+        for attr, value in vars(owner).items():
+            if isinstance(value, containers):
+                sizes[f"{type(owner).__name__}.{attr}"] = len(value)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "repro":
+            continue
+        for attr, value in list(vars(module).items()):
+            if isinstance(value, containers):
+                sizes[f"{name}.{attr}"] = len(value)
+    return sizes
+
+
+class TestRequestFootprint:
+    """A long-lived control plane must not grow with its traffic: after
+    a warm-up, N more requests of every kind leave every container the
+    size it was (``TestFleetSizeIndependence``'s idea, for requests)."""
+
+    @staticmethod
+    def _traffic(gateway, server, n):
+        for i in range(n):
+            _get(f"{server.url}/status")
+            _get(f"{server.url}/metrics")
+            _post(f"{server.url}/submit", {"workload": "canneal", "name": f"bg-{i}"})
+            _post(f"{server.url}/depart", {"name": f"bg-{i}"})
+            with pytest.raises(urllib.error.HTTPError):
+                _get(f"{server.url}/nope")
+            with pytest.raises(urllib.error.HTTPError):
+                _post(f"{server.url}/submit", {"workload": "nope"})
+        assert len(gateway.drain()) == 2 * n
+
+    def _growth(self, gateway, server):
+        """Containers whose size moved between N and 2N requests."""
+        owners = (server, gateway, server.registry)
+        self._traffic(gateway, server, 8)  # first-use caches fill here
+        after_n = _retained_sizes(*owners)
+        self._traffic(gateway, server, 8)
+        after_2n = _retained_sizes(*owners)
+        return sorted(
+            name for name in after_n.keys() | after_2n.keys()
+            if after_n.get(name) != after_2n.get(name)
+        )
+
+    def test_n_and_2n_requests_leave_the_same_sizes(self, api_server):
+        gateway, server = api_server
+        assert self._growth(gateway, server) == []
+
+    @pytest.mark.parametrize("owner", ["gateway", "module"])
+    def test_a_handler_that_keeps_every_request_is_caught(
+        self, owner, monkeypatch
+    ):
+        """The bug the check exists for: a handler appending each request
+        to a list on a long-lived object grows without bound."""
+        from repro.warehouse import api
+
+        seen = []
+        if owner == "module":
+            monkeypatch.setattr(api, "SEEN_PATHS", seen, raising=False)
+        do_get = api._WarehouseHandler.do_GET
+
+        def remembering_get(handler):
+            seen.append(handler.path)
+            do_get(handler)
+
+        monkeypatch.setattr(api._WarehouseHandler, "do_GET", remembering_get)
+        telemetry = Telemetry.enabled()
+        gateway = ServiceGateway()
+        if owner == "gateway":
+            gateway.seen = seen
+        server = make_api_server(gateway, telemetry.metrics)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            grown = self._growth(gateway, server)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+        assert grown == (
+            ["ServiceGateway.seen"] if owner == "gateway"
+            else ["repro.warehouse.api.SEEN_PATHS"]
+        )
+
+    def test_n_and_2n_scrapes_leave_the_same_sizes(self):
+        """The standalone metrics endpoint holds no per-request state
+        either."""
+        from repro.telemetry.serve import make_server
+
+        telemetry = Telemetry.enabled()
+        telemetry.metrics.counter("warehouse.arrivals").add(2)
+        server = make_server(telemetry.metrics)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+
+        def scrape(n):
+            for _ in range(n):
+                assert _get(server.url)[0] == 200
+                with pytest.raises(urllib.error.HTTPError):
+                    _get(server.url.replace("/metrics", "/nope"))
+            return _retained_sizes(server, server.registry)
+
+        try:
+            after_n = scrape(8)
+            assert scrape(8) == after_n
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
 
 
 def _raw_post(server, path, body, content_length):
