@@ -376,34 +376,34 @@ class IndexFreeService(WarehouseService):
     """The pre-index read paths: full-fleet candidate scans for
     admission and the recheck walking every used node — the code the
     density buckets and the dirty-set recheck replaced.  Only the two
-    scan-shaped readers are restored; commits still maintain the
-    (unused) indices, so the comparison isolates exactly what the
-    buckets buy."""
+    scan-shaped readers are restored, reading nodes through the event's
+    plan; ``_apply`` still maintains the (unused) indices, so the
+    comparison isolates exactly what the buckets buy."""
 
-    def _find_target(self, job, t, exclude=frozenset()):
+    def _find_target(self, plan, job, exclude=frozenset()):
         from repro.warehouse.service import _request_at
 
+        t = plan.t
         request = _request_at(job, t)
         verified = []
+        fleet = self.cluster.nodes
+        if plan.nodes:
+            fleet = [plan.nodes.get(i, node) for i, node in enumerate(fleet)]
         candidates = {
             node_state.index
-            for node_state in self.cluster.nodes
+            for node_state in fleet
             if 0 < node_state.n_jobs < self.max_jobs_per_node
             and node_state.index not in exclude
             and node_state.can_host(request)
         }
-        occupied = sorted(
-            candidates,
-            key=lambda i: (-self.cluster.nodes[i].n_jobs, i),
-        )
+        occupied = sorted(candidates, key=lambda i: (-fleet[i].n_jobs, i))
         for index in occupied[: self.max_probe_nodes]:
-            node_state = self.cluster.nodes[index]
-            tentative = self._refreshed(node_state, t).with_request(request)
+            tentative = self._refreshed(fleet[index], t).with_request(request)
             if not tentative.lc_requests:
-                return node_state.index, tentative, tuple(verified)
+                return index, tentative, tuple(verified)
             if self._check_node(tentative, verified):
-                return node_state.index, tentative, tuple(verified)
-        for node_state in self.cluster.nodes:
+                return index, tentative, tuple(verified)
+        for node_state in fleet:
             if (
                 node_state.n_jobs == 0
                 and node_state.index not in exclude
@@ -417,35 +417,31 @@ class IndexFreeService(WarehouseService):
         return None, None, tuple(verified)
 
     def _on_recheck(self, t, seq):
-        from repro.warehouse.service import TimelineEntry
+        from repro.warehouse.service import _Plan
 
-        self._counts["rechecks"] += 1
-        self.telemetry.metrics.counter("warehouse.rechecks").add()
+        plan = _Plan(t)
+        plan.count("rechecks", "warehouse.rechecks")
         checked = 0
         failed = 0
         verified_all = []
         for node_state in self.cluster.used_nodes():
             if not node_state.lc_requests:
                 continue
-            loads = self._loads_of(node_state.index, t)
-            if self._last_verified.get(node_state.index) == loads:
+            loads = self._loads_of(plan, node_state.index)
+            if self._verified_at(plan, node_state.index) == loads:
                 continue
             checked += 1
-            verified = self._rebalance_node(node_state.index, t, seq, loads)
+            verified = self._rebalance_node(plan, node_state.index, loads)
             verified_all.extend(verified)
-            if self._last_verified.get(node_state.index) != loads:
+            if self._verified_at(plan, node_state.index) != loads:
                 failed += 1
-        if failed:
-            self._counts["recheck_failures"] += failed
-        self._record(
-            TimelineEntry(
-                time_s=t,
-                seq=seq,
-                kind="recheck",
-                detail=f"checked={checked} failed={failed}",
-                verified=tuple(verified_all),
-            )
+        plan.count("recheck_failures", n=failed)
+        plan.log(
+            "recheck",
+            detail=f"checked={checked} failed={failed}",
+            verified=tuple(verified_all),
         )
+        self._apply(plan, seq)
 
 
 def bench_warehouse_scale(n_nodes=2000, n_jobs=2000, seed=47):

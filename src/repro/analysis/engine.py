@@ -5,6 +5,10 @@ Suppression syntax (checked against stable rule IDs, ``all`` wildcard):
 * ``# repro-lint: disable=RPL101`` — this line only;
 * ``# repro-lint: disable-next-line=RPL101,RPL401`` — the line below;
 * ``# repro-lint: disable-file=RPL104`` — the whole file.
+
+A suppression that names an id no registered rule carries (a typo, or
+a retired rule) suppresses nothing, so it is itself a finding,
+:data:`UNKNOWN_SUPPRESSION`; ``all`` and ``*`` stay valid.
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ from typing import Iterable, List, Optional, Sequence, Union
 from .config import LintConfig, load_config
 from .model import Finding, all_rules
 from .project import ModuleInfo, Project, parse_module
+
+#: Rule id of the finding for a suppression naming an unregistered id.
+#: It belongs to no rule, so ``--select`` and ``--ignore`` leave it on.
+UNKNOWN_SUPPRESSION = "RPL000"
 
 
 def discover_files(
@@ -73,11 +81,27 @@ class LintEngine:
 
     def run(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
-        for rule_id, rule_cls in all_rules().items():
+        registry = all_rules()
+        for rule_id, rule_cls in registry.items():
             if not self.config.rule_enabled(rule_id):
                 continue
             rule = rule_cls()
             findings.extend(rule.check(project, self.config))
+        for module in project.modules.values():
+            findings.extend(
+                Finding(
+                    rule_id=UNKNOWN_SUPPRESSION,
+                    path=str(module.display_path),
+                    line=line,
+                    col=0,
+                    message=f"suppression names unregistered rule id "
+                    f"{rule_id!r}",
+                    hint="Delete the id: no rule carries it, so it "
+                    "suppresses nothing.",
+                )
+                for line, rule_id in module.suppression_ids
+                if rule_id != "all" and rule_id not in registry
+            )
         return self._apply_suppressions(project, findings)
 
     def _apply_suppressions(

@@ -77,6 +77,8 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     file_suppressions: Set[str] = field(default_factory=set)
     line_suppressions: Dict[int, Set[str]] = field(default_factory=dict)
+    #: ``(comment line, rule id)`` for every id a suppression names.
+    suppression_ids: List[Tuple[int, str]] = field(default_factory=list)
 
     def suppressed(self, rule_id: str, line: int) -> bool:
         if "all" in self.file_suppressions or rule_id in self.file_suppressions:
@@ -204,9 +206,10 @@ def _collect_imports(tree: ast.Module, module_name: str) -> Dict[str, str]:
 
 def _collect_suppressions(
     source_lines: List[str],
-) -> Tuple[Set[str], Dict[int, Set[str]]]:
+) -> Tuple[Set[str], Dict[int, Set[str]], List[Tuple[int, str]]]:
     file_level: Set[str] = set()
     per_line: Dict[int, Set[str]] = {}
+    named: List[Tuple[int, str]] = []
     for lineno, text in enumerate(source_lines, start=1):
         match = _SUPPRESS_RE.search(text)
         if not match:
@@ -218,13 +221,14 @@ def _collect_suppressions(
             if token.strip()
         }
         rules = {"all" if r == "*" else r for r in rules}
+        named.extend((lineno, rule_id) for rule_id in sorted(rules))
         if kind == "disable-file":
             file_level |= rules
         elif kind == "disable-next-line":
             per_line.setdefault(lineno + 1, set()).update(rules)
         else:
             per_line.setdefault(lineno, set()).update(rules)
-    return file_level, per_line
+    return file_level, per_line, named
 
 
 def parse_module(path: Path, display_path: Optional[str] = None) -> ModuleInfo:
@@ -233,7 +237,9 @@ def parse_module(path: Path, display_path: Optional[str] = None) -> ModuleInfo:
     tree = ast.parse(source, filename=str(path))
     name = module_name_for(path)
     lines = source.splitlines()
-    file_suppressions, line_suppressions = _collect_suppressions(lines)
+    file_suppressions, line_suppressions, suppression_ids = (
+        _collect_suppressions(lines)
+    )
     module = ModuleInfo(
         name=name,
         path=path,
@@ -242,6 +248,7 @@ def parse_module(path: Path, display_path: Optional[str] = None) -> ModuleInfo:
         imports=_collect_imports(tree, name),
         file_suppressions=file_suppressions,
         line_suppressions=line_suppressions,
+        suppression_ids=suppression_ids,
     )
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

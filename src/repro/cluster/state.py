@@ -170,25 +170,6 @@ class Cluster:
             per_node = [self.spec] * self.n_nodes
         self.nodes = [ClusterNode(i, s) for i, s in enumerate(per_node)]
 
-    def remove_from(self, node_index: int, name: str) -> None:
-        """Remove the named request from a *known* host node.
-
-        O(1) in fleet size: callers track placements (the warehouse
-        service keeps job -> node in ``_jobs``), so departures never
-        scan the fleet.
-        """
-        if not 0 <= node_index < len(self.nodes):
-            raise IndexError(
-                f"node_index {node_index} out of range for a "
-                f"{len(self.nodes)}-node cluster"
-            )
-        node = self.nodes[node_index]
-        if name not in node.job_names():
-            raise KeyError(
-                f"no request named {name!r} on node {node_index}"
-            )
-        self.nodes[node_index] = node.without_request(name)
-
     def used_nodes(self) -> List[ClusterNode]:
         return [n for n in self.nodes if n.n_jobs > 0]
 

@@ -53,7 +53,7 @@ def contracts_enabled() -> bool:
 
 def set_contracts_enabled(enabled: bool) -> bool:
     """Toggle runtime contract checking; returns the previous value."""
-    global _ENABLED  # repro-lint: disable=RPL201
+    global _ENABLED
     previous = _ENABLED
     _ENABLED = bool(enabled)
     return previous

@@ -29,7 +29,7 @@ import urllib.request
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hashorder import DEFAULT_HASH_SEEDS, ProbeError, diff_outputs, hash_order_probe
-from .shadow import instrument
+from .shadow import RaceReport, instrument
 
 #: Simulated horizon of the synthesized scenario; client jobs arrive after it.
 STRESS_HORIZON_S = 300.0
@@ -131,11 +131,18 @@ def _stress(args: argparse.Namespace) -> int:
         f"repro-san stress: {submits} submission(s) from {args.clients} "
         f"HTTP client(s); {n_access} access pattern(s) recorded"
     )
+    # One line per racy field: a hot unguarded field races on every pair
+    # of its access patterns, thousands of pairs a run.
+    by_field: Dict[Tuple[str, str], List[RaceReport]] = {}
     for race in races:
-        print(f"  RACE {race.describe()}")
+        by_field.setdefault((race.obj_name, race.fld), []).append(race)
+    for pairs in by_field.values():
+        print(f"  RACE {pairs[0].describe()} ({len(pairs)} pair(s))")
     for report in lock_reports:
         print(f"  LOCK {report.describe()}")
-    failures = [f"{len(races)} race(s) detected"] if races else []
+    failures = [
+        f"{len(races)} race(s) detected on {len(by_field)} field(s)"
+    ] if races else []
     if lock_reports:
         failures.append(f"{len(lock_reports)} lock report(s)")
     lost = args.clients * args.requests - submits

@@ -27,7 +27,8 @@ trade fidelity for wall-clock:
 
 Every probe is a pure function of ``(node state, seed)``: probing
 commits nothing and perturbs nothing, so a federation can probe shards
-that end up rejecting without disturbing the event timeline.  A probe
+that end up rejecting without disturbing the event timeline (the
+service writes its books in one ``_apply`` after an event's probes).  A probe
 path may leave two traces, both replay-invariant.  One is in the
 observation store, whose truths and verdicts are functions of their
 keys.  The other is the service's verdict memo: a probe whose

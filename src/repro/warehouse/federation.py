@@ -19,9 +19,10 @@ in preference order before the federation rejects.
 
 Shard admission probes are side-effect-free (see
 :meth:`~.service.WarehouseService.probe_admit`): the root probes shards
-one at a time in preference order and commits on the first that admits,
-so a rejected probe leaves every shard exactly as it found it and a
-same-seed replay reproduces the timeline bit for bit.  The side-effect-
+one at a time in preference order and hands the first admitting plan
+back to that shard's ``commit_admit``, so a rejected probe leaves every
+shard exactly as it found it and a same-seed replay reproduces the
+timeline bit for bit.  The side-effect-
 free half of that bargain is checked by behaviour:
 ``tests/test_warehouse_federation.py::TestProbeLeavesNoTrace`` snapshots
 every shard around an arrival whose first shard rejects and requires
@@ -318,14 +319,11 @@ class WarehouseFederation:
                 )
                 return
         for shard_index in order:
-            target, tentative, verified = self.shards[shard_index].probe_admit(
-                job, t
-            )
-            if target is None or tentative is None:
+            shard = self.shards[shard_index]
+            target, plan, _ = shard.probe_admit(job, t)
+            if target is None or plan is None:
                 continue
-            self.shards[shard_index].commit_admit(
-                job, t, seq, target, tentative, verified
-            )
+            shard.commit_admit(plan, seq)
             self._counts["routed"] += 1
             self._counter("warehouse.route.admitted", shard_index).add()
             self._route_record(

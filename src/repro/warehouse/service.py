@@ -25,6 +25,12 @@ recurring job sets near-free.  Every decision lands on the timeline as a
 :class:`TimelineEntry`, timestamped on the simulated clock; two
 same-seed runs produce bit-identical timelines.
 
+Each event has one commit point: its handler reads the books, calls
+probes and stages every change in a private ``_Plan`` that its later
+steps read through; then :meth:`WarehouseService._apply`, the books'
+only writer outside ``__init__``, writes the plan.  A probe that raises
+mid-event leaves the books as they were.
+
 :func:`place` is the batch face of the same service: it submits a
 request stream at t=0 and verifies the nodes it filled.  The paper's
 three placement generations are three ``(probe, cap)`` pairs of it.
@@ -35,17 +41,11 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from heapq import merge
+from itertools import filterfalse, islice
 from typing import (
-    Deque,
-    Dict,
-    FrozenSet,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
+    Deque, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 from ..cluster.state import Cluster, ClusterNode, JobRequest, PlacementOutcome
@@ -118,7 +118,48 @@ class _Placed:
 
     job: WarehouseJob
     node: int
-    admitted_s: Seconds
+
+
+class _Plan:
+    """One event's decisions, staged against the books.
+
+    Planners read node states, job homes and verified load vectors
+    through the plan, pending values first, so a later step of the same
+    event sees the earlier ones; :meth:`WarehouseService._apply` then
+    writes them all.  Each mapping keeps the last write per key.
+    """
+
+    __slots__ = ("t", "nodes", "homes", "verified_at", "dirty", "entries",
+                 "moves", "tallies")
+
+    def __init__(self, t: Seconds) -> None:
+        self.t = t
+        #: node index -> its pending state.
+        self.nodes: Dict[int, ClusterNode] = {}
+        #: job name -> its pending home, or None once it is gone.
+        self.homes: Dict[str, Optional[_Placed]] = {}
+        #: node index -> the load vector it was verified at (None: unset).
+        self.verified_at: Dict[int, Optional[Tuple[float, ...]]] = {}
+        #: node index -> whether the next recheck must visit it.
+        self.dirty: Dict[int, bool] = {}
+        #: Timeline entry fields after ``(time_s, seq)``.
+        self.entries: List[Tuple[str, str, int, str, Tuple[int, ...]]] = []
+        self.moves: List[MigrationRecord] = []
+        #: ``(status() count, delta, warehouse.* counter or "", labels)``.
+        self.tallies: List[Tuple[str, int, str, Dict[str, str]]] = []
+
+    def put(self, index: int, state: ClusterNode) -> None:
+        """A node's new job set: a node hosting LC jobs turns dirty."""
+        self.nodes[index] = state
+        self.dirty[index] = bool(state.lc_requests)
+
+    def count(self, key: str, metric: str = "", n: int = 1,
+              **labels: str) -> None:
+        self.tallies.append((key, n, metric, labels))
+
+    def log(self, kind: str, job: str = "", node: int = -1, detail: str = "",
+            verified: Tuple[int, ...] = ()) -> None:
+        self.entries.append((kind, job, node, detail, verified))
 
 
 def _request_at(job: WarehouseJob, t: Seconds) -> JobRequest:
@@ -215,8 +256,8 @@ class WarehouseService:
         self._last_verified: Dict[int, Tuple[float, ...]] = {}
         #: Density index: bucket ``d`` holds the sorted indices of nodes
         #: running ``d`` jobs (bucket 0 is the free pool).  Maintained by
-        #: :meth:`_sync_index` at every commit point so admission walks
-        #: buckets densest-first instead of scanning the fleet.
+        #: :meth:`_apply` so admission walks buckets densest-first
+        #: instead of scanning the fleet.
         self._by_density: List[List[int]] = [list(range(n_nodes))] + [
             [] for _ in range(max_jobs_per_node)
         ]
@@ -233,29 +274,18 @@ class WarehouseService:
         self._timeline: Deque[TimelineEntry] = deque(maxlen=TIMELINE_LIMIT)
         self._timeline_dropped = 0
         self._migrations: Deque[MigrationRecord] = deque(maxlen=TIMELINE_LIMIT)
-        self._counts: Dict[str, int] = {
-            "arrivals": 0,
-            "admitted": 0,
-            "rejections": 0,
-            "departures": 0,
-            "migrations": 0,
-            "dropped": 0,
-            "rechecks": 0,
-            "recheck_failures": 0,
-            "qos_checks": 0,
-            "qos_check_failures": 0,
-        }
+        self._counts: Dict[str, int] = dict.fromkeys((
+            "arrivals", "admitted", "rejections", "departures", "migrations",
+            "dropped", "rechecks", "recheck_failures", "qos_checks",
+            "qos_check_failures",
+        ), 0)
         self.migration_cost_s: float = 0.0
         register_shared(
             self,
             name=f"WarehouseService@{id(self):x}",
             container_attrs=(
-                "_jobs",
-                "_last_verified",
-                "_by_density",
-                "_density_of",
-                "_volatile_nodes",
-                "_recheck_dirty",
+                "_jobs", "_last_verified", "_by_density", "_density_of",
+                "_volatile_nodes", "_recheck_dirty",
             ),
         )
 
@@ -355,131 +385,93 @@ class WarehouseService:
     # ------------------------------------------------------------------
     def probe_admit(
         self, job: WarehouseJob, t: Seconds
-    ) -> Tuple[Optional[int], Optional[ClusterNode], Tuple[int, ...]]:
+    ) -> Tuple[Optional[int], Optional[_Plan], Tuple[int, ...]]:
         """Find a home for ``job`` at ``t`` without committing anything.
 
-        Returns ``(node_index, tentative_node_state, verified_nodes)``;
-        the index is None when no node admits the job.  Pure with
-        respect to cluster state, so a federation root may probe shards
-        that end up rejecting without disturbing them.
+        Returns ``(node_index, plan, verified_nodes)``: the plan stages
+        the admission for :meth:`commit_admit`, and it and the index are
+        None when no node admits the job.  The search only reads the
+        books, so a federation root may probe shards that end up
+        rejecting without disturbing them.
         """
         if job.name in self._jobs:
             return None, None, ()
-        return self._find_target(job, t)
+        plan = _Plan(t)
+        target, verified = self._plan_admit(plan, job)
+        return target, None if target is None else plan, verified
 
-    def commit_admit(
-        self,
-        job: WarehouseJob,
-        t: Seconds,
-        seq: int,
-        target: int,
-        tentative: ClusterNode,
-        verified: Tuple[int, ...],
-    ) -> None:
-        """Apply a successful probe: the job now runs on ``target``."""
-        self.cluster.nodes[target] = tentative
-        self._jobs[job.name] = _Placed(job=job, node=target, admitted_s=t)
-        self._mark_verified(target, self._loads_of(target, t))
-        self._sync_index(target)
-        self._counts["admitted"] += 1
-        self._record(
-            TimelineEntry(
-                time_s=t,
-                seq=seq,
-                kind="admit",
-                job=job.name,
-                node=target,
-                verified=verified,
-            )
-        )
-
-    def reject(self, job: WarehouseJob, t: Seconds, seq: int, reason: str,
-               verified: Tuple[int, ...] = ()) -> None:
-        """Record a rejection (no node would take the job)."""
-        self._counts["rejections"] += 1
-        self.telemetry.metrics.counter(
-            "warehouse.rejections", reason=reason
-        ).add()
-        self._record(
-            TimelineEntry(
-                time_s=t,
-                seq=seq,
-                kind="reject",
-                job=job.name,
-                detail=reason,
-                verified=verified,
-            )
-        )
+    def commit_admit(self, plan: _Plan, seq: int) -> None:
+        """Apply a plan whose admission succeeded, as event ``seq``."""
+        self._apply(plan, seq)
 
     # ------------------------------------------------------------------
-    # Event handling
+    # Event handling: each handler plans against the books, then applies
     # ------------------------------------------------------------------
     def handle_event(self, t: Seconds, seq: int, payload: Payload) -> None:
-        """Process one event *now* — the loop's (and federation's) hook."""
-        tel = self.telemetry
+        """Process one event *now* — the loop's (and federation's) hook.
+
+        Without an active tracer the ``warehouse.event`` span is a no-op,
+        so it is not built.
+        """
+        tracer = self.telemetry.tracer
+        if not tracer.active:
+            self._dispatch(t, seq, payload)
+            return
         kind = type(payload).__name__.lower()
-        with tel.tracer.span("warehouse.event", kind=kind, seq=seq) as span:
-            if isinstance(payload, Arrival):
-                self._on_arrival(t, seq, payload.job)
-            elif isinstance(payload, Departure):
-                self._on_departure(t, seq, payload.name)
-            elif isinstance(payload, Recheck):
-                self._on_recheck(t, seq)
+        with tracer.span("warehouse.event", kind=kind, seq=seq) as span:
+            self._dispatch(t, seq, payload)
             span.set("time_s", t)
 
+    def _dispatch(self, t: Seconds, seq: int, payload: Payload) -> None:
+        if isinstance(payload, Arrival):
+            self._on_arrival(t, seq, payload.job)
+        elif isinstance(payload, Departure):
+            self._on_departure(t, seq, payload.name)
+        elif isinstance(payload, Recheck):
+            self._on_recheck(t, seq)
+
     def _on_arrival(self, t: Seconds, seq: int, job: WarehouseJob) -> None:
-        self._counts["arrivals"] += 1
-        self.telemetry.metrics.counter("warehouse.arrivals").add()
-        if job.name in self._jobs:
-            self.reject(job, t, seq, reason="duplicate-name")
-            return
-        target, tentative, verified = self._find_target(job, t)
-        if target is None or tentative is None:
-            self.reject(job, t, seq, reason="capacity", verified=verified)
-            return
-        self.commit_admit(job, t, seq, target, tentative, verified)
+        plan = _Plan(t)
+        plan.count("arrivals", "warehouse.arrivals")
+        reason = "duplicate-name"
+        verified: Tuple[int, ...] = ()
+        if job.name not in self._jobs:
+            target, verified = self._plan_admit(plan, job)
+            if target is not None:
+                self.commit_admit(plan, seq)
+                return
+            reason = "capacity"
+        plan.count("rejections", "warehouse.rejections", reason=reason)
+        plan.log("reject", job.name, detail=reason, verified=verified)
+        self._apply(plan, seq)
 
     def _on_departure(self, t: Seconds, seq: int, name: str) -> None:
-        self._counts["departures"] += 1
-        self.telemetry.metrics.counter("warehouse.departures").add()
-        placed = self._jobs.pop(name, None)
+        plan = _Plan(t)
+        plan.count("departures", "warehouse.departures")
+        placed = self._jobs.get(name)
         if placed is None:
-            self._record(
-                TimelineEntry(
-                    time_s=t, seq=seq, kind="depart", job=name,
-                    detail="unknown",
-                )
-            )
-            return
-        index = placed.node
-        self.cluster.remove_from(index, name)
-        self._sync_index(index)
-        verified: Tuple[int, ...] = ()
-        survivors = self.cluster.nodes[index]
-        if survivors.n_jobs:
-            # Only the displaced node is re-verified: the departure
-            # changed nobody else's co-runners.
-            verified = self._rebalance_node(
-                index, t, seq, self._loads_of(index, t)
-            )
+            plan.log("depart", name, detail="unknown")
         else:
-            self._last_verified.pop(index, None)
-        self._record(
-            TimelineEntry(
-                time_s=t,
-                seq=seq,
-                kind="depart",
-                job=name,
-                node=index,
-                verified=verified,
-            )
-        )
+            index = placed.node
+            plan.homes[name] = None
+            survivors = self.cluster.nodes[index].without_request(name)
+            plan.put(index, survivors)
+            verified: Tuple[int, ...] = ()
+            if survivors.n_jobs:
+                # Only the displaced node is re-verified: the departure
+                # changed nobody else's co-runners.
+                verified = self._rebalance_node(
+                    plan, index, self._loads_of(plan, index)
+                )
+            else:
+                plan.verified_at[index] = None
+            plan.log("depart", name, index, verified=verified)
+        self._apply(plan, seq)
 
     def _on_recheck(self, t: Seconds, seq: int) -> None:
-        self._counts["rechecks"] += 1
-        self.telemetry.metrics.counter("warehouse.rechecks").add()
-        checked = 0
-        failed = 0
+        plan = _Plan(t)
+        plan.count("rechecks", "warehouse.rechecks")
+        checked = failed = 0
         verified_all: List[int] = []
         # Visit only nodes whose QoS could have moved since their last
         # verification: hosts of phased-load LC jobs (volatile) plus
@@ -488,39 +480,40 @@ class WarehouseService:
         # full scan, so same-seed timelines stay bit-identical.
         candidates = sorted(set(self._volatile_nodes) | self._recheck_dirty)
         for index in candidates:
-            node_state = self.cluster.nodes[index]
-            if not node_state.lc_requests:
-                self._recheck_dirty.discard(index)
-                continue
-            loads = self._loads_of(index, t)
-            if self._last_verified.get(index) == loads:
-                self._recheck_dirty.discard(index)
-                continue  # load unchanged since last verification: skip
-            checked += 1
-            verified = self._rebalance_node(index, t, seq, loads)
-            verified_all.extend(verified)
-            if self._last_verified.get(index) != loads:
-                failed += 1
-                # A persistent violation stays on the recheck list: the
-                # old full scan revisited it every tick, and so do we.
-                self._recheck_dirty.add(index)
-            else:
-                self._recheck_dirty.discard(index)
+            failing = False
+            if self._node(plan, index).lc_requests:
+                loads = self._loads_of(plan, index)
+                if self._verified_at(plan, index) != loads:
+                    checked += 1
+                    verified_all += self._rebalance_node(plan, index, loads)
+                    failing = self._verified_at(plan, index) != loads
+                    failed += failing
+            # A persistent violation stays on the recheck list: the old
+            # full scan revisited it every tick, and so do we.
+            plan.dirty[index] = failing
         if failed:
-            self._counts["recheck_failures"] += failed
-        self._record(
-            TimelineEntry(
-                time_s=t,
-                seq=seq,
-                kind="recheck",
-                detail=f"checked={checked} failed={failed}",
-                verified=tuple(verified_all),
-            )
-        )
+            plan.count("recheck_failures", n=failed)
+        plan.log("recheck", detail=f"checked={checked} failed={failed}",
+                 verified=tuple(verified_all))
+        self._apply(plan, seq)
 
     # ------------------------------------------------------------------
-    # Admission + re-verification internals
+    # Planning: reads the books through the plan, writes only the plan
     # ------------------------------------------------------------------
+    def _node(self, plan: _Plan, index: int) -> ClusterNode:
+        """Node ``index`` as ``plan`` leaves it."""
+        return plan.nodes.get(index) or self.cluster.nodes[index]
+
+    def _verified_at(
+        self, plan: _Plan, index: int
+    ) -> Optional[Tuple[float, ...]]:
+        """The load vector node ``index`` was last verified at, as
+        ``plan`` leaves it (None: not verified since its last change)."""
+        pending = plan.verified_at
+        if index in pending:
+            return pending[index]
+        return self._last_verified.get(index)
+
     def _refreshed(self, node_state: ClusterNode, t: Seconds) -> ClusterNode:
         """The node with every LC request's load resampled at ``t``.
 
@@ -530,8 +523,8 @@ class WarehouseService:
         """
         requests = []
         for request in node_state.requests:
-            placed = self._jobs.get(request.request_name)
-            if placed is not None and placed.job.is_lc:
+            placed = self._jobs.get(request.request_name) if request.is_lc else None
+            if placed is not None:
                 job = placed.job
                 load = job.load_at(t)
                 if (
@@ -545,65 +538,21 @@ class WarehouseService:
             index=node_state.index, spec=node_state.spec, requests=requests
         )
 
-    def _loads_of(self, index: int, t: Seconds) -> Tuple[float, ...]:
-        """Current effective LC load vector of one node (request order)."""
+    def _loads_of(self, plan: _Plan, index: int) -> Tuple[float, ...]:
+        """Effective LC load vector of one node at the plan's time, in
+        request order, as ``plan`` leaves the node."""
+        t, homes = plan.t, plan.homes
         loads = []
-        for request in self.cluster.nodes[index].requests:
-            placed = self._jobs.get(request.request_name)
-            if placed is not None and placed.job.is_lc:
+        node_state = plan.nodes.get(index) or self.cluster.nodes[index]
+        for request in node_state.requests:
+            if not request.is_lc:
+                continue
+            name = request.request_name
+            placed = homes[name] if name in homes else self._jobs.get(name)
+            if placed is not None:
                 load = placed.job.load_at(t)
                 loads.append(load if load is not None else 0.0)
         return tuple(loads)
-
-    def _mark_verified(self, index: int, loads: Tuple[float, ...]) -> None:
-        """Record the load vector a node was just verified at.
-
-        Callers compute ``loads`` exactly once per decision and thread
-        it here rather than this method recomputing ``_loads_of`` a
-        second time per re-check (``TestIncrementalRecheck`` counts the
-        computations).
-        """
-        self._last_verified[index] = loads
-
-    def _sync_index(self, index: int) -> None:
-        """Re-home one node in the incremental indices after a commit.
-
-        Called wherever a node's job set changes (admission, departure,
-        eviction, migration landing).  The two sorted lists are
-        bisect-maintained — O(bucket) per commit, see EXPERIMENTS.md —
-        which is what lets admission and recheck never scan the fleet.
-        """
-        node_state = self.cluster.nodes[index]
-        density = min(node_state.n_jobs, self.max_jobs_per_node)
-        previous = self._density_of[index]
-        if density != previous:
-            bucket = self._by_density[previous]
-            bucket.pop(bisect_left(bucket, index))
-            insort(self._by_density[density], index)
-            self._density_of[index] = density
-        volatile = False
-        for request in node_state.requests:
-            placed = self._jobs.get(request.request_name)
-            if (
-                placed is not None
-                and placed.job.is_lc
-                and not placed.job.has_static_load
-            ):
-                volatile = True
-                break
-        pos = bisect_left(self._volatile_nodes, index)
-        present = (
-            pos < len(self._volatile_nodes)
-            and self._volatile_nodes[pos] == index
-        )
-        if volatile and not present:
-            self._volatile_nodes.insert(pos, index)
-        elif not volatile and present:
-            self._volatile_nodes.pop(pos)
-        if node_state.lc_requests:
-            self._recheck_dirty.add(index)
-        else:
-            self._recheck_dirty.discard(index)
 
     def _check_node(
         self, node_state: ClusterNode, verified_out: List[int]
@@ -634,10 +583,26 @@ class WarehouseService:
             )
         return verdict
 
+    def _walk(self, plan: _Plan, density: int) -> Iterable[int]:
+        """Indices of the nodes ``plan`` leaves at ``density``, ascending.
+
+        The committed bucket without the nodes the plan touched, merged
+        lazily with the touched ones now at that density: no bucket is
+        copied, and an untouched plan walks the bucket itself.
+        """
+        bucket = self._by_density[density]
+        pending = plan.nodes
+        if not pending:
+            return bucket
+        cap = self.max_jobs_per_node
+        moved = sorted(index for index, state in pending.items()
+                       if min(state.n_jobs, cap) == density)
+        return merge(filterfalse(pending.__contains__, bucket), moved)
+
     def _find_target(
         self,
+        plan: _Plan,
         job: WarehouseJob,
-        t: Seconds,
         exclude: FrozenSet[int] = frozenset(),
     ) -> Tuple[Optional[int], Optional[ClusterNode], Tuple[int, ...]]:
         """CLITE-style target search: densest occupied first, probed;
@@ -650,17 +615,19 @@ class WarehouseService:
         materializing an n_nodes-sized candidate set
         (``TestFleetSizeIndependence`` counts the lines an event runs
         on fleets 20x apart), and the deterministic bucket order keeps
-        the probe sequence a pure function of cluster state
+        the probe sequence a pure function of the books and the plan
         (``TestIndexEquivalence`` compares it against a full scan).
         """
+        t = plan.t
+        pending, nodes = plan.nodes, self.cluster.nodes
         request = _request_at(job, t)
         verified: List[int] = []
         probed = 0
         for density in range(self.max_jobs_per_node - 1, 0, -1):
-            for index in self._by_density[density]:
+            for index in self._walk(plan, density):
                 if index in exclude:
                     continue
-                node_state = self.cluster.nodes[index]
+                node_state = pending.get(index) or nodes[index]
                 if not node_state.can_host(request):
                     continue
                 probed += 1
@@ -678,20 +645,31 @@ class WarehouseService:
             else:
                 continue
             break
-        for index in self._by_density[0]:
+        for index in self._walk(plan, 0):
             if index in exclude:
                 continue
-            node_state = self.cluster.nodes[index]
+            node_state = pending.get(index) or nodes[index]
             if node_state.can_host(request):
-                return (
-                    index,
-                    node_state.with_request(request),
-                    tuple(verified),
-                )
+                return index, node_state.with_request(request), tuple(verified)
         return None, None, tuple(verified)
 
+    def _plan_admit(
+        self, plan: _Plan, job: WarehouseJob
+    ) -> Tuple[Optional[int], Tuple[int, ...]]:
+        """Stage ``job``'s admission on the node :meth:`_find_target`
+        picks; returns that node (None if none) and the nodes probed."""
+        target, tentative, verified = self._find_target(plan, job)
+        if target is None or tentative is None:
+            return None, verified
+        plan.put(target, tentative)
+        plan.homes[job.name] = _Placed(job, target)
+        plan.verified_at[target] = self._loads_of(plan, target)
+        plan.count("admitted")
+        plan.log("admit", job.name, target, verified=verified)
+        return target, verified
+
     def _rebalance_node(
-        self, index: int, t: Seconds, seq: int, loads: Tuple[float, ...]
+        self, plan: _Plan, index: int, loads: Tuple[float, ...]
     ) -> Tuple[int, ...]:
         """Re-verify one displaced/load-shifted node; migrate if it fails.
 
@@ -699,19 +677,17 @@ class WarehouseService:
         caller has it in hand already, so it is threaded through instead
         of recomputed here; evictions change the job set, so the loop
         refreshes it after each one.  Returns the node indices verified
-        along the way.  On success the node's load vector is recorded in
-        ``_last_verified``; on persistent failure (the last survivor
-        still violates QoS) a ``violation`` timeline entry is recorded
-        instead.
+        along the way.  On success the plan records the node's load
+        vector as verified; on persistent failure (the last survivor
+        still violates QoS) it records a ``violation`` entry instead.
         """
+        t = plan.t
         verified: List[int] = []
-        node_state = self._refreshed(self.cluster.nodes[index], t)
-        self.cluster.nodes[index] = node_state
-        self._counts["qos_checks"] += 1
-        ok = (
-            self._check_node(node_state, verified)
-            if node_state.lc_requests
-            else True
+        node_state = self._refreshed(self._node(plan, index), t)
+        plan.nodes[index] = node_state
+        plan.count("qos_checks")
+        ok = not node_state.lc_requests or self._check_node(
+            node_state, verified
         )
         evictions = 0
         while (
@@ -724,106 +700,130 @@ class WarehouseService:
                 break
             evictions += 1
             node_state = node_state.without_request(victim.request_name)
-            self.cluster.nodes[index] = node_state
-            self._migrate(victim.request_name, index, t, seq, verified)
-            loads = self._loads_of(index, t)
-            ok = (
-                self._check_node(node_state, verified)
-                if node_state.lc_requests
-                else True
+            plan.put(index, node_state)
+            self._migrate(plan, victim.request_name, index, verified)
+            loads = self._loads_of(plan, index)
+            ok = not node_state.lc_requests or self._check_node(
+                node_state, verified
             )
-        if evictions:
-            self._sync_index(index)
         if ok:
-            self._mark_verified(index, loads)
+            plan.verified_at[index] = loads
         else:
-            self._counts["qos_check_failures"] += 1
-            self._last_verified.pop(index, None)
-            self._recheck_dirty.add(index)
-            self.telemetry.metrics.counter("warehouse.qos.violations").add()
-            self._record(
-                TimelineEntry(
-                    time_s=t,
-                    seq=seq,
-                    kind="violation",
-                    node=index,
-                    detail="qos-unmet",
-                )
-            )
+            plan.count("qos_check_failures", "warehouse.qos.violations")
+            plan.verified_at[index] = None
+            plan.dirty[index] = True
+            plan.log("violation", node=index, detail="qos-unmet")
         return tuple(verified)
 
     def _migrate(
-        self,
-        name: str,
-        source: int,
-        t: Seconds,
-        seq: int,
-        verified_out: List[int],
+        self, plan: _Plan, name: str, source: int, verified_out: List[int]
     ) -> None:
         """Re-admit an evicted job elsewhere, charging the modeled cost."""
         placed = self._jobs[name]
         target, tentative, verified = self._find_target(
-            placed.job, t, exclude=frozenset((source,))
+            plan, placed.job, exclude=frozenset((source,))
         )
         verified_out.extend(verified)
         if target is None or tentative is None:
             # Nowhere to go: the job is dropped and counted with the
             # rejections (reason=migration), like a failed re-admission.
-            del self._jobs[name]
-            self._counts["dropped"] += 1
-            self._counts["rejections"] += 1
-            self.telemetry.metrics.counter(
-                "warehouse.rejections", reason="migration"
-            ).add()
-            self._migrations.append(
-                MigrationRecord(
-                    time_s=t, job=name, from_node=source, to_node=-1,
-                    cost_s=0.0,
-                )
-            )
-            self._record(
-                TimelineEntry(
-                    time_s=t,
-                    seq=seq,
-                    kind="drop",
-                    job=name,
-                    node=source,
-                    detail="no-target",
-                    verified=verified,
-                )
-            )
+            plan.homes[name] = None
+            plan.count("dropped")
+            plan.count("rejections", "warehouse.rejections", reason="migration")
+            plan.moves.append(MigrationRecord(plan.t, name, source, -1, 0.0))
+            plan.log("drop", name, source, "no-target", verified)
             return
-        self.cluster.nodes[target] = tentative
-        placed.node = target
-        self._mark_verified(target, self._loads_of(target, t))
-        self._sync_index(target)
+        plan.put(target, tentative)
+        plan.homes[name] = _Placed(placed.job, target)
+        plan.verified_at[target] = self._loads_of(plan, target)
+        plan.count("migrations", "warehouse.migrations")
         cost = self.migration.cost_s
-        self.migration_cost_s += cost
-        self._counts["migrations"] += 1
-        self.telemetry.metrics.counter("warehouse.migrations").add()
-        self.telemetry.metrics.counter("warehouse.migration.cost_s").add(cost)
-        self._migrations.append(
-            MigrationRecord(
-                time_s=t, job=name, from_node=source, to_node=target,
-                cost_s=cost,
-            )
-        )
-        self._record(
-            TimelineEntry(
-                time_s=t,
-                seq=seq,
-                kind="migrate",
-                job=name,
-                node=target,
-                detail=f"from={source}",
-                verified=verified,
-            )
-        )
+        plan.moves.append(MigrationRecord(plan.t, name, source, target, cost))
+        plan.log("migrate", name, target, f"from={source}", verified)
 
-    def _record(self, entry: TimelineEntry) -> None:
-        if len(self._timeline) == TIMELINE_LIMIT:
-            self._timeline_dropped += 1
-        self._timeline.append(entry)
+    def _apply(self, plan: _Plan, seq: int) -> None:
+        """Write one event's plan to the books, as event ``seq``.
+
+        The only writer, outside ``__init__``, of the job homes, the
+        node states, the density, volatile and dirty indices, the
+        verified load vectors, the counts, the timeline, the migration
+        log and ``migration_cost_s``.  A planner that raises never gets
+        here, so it leaves all of them as they were.
+        """
+        jobs = self._jobs
+        for name, placed in plan.homes.items():
+            if placed is None:
+                del jobs[name]
+            else:
+                jobs[name] = placed
+        nodes = self.cluster.nodes
+        for index, state in plan.nodes.items():
+            nodes[index] = state
+            self._sync_index(index)
+        last_verified = self._last_verified
+        for index, loads in plan.verified_at.items():
+            if loads is None:
+                last_verified.pop(index, None)
+            else:
+                last_verified[index] = loads
+        dirty = self._recheck_dirty
+        for index, stale in plan.dirty.items():
+            if stale:
+                dirty.add(index)
+            else:
+                dirty.discard(index)
+        counts, metrics = self._counts, self.telemetry.metrics
+        for key, n, metric, labels in plan.tallies:
+            counts[key] += n
+            if metric:
+                metrics.counter(metric, **labels).add()
+        for record in plan.moves:
+            self._migrations.append(record)
+            if record.succeeded:
+                self.migration_cost_s += record.cost_s
+                metrics.counter("warehouse.migration.cost_s").add(record.cost_s)
+        timeline = self._timeline
+        for fields in plan.entries:
+            if len(timeline) == TIMELINE_LIMIT:
+                self._timeline_dropped += 1
+            timeline.append(TimelineEntry(plan.t, seq, *fields))
+        # A plan applies once; dropping what it staged frees it here, not
+        # in the federation router that holds the plan past commit_admit.
+        del plan.nodes, plan.homes, plan.verified_at, plan.dirty
+        del plan.entries, plan.moves, plan.tallies
+
+    def _sync_index(self, index: int) -> None:
+        """Re-home one node in the density and volatile indices.
+
+        :meth:`_apply` calls it for every node a plan touched.  The two
+        sorted lists are bisect-maintained — O(bucket) per node, see
+        EXPERIMENTS.md — which is what lets admission and recheck never
+        scan the fleet.
+        """
+        node_state = self.cluster.nodes[index]
+        density = min(node_state.n_jobs, self.max_jobs_per_node)
+        previous = self._density_of[index]
+        if density != previous:
+            bucket = self._by_density[previous]
+            bucket.pop(bisect_left(bucket, index))
+            insort(self._by_density[density], index)
+            self._density_of[index] = density
+        volatile = False
+        for request in node_state.requests:
+            if request.is_lc:
+                placed = self._jobs.get(request.request_name)
+                if placed is not None and not placed.job.has_static_load:
+                    volatile = True
+                    break
+        pos = bisect_left(self._volatile_nodes, index)
+        present = (
+            pos < len(self._volatile_nodes)
+            and self._volatile_nodes[pos] == index
+        )
+        if volatile and not present:
+            self._volatile_nodes.insert(pos, index)
+        elif not volatile and present:
+            self._volatile_nodes.pop(pos)
 
 
 @placement_contract

@@ -140,9 +140,10 @@ def quiet_node(mini_server):
 def service_trace(service) -> tuple:
     """Everything of a warehouse service that a probe must not change.
 
-    The timeline, ``placements()``, ``status()``, the job and density
-    books, the verification memo, and each node's identity and
-    requests, all copied so a later in-place change still shows.
+    The timeline, ``placements()``, ``status()``, the job, density,
+    volatile and dirty books, the verification memo, the migration log,
+    and each node's identity and requests, all copied so a later
+    in-place change still shows.
     """
     return (
         service.timeline,
@@ -151,6 +152,36 @@ def service_trace(service) -> tuple:
         {name: copy.copy(placed) for name, placed in service._jobs.items()},
         [list(bucket) for bucket in service._by_density],
         list(service._density_of),
+        list(service._volatile_nodes),
+        set(service._recheck_dirty),
         dict(service._last_verified),
+        service.migrations,
         [(id(node), tuple(node.requests)) for node in service.cluster.nodes],
     )
+
+
+def books_consistent(service) -> None:
+    """Assert a warehouse service's books agree with its nodes.
+
+    ``placements()`` must equal what every node hosts, and the density
+    and volatile indices must equal a from-scratch recomputation.
+    """
+    nodes = service.cluster.nodes
+    hosted = {r.request_name: node.index for node in nodes for r in node.requests}
+    assert service.placements() == hosted
+    cap = service.max_jobs_per_node
+    density = [min(node.n_jobs, cap) for node in nodes]
+    assert service._density_of == density
+    assert service._by_density == [
+        [node.index for node in nodes if density[node.index] == d]
+        for d in range(cap + 1)
+    ]
+    jobs = {name: placed.job for name, placed in service._jobs.items()}
+    assert service._volatile_nodes == [
+        node.index
+        for node in nodes
+        if any(
+            jobs[r.request_name].is_lc and not jobs[r.request_name].has_static_load
+            for r in node.requests
+        )
+    ]

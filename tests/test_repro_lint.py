@@ -225,6 +225,27 @@ class TestSuppressionsAndConfig:
         findings = run_lint([snippet], fixture_config())
         assert rule_ids(findings) == ["RPL101"]
 
+    def test_suppression_of_an_unregistered_id_is_a_finding(self, tmp_path):
+        """A typo or a retired rule's id suppresses nothing, so naming it
+        is reported at the comment; ``all`` and ``*`` stay valid, and
+        ``--select`` does not hide the report."""
+        mark = "# repro-lint: "  # spelled apart, so this file stays clean
+        snippet = tmp_path / "stale_id.py"
+        snippet.write_text(
+            f"{mark}disable-file=RPL999\n"
+            f"X = 1  {mark}disable=RPL201,RPL101\n"
+            f"Y = 2  {mark}disable=all\n"
+            f"{mark}disable-next-line=*\n"
+            "Z = 3\n"
+        )
+        for config in (fixture_config(), fixture_config(select=("RPL101",))):
+            findings = run_lint([snippet], config)
+            assert [(f.rule_id, f.line) for f in findings] == [
+                ("RPL000", 1), ("RPL000", 2),
+            ]
+            assert "'RPL999'" in findings[0].message
+            assert "'RPL201'" in findings[1].message
+
     def test_select_and_ignore(self):
         only = lint_fixture("determinism_bad.py", select=("RPL103",))
         assert rule_ids(only) == ["RPL103"]

@@ -913,6 +913,25 @@ class TestSanitizerCLI:
         assert "RACE data race on ServiceGateway@" in out
         assert "race(s) detected" in out
 
+    def test_stress_prints_one_line_per_racy_field(self, capsys, monkeypatch):
+        """The unguarded ``enqueue`` races on every pair of ``_inbox``
+        access patterns; the report names the field once, with the pair
+        count, while ``races()`` still lists every pair."""
+        from repro.warehouse import ServiceGateway
+
+        monkeypatch.setattr(
+            ServiceGateway, "enqueue",
+            lambda self, command: self._inbox.append(command),
+        )
+        code = san_main(["stress", "--clients", "2", "--requests", "2"])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        (line,) = [line for line in out.splitlines() if "RACE" in line]
+        assert "._inbox[]: [" in line
+        pairs = int(line.rsplit(" (", 1)[1].split()[0])
+        assert f"{pairs} race(s) detected on 1 field(s)" in out
+        assert pairs > 1
+
     def test_stress_exits_zero(self, capsys):
         code = san_main(["stress", "--clients", "2", "--requests", "3"])
         out = capsys.readouterr().out

@@ -8,13 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_bg, make_lc, service_trace
+from conftest import books_consistent, make_bg, make_lc, service_trace
 from repro.core import CLITEConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.clock import SimulatedClock
 from repro.telemetry.serve import parse_series
 from repro.server import ObservationStore
 from repro.warehouse import (
+    AdmissionProbe,
     Arrival,
     CLITEProbe,
     Departure,
@@ -667,12 +668,111 @@ class TestProbeLeavesNoTrace:
     def test_probe_admit(self, mini_server, load, target):
         service = self._service(mini_server)
         before = self._trace(service)
-        found, tentative, verified = service.probe_admit(
+        found, plan, verified = service.probe_admit(
             lc_job("x", load, qos_latency_ms=6.0), 1.0
         )
         assert (found, verified) == (target, (0,))
-        assert (tentative is None) == (target is None)
+        assert (plan is None) == (target is None)
         assert self._trace(service) == before
+
+
+class _ProbeFault(RuntimeError):
+    """What :class:`_ScriptedProbe` raises."""
+
+
+class _ScriptedProbe(AdmissionProbe):
+    """Answers from ``script``, keyed by the probed node's job names:
+    True, False, or an exception to raise; job sets it does not name
+    are admitted.  ``asked`` lists every job set probed, in order."""
+
+    def __init__(self):
+        self.script = {}
+        self.asked = []
+
+    def check(self, node_state, seed):
+        names = frozenset(node_state.job_names())
+        self.asked.append(names)
+        answer = self.script.get(names, True)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+
+class TestFaultLeavesNoTrace:
+    """A probe that raises mid-event leaves the books as they were.
+
+    ``run_until`` still raises.  Afterwards :func:`conftest.service_trace`
+    equals the snapshot taken before the event, except for ``status()``'s
+    ``time_s`` and ``pending_events`` (the clock moved and the event left
+    the queue), and :func:`conftest.books_consistent` holds.
+    """
+
+    @staticmethod
+    def _trace(service):
+        trace = service_trace(service)
+        status = dict(trace[2])
+        del status["time_s"], status["pending_events"]
+        return trace[:2] + (status,) + trace[3:]
+
+    def _fault(self, service, at):
+        before = self._trace(service)
+        with pytest.raises(_ProbeFault):
+            service.run_until(at)
+        assert self._trace(service) == before
+        books_consistent(service)
+
+    def test_departure_whose_migration_probe_raises(self):
+        """Cap 3: A, B and C on node 0, D on node 1.  C departs, node 0
+        fails its re-check, A is evicted, and the probe of node 1 raises
+        while A is being migrated."""
+        probe = _ScriptedProbe()
+        service = WarehouseService(3, probe=probe, max_jobs_per_node=3)
+        for at, (name, load) in enumerate(
+            (("A", 0.2), ("B", 0.5), ("C", 0.3), ("D", 0.3)), start=1
+        ):
+            service.submit(lc_job(name, load), at=float(at))
+        service.run_until(4.0)
+        assert service.placements() == {"A": 0, "B": 0, "C": 0, "D": 1}
+        probe.script = {
+            frozenset("AB"): False,
+            frozenset("DA"): _ProbeFault("node 1"),
+        }
+        service.depart("C", at=5.0)
+        self._fault(service, 5.0)
+        assert probe.asked[-2:] == [frozenset("AB"), frozenset("DA")]
+
+    def test_arrival_whose_probe_raises(self):
+        probe = _ScriptedProbe()
+        service = WarehouseService(2, probe=probe)
+        service.submit(lc_job("A", 0.3), at=1.0)
+        service.run_until(1.0)
+        probe.script = {frozenset("AB"): _ProbeFault("node 0")}
+        service.submit(lc_job("B", 0.3), at=2.0)
+        self._fault(service, 2.0)
+
+    def test_recheck_that_raises_after_planning_a_migration(self):
+        """P's load steps up at t=15, so the t=20 tick re-checks node 0:
+        it fails, BG job B is planned onto Q's node 1, and the re-check
+        of P alone raises."""
+        probe = _ScriptedProbe()
+        service = WarehouseService(3, probe=probe, recheck_period_s=10.0)
+        ramp = WarehouseJob.lc(
+            make_lc("P"), LoadSchedule.steps([(0.0, 0.2), (15.0, 0.4)]), "P"
+        )
+        probe.script = {frozenset("PBQ"): False}
+        service.submit(ramp, at=1.0)
+        service.submit(bg_job("B"), at=2.0)
+        service.submit(lc_job("Q", 0.3), at=3.0)
+        service.run_until(15.0)
+        assert service.placements() == {"P": 0, "B": 0, "Q": 1}
+        probe.script = {
+            frozenset("PB"): False,
+            frozenset("P"): _ProbeFault("node 0 after the eviction"),
+        }
+        self._fault(service, 20.0)
+        assert probe.asked[-3:] == [
+            frozenset("PB"), frozenset("QB"), frozenset("P")
+        ]
 
 
 class _RejectingQuickProbe(QuickProbe):
@@ -1083,9 +1183,9 @@ class CountingService(WarehouseService):
 
     loads_calls = 0
 
-    def _loads_of(self, index, t):
+    def _loads_of(self, plan, index):
         self.loads_calls += 1
-        return super()._loads_of(index, t)
+        return super()._loads_of(plan, index)
 
 
 class TestIncrementalRecheck:
@@ -1169,34 +1269,35 @@ class TestTimelineCursor:
 
 class IndexFreeService(WarehouseService):
     """The pre-index reference implementation: full-fleet candidate
-    scans for admission and recheck,
-    adapted only to the threaded-loads ``_rebalance_node`` signature.
-    The density-bucket service must stay bit-identical to it."""
+    scans for admission and recheck, adapted only to the plan the
+    indexed service stages each event in (nodes read through it, one
+    ``_apply`` at the end).  The density-bucket service must stay
+    bit-identical to it."""
 
-    def _probe_order(self, index):
-        return (-self.cluster.nodes[index].n_jobs, index)
-
-    def _find_target(self, job, t, exclude=frozenset()):
+    def _find_target(self, plan, job, exclude=frozenset()):
         from repro.warehouse.service import _request_at
 
+        t = plan.t
         request = _request_at(job, t)
         verified = []
+        fleet = self.cluster.nodes
+        if plan.nodes:
+            fleet = [plan.nodes.get(i, node) for i, node in enumerate(fleet)]
         candidates = {
             node_state.index
-            for node_state in self.cluster.nodes
+            for node_state in fleet
             if 0 < node_state.n_jobs < self.max_jobs_per_node
             and node_state.index not in exclude
             and node_state.can_host(request)
         }
-        occupied = sorted(candidates, key=self._probe_order)
+        occupied = sorted(candidates, key=lambda i: (-fleet[i].n_jobs, i))
         for index in occupied[: self.max_probe_nodes]:
-            node_state = self.cluster.nodes[index]
-            tentative = self._refreshed(node_state, t).with_request(request)
+            tentative = self._refreshed(fleet[index], t).with_request(request)
             if not tentative.lc_requests:
-                return node_state.index, tentative, tuple(verified)
+                return index, tentative, tuple(verified)
             if self._check_node(tentative, verified):
-                return node_state.index, tentative, tuple(verified)
-        for node_state in self.cluster.nodes:
+                return index, tentative, tuple(verified)
+        for node_state in fleet:
             if (
                 node_state.n_jobs == 0
                 and node_state.index not in exclude
@@ -1210,35 +1311,31 @@ class IndexFreeService(WarehouseService):
         return None, None, tuple(verified)
 
     def _on_recheck(self, t, seq):
-        from repro.warehouse.service import TimelineEntry
+        from repro.warehouse.service import _Plan
 
-        self._counts["rechecks"] += 1
-        self.telemetry.metrics.counter("warehouse.rechecks").add()
+        plan = _Plan(t)
+        plan.count("rechecks", "warehouse.rechecks")
         checked = 0
         failed = 0
         verified_all = []
         for node_state in self.cluster.used_nodes():
             if not node_state.lc_requests:
                 continue
-            loads = self._loads_of(node_state.index, t)
-            if self._last_verified.get(node_state.index) == loads:
+            loads = self._loads_of(plan, node_state.index)
+            if self._verified_at(plan, node_state.index) == loads:
                 continue
             checked += 1
-            verified = self._rebalance_node(node_state.index, t, seq, loads)
+            verified = self._rebalance_node(plan, node_state.index, loads)
             verified_all.extend(verified)
-            if self._last_verified.get(node_state.index) != loads:
+            if self._verified_at(plan, node_state.index) != loads:
                 failed += 1
-        if failed:
-            self._counts["recheck_failures"] += failed
-        self._record(
-            TimelineEntry(
-                time_s=t,
-                seq=seq,
-                kind="recheck",
-                detail=f"checked={checked} failed={failed}",
-                verified=tuple(verified_all),
-            )
+        plan.count("recheck_failures", n=failed)
+        plan.log(
+            "recheck",
+            detail=f"checked={checked} failed={failed}",
+            verified=tuple(verified_all),
         )
+        self._apply(plan, seq)
 
 
 class TestIndexEquivalence:
@@ -1255,6 +1352,7 @@ class TestIndexEquivalence:
             service = cls(40, recheck_period_s=60.0, seed=seed)
             load_into(service, events)
             status = service.run_to_completion()
+            books_consistent(service)
             runs.append(
                 (
                     service.timeline,
